@@ -33,6 +33,7 @@ POSITION_VANISHES = "PositionVanishes"
 DEFORMATION_VANISHES = "DeformationVanishes"
 
 X_FLOOR_FRACTION = 1e-8    # collapse declared at X < 1e-8 * R
+T_MAX_WITNESS = 2000.0     # horizon for integrating a blowup witness
 
 
 @dataclass(frozen=True)
@@ -83,8 +84,8 @@ def _violation(name, r, value):
     return f"{name} = {value:.6g} < 0 at r = {r:.6g}"
 
 
-def classify(data: InitialData, tol: float = 1e-9, *, witness: bool = False,
-             t_max_witness: float = 2000.0) -> Verdict:
+def classify(data: InitialData, tol: float = 1e-9, *,
+             witness: bool = False) -> Verdict:
     """Decide global existence vs finite-time blowup from the initial profiles.
 
     lam<0, n<=2: global iff the density vanishes and the velocity is outgoing
@@ -94,7 +95,7 @@ def classify(data: InitialData, tol: float = 1e-9, *, witness: bool = False,
     relative to the profile scale; conditions are verified on the sampled grid.
 
     With ``witness=True`` a blowup verdict also integrates the certificate
-    label to attach the witnessed event time.
+    label up to ``T_MAX_WITNESS`` to attach the witnessed event time.
     """
     r = data.grid.nodes
     v = data.v0_at(r)
@@ -107,7 +108,7 @@ def classify(data: InitialData, tol: float = 1e-9, *, witness: bool = False,
     def _finish(kind, certificate, label=None, mechanism_hint=None):
         t_c = mech = None
         if kind == FINITE_TIME_BLOWUP and witness and label is not None:
-            hit = blowup_time(data, label, t_max_witness)
+            hit = blowup_time(data, label, T_MAX_WITNESS)
             if hit is not None:
                 t_c, mech = hit
         return Verdict(kind, t_c, mech, certificate)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, cumulative_trapezoid
+from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, ParameterError
@@ -16,82 +16,60 @@ __all__ = [
     "RadialProfile",
     "fd_weights",
     "derivative_uniform",
-    "derivative_profile",
     "cumulative_radial",
-    "cumulative_from_right",
     "trapezoid_weights",
 ]
 
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """A 1D radial grid on [0, r_max].
+    """A uniform 1D radial grid on [0, r_max].
 
     ``include_origin=True`` places nodes at j*dr, j=0..points-1 with the last node
     at r_max.  ``include_origin=False`` places nodes at j*dr, j=1..points with
     dr = r_max/(points+1), so both r=0 and r=r_max are off-grid (Dirichlet ends,
-    the layout the wave solver needs).  ``spacing='geometric'`` stretches cell
-    widths by a constant ratio.
+    the layout the wave solver needs).
     """
 
     r_max: float
     points: int
-    spacing: str = "uniform"
     include_origin: bool = True
-    stretch: float = 1.0
 
     def __post_init__(self):
         if self.r_max <= 0:
             raise ParameterError(f"r_max must be positive, got {self.r_max}")
         if self.points < 16:
             raise ParameterError(f"need at least 16 grid points, got {self.points}")
-        if self.spacing not in ("uniform", "geometric"):
-            raise ParameterError(f"unknown spacing {self.spacing!r}")
-        if self.spacing == "geometric" and self.stretch <= 0:
-            raise ParameterError("geometric stretch must be positive")
 
     @property
     def nodes(self) -> np.ndarray:
-        return _grid_nodes(self.r_max, self.points, self.spacing,
-                           self.include_origin, self.stretch)
-
-    @property
-    def is_uniform(self) -> bool:
-        return self.spacing == "uniform" or self.stretch == 1.0
+        return _grid_nodes(self.r_max, self.points, self.include_origin)
 
     @property
     def dr(self) -> float:
-        if not self.is_uniform:
-            raise ParameterError("dr is only defined for uniform grids")
         if self.include_origin:
             return self.r_max / (self.points - 1)
         return self.r_max / (self.points + 1)
 
     def descriptor(self) -> dict:
+        # "spacing" and "stretch" stay as constants: data hashes, run headers
+        # and profile descriptors are computed over these keys.
         return {
             "r_max": self.r_max,
             "points": self.points,
-            "spacing": self.spacing,
+            "spacing": "uniform",
             "include_origin": self.include_origin,
-            "stretch": self.stretch,
+            "stretch": 1.0,
         }
 
 
 @lru_cache(maxsize=64)
-def _grid_nodes(r_max, points, spacing, include_origin, stretch):
-    if spacing == "uniform" or stretch == 1.0:
-        if include_origin:
-            r = np.linspace(0.0, r_max, points)
-        else:
-            dr = r_max / (points + 1)
-            r = dr * np.arange(1, points + 1)
+def _grid_nodes(r_max, points, include_origin):
+    if include_origin:
+        r = np.linspace(0.0, r_max, points)
     else:
-        # cell widths w, w*s, w*s^2, ... summing to r_max
-        ncell = points - 1 if include_origin else points + 1
-        widths = stretch ** np.arange(ncell)
-        widths *= r_max / widths.sum()
-        edges = np.concatenate([[0.0], np.cumsum(widths)])
-        r = edges if include_origin else edges[1:-1]
+        dr = r_max / (points + 1)
+        r = dr * np.arange(1, points + 1)
     r.setflags(write=False)
     return r
 
@@ -186,23 +164,6 @@ def derivative_uniform(values: np.ndarray, dr: float, order: int = 1,
     return out / dr ** order
 
 
-def _spacing_is_uniform(r: np.ndarray) -> bool:
-    dr = np.diff(r)
-    # tolerate float jitter from linspace while rejecting stretched grids
-    return bool(np.all(np.abs(dr - dr[0]) <= 64 * np.finfo(float).eps * abs(r[-1])))
-
-
-def derivative_profile(values: np.ndarray, r: np.ndarray, order: int = 1) -> np.ndarray:
-    """Derivative on a possibly non-uniform grid (spline-based fallback)."""
-    dr = np.diff(r)
-    if _spacing_is_uniform(r):
-        return derivative_uniform(values, dr[0], order)
-    if np.iscomplexobj(values):
-        return (CubicSpline(r, values.real).derivative(order)(r)
-                + 1j * CubicSpline(r, values.imag).derivative(order)(r))
-    return CubicSpline(r, values).derivative(order)(r)
-
-
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
@@ -211,17 +172,14 @@ def cumulative_radial(y: np.ndarray, r: np.ndarray,
                       origin_exponent: float | None = None) -> np.ndarray:
     """Cumulative integral of y over [r[0], r] node by node.
 
-    Composite Simpson on uniform grids, trapezoid otherwise.  When
-    ``origin_exponent`` p is given and the grid starts at r=0, the first cell
-    is integrated with the local model y ~ c*r^p (exact for power-law
-    integrands, which are steep there for large p).
+    Composite Simpson over the nodes r.  When ``origin_exponent`` p is given
+    and the grid starts at r=0, the first cell is integrated with the local
+    model y ~ c*r^p (exact for power-law integrands, which are steep there for
+    large p).
     """
     y = np.asarray(y)
     r = np.asarray(r, dtype=float)
-    if _spacing_is_uniform(r):
-        out = cumulative_simpson(y, x=r, initial=0.0)
-    else:
-        out = cumulative_trapezoid(y, x=r, initial=0.0)
+    out = cumulative_simpson(y, x=r, initial=0.0)
     if origin_exponent is not None and r[0] == 0.0 and len(r) > 2:
         p = float(origin_exponent)
         if p <= -1:
@@ -230,12 +188,6 @@ def cumulative_radial(y: np.ndarray, r: np.ndarray,
         out = out + (first - out[1])
         out[0] = 0.0
     return out
-
-
-def cumulative_from_right(y: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Cumulative integral of y over [r, r[-1]] node by node."""
-    out = cumulative_radial(y, r)
-    return out[-1] - out
 
 
 def trapezoid_weights(r: np.ndarray) -> np.ndarray:
@@ -253,21 +205,19 @@ def trapezoid_weights(r: np.ndarray) -> np.ndarray:
 class RadialProfile:
     """A real- or complex-valued function of radius sampled on a RadialGrid.
 
-    Carries its grid, supports interpolation (cubic by default) and 4th-order
+    Carries its grid, supports cubic-spline interpolation and 4th-order
     node-wise differentiation.  Instances are treated as immutable values.
     """
 
-    __slots__ = ("grid", "values", "interpolation_order", "_spline")
+    __slots__ = ("grid", "values", "_spline")
 
-    def __init__(self, grid: RadialGrid, values, interpolation_order: int = 3):
+    def __init__(self, grid: RadialGrid, values):
         values = np.asarray(values)
         if values.shape != (grid.points,):
             raise ParameterError(
                 f"profile has {values.shape} samples for a {grid.points}-point grid")
         if not np.all(np.isfinite(values)):
             raise DomainError("profile contains non-finite samples")
-        if interpolation_order not in (1, 3):
-            raise ParameterError("interpolation order must be 1 (linear) or 3 (cubic)")
         if not np.iscomplexobj(values):
             values = values.astype(float, copy=True)
         else:
@@ -275,7 +225,6 @@ class RadialProfile:
         values.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "interpolation_order", interpolation_order)
         object.__setattr__(self, "_spline", None)
 
     def __setattr__(self, name, value):
@@ -290,20 +239,17 @@ class RadialProfile:
         return np.iscomplexobj(self.values)
 
     def with_values(self, values) -> "RadialProfile":
-        return RadialProfile(self.grid, values, self.interpolation_order)
+        return RadialProfile(self.grid, values)
 
     def _interpolator(self):
         if self._spline is None:
             r = self.grid.nodes
-            if self.interpolation_order == 1:
-                mk = lambda y: (lambda x: np.interp(x, r, y))
-            else:
-                mk = lambda y: CubicSpline(r, y)
             if self.is_complex:
-                re, im = mk(self.values.real), mk(self.values.imag)
+                re = CubicSpline(r, self.values.real)
+                im = CubicSpline(r, self.values.imag)
                 fn = lambda x: re(x) + 1j * im(x)
             else:
-                fn = mk(self.values)
+                fn = CubicSpline(r, self.values)
             object.__setattr__(self, "_spline", fn)
         return self._spline
 
@@ -315,11 +261,9 @@ class RadialProfile:
         return self._interpolator()(np.clip(radii, r[0], r[-1]))
 
     def derivative(self, order: int = 1, left_parity: str | None = None) -> np.ndarray:
-        if self.grid.is_uniform:
-            return derivative_uniform(self.values, self.grid.dr, order,
-                                      left_parity=left_parity,
-                                      origin_on_grid=self.grid.include_origin)
-        return derivative_profile(self.values, self.grid.nodes, order)
+        return derivative_uniform(self.values, self.grid.dr, order,
+                                  left_parity=left_parity,
+                                  origin_on_grid=self.grid.include_origin)
 
     def __repr__(self):
         kind = "complex" if self.is_complex else "real"

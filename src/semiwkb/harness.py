@@ -33,12 +33,30 @@ SCENARIOS = ("classify", "evolve-ep", "wkb-eval", "schrodinger-run",
              "converge", "decay-study")
 
 
-def _from_dict(cls, payload: dict, where: str):
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(payload) - names
+# JSON value types accepted for each field annotation of the config classes
+_JSON_TYPES = {"str": str, "str | None": (str, type(None)), "int": int,
+               "float": (int, float), "float | None": (int, float, type(None)),
+               "tuple": (list, tuple)}
+
+
+def _is_a(value, kinds) -> bool:
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _validate_payload(cls, payload: dict, where: str):
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(payload) - set(types)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    return payload
+    for key, value in payload.items():
+        ok = _is_a(value, _JSON_TYPES[types[key]])
+        if ok and types[key] == "tuple":
+            ok = all(_is_a(x, (int, float)) for x in value)
+        if not ok:
+            raise ConfigError(f"{where} key {key!r} has the wrong type: "
+                              f"{value!r}")
 
 
 @dataclass(frozen=True)
@@ -118,8 +136,8 @@ class ExperimentConfig:
         if scenario is None:
             raise ConfigError("no scenario given")
         data_payload = payload.pop("data", {})
-        _from_dict(DataConfig, data_payload, "data")
-        _from_dict(cls, {"scenario": scenario, **payload}, "config")
+        _validate_payload(DataConfig, data_payload, "data")
+        _validate_payload(cls, {"scenario": scenario, **payload}, "config")
         for key in ("eps_ladder", "times", "labels", "velocity_scales",
                     "amplitude_scales", "t_tail"):
             if key in payload:

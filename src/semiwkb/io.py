@@ -61,7 +61,7 @@ def write_jsonl(path: str, records: Iterable[dict]) -> None:
 def profile_descriptor(profile: RadialProfile, provenance: dict | None = None) -> dict:
     return {"grid": profile.grid.descriptor(),
             "complex": bool(profile.is_complex),
-            "interpolation_order": profile.interpolation_order,
+            "interpolation_order": 3,  # profiles interpolate by cubic splines
             "provenance": provenance or {}}
 
 

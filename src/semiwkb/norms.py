@@ -51,10 +51,6 @@ class DecayFit:
     n_used: int
 
 
-def _quad_weights(r: np.ndarray) -> np.ndarray:
-    return trapezoid_weights(r)
-
-
 def lp_norm(values: np.ndarray, r: np.ndarray, n: int, p: float) -> float:
     """||f||_{L^p(R^n)} of a radial magnitude sampled on r."""
     mag = np.abs(values)
@@ -62,7 +58,7 @@ def lp_norm(values: np.ndarray, r: np.ndarray, n: int, p: float) -> float:
         return float(np.max(mag))
     if p < 1:
         raise ParameterError("p must be in [1, inf]")
-    w = _quad_weights(r)
+    w = trapezoid_weights(r)
     return float((sphere_area(n) * np.sum(mag ** p * r ** (n - 1) * w)) ** (1.0 / p))
 
 
@@ -134,8 +130,6 @@ def norm_diagnostics(profile: RadialProfile, n: int, p: float = 2.0,
         raise ParameterError("p and q must be in [1, inf]")
     if s < 2:
         raise ParameterError("smoothness index s must be >= 2")
-    if not profile.grid.is_uniform:
-        raise ParameterError("norm evaluation expects a uniform grid")
     r = profile.grid.nodes
     vals = profile.values
     mag = np.abs(vals)
@@ -156,7 +150,8 @@ def norm_diagnostics(profile: RadialProfile, n: int, p: float = 2.0,
         geo = _over_r(vals, r, f1[0])
         grad_mag = np.sqrt(np.abs(f1) ** 2 + (n - 1) * np.abs(geo) ** 2)
         comp = [(f2, 1.0),
-                (_derivs_of(geo, r, "even"), n - 1.0),
+                (derivative_uniform(geo, r[1] - r[0], 1, left_parity="even",
+                                    origin_on_grid=r[0] == 0.0), n - 1.0),
                 (_over_r(f1 - geo, r, 0.0), 2.0 * (n - 1.0))]
     else:
         grad_mag = np.abs(f1)
@@ -187,15 +182,8 @@ def norm_diagnostics(profile: RadialProfile, n: int, p: float = 2.0,
                       grad_lq=grad_lq, hess_hs2=hess)
 
 
-def _derivs_of(values, r, parity):
-    dr = r[1] - r[0]
-    origin = r[0] == 0.0
-    return derivative_uniform(values, dr, 1, left_parity=parity,
-                              origin_on_grid=origin)
-
-
-def decay_fit(times, values, tail_fraction: float = 1.0) -> DecayFit:
-    """Least-squares slope of log(value) against log(t) on the tail.
+def decay_fit(times, values) -> DecayFit:
+    """Least-squares slope of log(value) against log(t) over all samples.
 
     Requires at least 8 samples spanning two decades; values must be positive.
     """
@@ -211,13 +199,10 @@ def decay_fit(times, values, tail_fraction: float = 1.0) -> DecayFit:
         raise ParameterError("samples must span at least two decades in t")
     if np.any(v <= 0):
         raise DomainError("decay fit requires positive values")
-    if not (0 < tail_fraction <= 1):
-        raise ParameterError("tail_fraction must lie in (0, 1]")
-    k = max(int(len(t) * tail_fraction), 8)
-    lt, lv = np.log(t[-k:]), np.log(v[-k:])
+    lt, lv = np.log(t), np.log(v)
     A = np.vstack([lt, np.ones_like(lt)]).T
     coef, res, *_ = np.linalg.lstsq(A, lv, rcond=None)
     dof = max(len(lt) - 2, 1)
     var = (res[0] / dof if res.size else 0.0) / max(np.sum((lt - lt.mean()) ** 2), 1e-300)
     return DecayFit(exponent=float(coef[0]), stderr=float(np.sqrt(var)),
-                    n_used=k)
+                    n_used=len(t))

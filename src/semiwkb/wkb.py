@@ -43,6 +43,8 @@ __all__ = [
     "limit_system_residual", "first_corrector",
 ]
 
+N_PICARD = 3        # fixed-point sweeps per corrector step
+
 
 @dataclass(frozen=True)
 class WkbFields:
@@ -255,8 +257,6 @@ def limit_system_residual(fields: WkbFields, data: InitialData,
     corrupted field shows up as a nonzero residual.
     """
     grid = fields.grid
-    if not grid.is_uniform:
-        raise ContractError("residual evaluation expects a uniform grid")
     r = grid.nodes
     h = grid.dr
     t = fields.t
@@ -297,20 +297,16 @@ class _Background:
     """Eulerian leading-order coefficients on a fixed grid at arbitrary times."""
 
     def __init__(self, data: InitialData, grid: RadialGrid):
-        if not grid.is_uniform:
-            raise ContractError("corrector grid must be uniform")
         self.data = data
         self.grid = grid
         self.r = grid.nodes
         self.h = grid.dr
         self.origin = grid.include_origin
         self.static = not data.compatible
-        if self.static:
-            ok = data.lam == 0.0 and np.max(np.abs(data.v0_at(self.r))) == 0.0
-            if not ok:
-                raise ContractError(
-                    "first_corrector needs compatible data or a static "
-                    "(lam = 0, v0 = 0) background")
+        if self.static and not is_static_free(data):
+            raise ContractError(
+                "first_corrector needs compatible data or a static "
+                "(lam = 0, v0 = 0) background")
 
     def coefficients(self, t: float) -> dict:
         data, r, h = self.data, self.r, self.h
@@ -354,18 +350,11 @@ class _Background:
         return np.clip(dep, self.r[0], self.r[-1])
 
 
-def _interp_complex(r: np.ndarray, f: np.ndarray, x: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(f):
-        return CubicSpline(r, f.real)(x) + 1j * CubicSpline(r, f.imag)(x)
-    return CubicSpline(r, f)(x)
-
-
 def first_corrector(data: InitialData, t_end: float,
                     grid: RadialGrid | None = None,
                     A1: RadialProfile | None = None,
                     dt: float | None = None,
-                    sample_times=None,
-                    n_picard: int = 3) -> CorrectorSeries:
+                    sample_times=None) -> CorrectorSeries:
     """March the first linearized pair (a1, phi1) to t_end.
 
     Semi-Lagrangian Crank-Nicolson: both fields ride the leading-order
@@ -434,11 +423,11 @@ def first_corrector(data: InitialData, t_end: float,
         qa = a1 + 0.5 * step * rhs_a_old
         qp = p1 + 0.5 * step * rhs_p_old
         dep = bg.departure_points(t_new, step)
-        qa = _interp_complex(r, qa, dep)
-        qp = _interp_complex(r, qp, dep)
+        qa = RadialProfile(grid, qa)(dep)
+        qp = RadialProfile(grid, qp)(dep)
 
         a1_new, p1_new = qa.copy(), qp.copy()
-        for _ in range(n_picard):
+        for _ in range(N_PICARD):
             rhs_a_new, rhs_p_new = reaction(c_new, a1_new, p1_new)
             a1_new = qa + 0.5 * step * rhs_a_new
             p1_new = qp + 0.5 * step * rhs_p_new

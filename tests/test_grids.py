@@ -3,8 +3,7 @@ import pytest
 
 from semiwkb import ParameterError, RadialGrid, RadialProfile
 from semiwkb.errors import DomainError
-from semiwkb.grids import (cumulative_from_right, cumulative_radial,
-                           derivative_uniform, fd_weights)
+from semiwkb.grids import cumulative_radial, derivative_uniform, fd_weights
 
 
 def test_grid_layouts():
@@ -21,16 +20,6 @@ def test_grid_validation():
         RadialGrid(-1.0, 100)
     with pytest.raises(ParameterError):
         RadialGrid(1.0, 8)
-    with pytest.raises(ParameterError):
-        RadialGrid(1.0, 100, spacing="weird")
-
-
-def test_geometric_grid_increasing():
-    g = RadialGrid(10.0, 64, spacing="geometric", stretch=1.05)
-    r = g.nodes
-    assert np.all(np.diff(r) > 0)
-    assert np.isclose(r[-1], 10.0)
-    assert not g.is_uniform
 
 
 def test_fd_weights_reproduce_centered_stencils():
@@ -79,12 +68,6 @@ def test_cumulative_origin_model_exact_for_powers():
     out = cumulative_radial(y, r, origin_exponent=6)
     assert np.isclose(out[1], r[1] ** 7 / 7.0, rtol=1e-12)
     assert out[0] == 0.0
-
-
-def test_cumulative_from_right():
-    r = np.linspace(0.0, 2.0, 301)
-    out = cumulative_from_right(np.ones_like(r), r)
-    assert np.allclose(out, 2.0 - r, atol=1e-12)
 
 
 def test_profile_validation_and_interpolation():

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from semiwkb import ConfigError, DataConfig, ExperimentConfig
+from semiwkb import ConfigError, DataConfig, ExperimentConfig, RadialGrid
 from semiwkb.cli import main as cli_main
 from semiwkb.harness import (build_data, classify_sweep, converge,
                              decay_study, evolve_ep, schrodinger_run,
@@ -45,6 +45,19 @@ def test_config_scenario_gate():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_json({"scenario": "converge"},
                                    scenario="classify")
+
+
+def test_on_disk_format_pinned():
+    # emitted data hashes and run headers are computed over these values
+    assert RadialGrid(40.0, 8192).descriptor() == {
+        "r_max": 40.0, "points": 8192, "spacing": "uniform",
+        "include_origin": True, "stretch": 1.0}
+    recorded = {"converge": "73a9dbef4fd15783",
+                "classify": "d83cb50a478c3273",
+                "decay-study": "8853f95825dc9a11",
+                "schrodinger-run": "d3d47abd6cc9e3ba"}
+    for scenario, digest in recorded.items():
+        assert ExperimentConfig(scenario=scenario).hash() == digest
 
 
 def test_config_hash_stable():
@@ -242,6 +255,14 @@ def test_cli_exit_codes(tmp_path):
     lad = tmp_path / "lad.json"
     lad.write_text(json.dumps({"eps_ladder": [0.5, 0.5]}))
     assert cli_main(["converge", "--config", str(lad)]) == 2
+
+    # malformed value types are validation errors, not tracebacks
+    for payload in ({"data": None}, {"eps_ladder": 0.1}, {"t_end": "x"},
+                    {"data": {"points": "many"}}, {"eps_ladder": [0.5, "a"]},
+                    {"threads": True}, {"data": {"lam": None}}):
+        typed = tmp_path / "typed.json"
+        typed.write_text(json.dumps(payload))
+        assert cli_main(["converge", "--config", str(typed)]) == 2
 
     # under-resolved solver grid -> resolution error -> exit 3
     res = tmp_path / "res.json"

@@ -109,6 +109,9 @@ def test_leading_order_rejects_bad_input(smooth_chirped, ball_zero_velocity):
         leading_order(smooth_chirped, -1.0, smooth_chirped.grid)
     with pytest.raises(ContractError):
         leading_order(ball_zero_velocity, 1.0, ball_zero_velocity.grid)
+    # lam = -1 with v0 = 0: neither compatible nor a static free background
+    with pytest.raises(ContractError):
+        first_corrector(ball_zero_velocity, 0.1)
 
 
 def test_limit_system_residuals_small(smooth_chirped):
