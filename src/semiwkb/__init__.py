@@ -1,9 +1,9 @@
 """semiwkb: radial Euler-Poisson characteristics, non-caustic WKB fields,
 and a semiclassical Schrodinger-Poisson solver for desk-scale verification."""
 
-from .errors import (ConfigError, ContractError, DivisionGuardError,
-                     DomainError, ParameterError, ResolutionError,
-                     SemiwkbError, StepRejectionError,
+from .errors import (ConfigError, ContractError, ConvergenceError,
+                     DivisionGuardError, DomainError, ParameterError,
+                     ResolutionError, SemiwkbError, StepRejectionError,
                      UnsupportedConfigurationError)
 from .grids import RadialGrid, RadialProfile
 from .profiles import (InitialData, ball_data, build_initial_data,

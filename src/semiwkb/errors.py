@@ -35,3 +35,7 @@ class StepRejectionError(SemiwkbError, RuntimeError):
 
 class ConfigError(SemiwkbError, ValueError):
     """An experiment configuration failed validation."""
+
+
+class ConvergenceError(SemiwkbError, RuntimeError):
+    """An iterative solve ended without meeting its convergence tolerance."""

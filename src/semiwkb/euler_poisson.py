@@ -12,7 +12,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 
-from .errors import ContractError, ParameterError, UnsupportedConfigurationError
+from .errors import (ContractError, ConvergenceError, ParameterError,
+                     UnsupportedConfigurationError)
 from .grids import RadialGrid, RadialProfile
 from .profiles import InitialData
 
@@ -33,6 +34,7 @@ POSITION_VANISHES = "PositionVanishes"
 DEFORMATION_VANISHES = "DeformationVanishes"
 
 X_FLOOR_FRACTION = 1e-8    # collapse declared at X < 1e-8 * R
+NEWTON_TOL = 1e-10         # largest final flow-map Newton step, relative to R
 T_MAX_WITNESS = 2000.0     # horizon for integrating a blowup witness
 
 
@@ -50,11 +52,14 @@ class Verdict:
 
 @dataclass(frozen=True)
 class CharacteristicState:
+    """Lagrangian state at labels R; J = X^(n-1) B / R^(n-1) is the volume
+    factor, so rho = rho0(R)/J and a0 = A0(R)/sqrt(J) along the flow."""
     R: np.ndarray
     t: np.ndarray
     X: np.ndarray
     Xdot: np.ndarray
     B: np.ndarray
+    J: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -171,8 +176,9 @@ def explicit_characteristics(data: InitialData, t, R) -> CharacteristicState:
     """Closed-form characteristic state for compatible data.
 
     X = R (1 + F t)^(2/n), Xdot = v0 (1 + F t)^(2/n - 1),
-    B = (1 + F t)^(2/n - 1) (1 + G t), with F = n v0/(2R) and
-    G = |lam| rho0 R / ((n-2) v0) = v0' + (n-2) v0 / (2R).
+    B = (1 + F t)^(2/n - 1) (1 + G t), J = (1 + F t)(1 + G t), with
+    F = n v0/(2R) and G = |lam| rho0 R / ((n-2) v0) = v0' + (n-2) v0 / (2R)
+    from ``InitialData.rates_at``.
     """
     if not data.compatible:
         raise ContractError("explicit characteristics require compatible data")
@@ -180,15 +186,14 @@ def explicit_characteristics(data: InitialData, t, R) -> CharacteristicState:
     R = np.atleast_1d(np.asarray(R, dtype=float))
     if np.any(t < 0):
         raise ParameterError("time must be nonnegative")
-    F = data.F_at(R)
-    G = data.G_at(R)
-    v0 = data.v0_at(R)
+    v0, F, G = data.rates_at(R)
     n = data.n
     one_Ft = 1.0 + F * t
     X = R * one_Ft ** (2.0 / n)
     Xdot = v0 * one_Ft ** (2.0 / n - 1.0)
     B = one_Ft ** (2.0 / n - 1.0) * (1.0 + G * t)
-    return CharacteristicState(R=R, t=t, X=X, Xdot=Xdot, B=B)
+    return CharacteristicState(R=R, t=t, X=X, Xdot=Xdot, B=B,
+                               J=one_Ft * (1.0 + G * t))
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +301,9 @@ def invert_flow_map(data: InitialData, t: float, radii: np.ndarray,
                     label_top: float | None = None) -> np.ndarray:
     """Solve X(t, R) = r for R on compatible data (X strictly increasing in R).
 
-    Warm start by monotone interpolation through grid labels, then Newton
-    polish R <- R - (X - r)/B to 1e-12 relative.
+    Warm start by monotone interpolation through grid labels, then six
+    Newton steps R <- R - (X - r)/B; raises ConvergenceError unless every
+    final step is within 1e-10 R.
     """
     if not data.compatible:
         raise ContractError("flow-map inversion requires compatible data")
@@ -317,6 +323,9 @@ def invert_flow_map(data: InitialData, t: float, radii: np.ndarray,
         stR = explicit_characteristics(data, t, np.maximum(R[pos], 1e-300))
         step = (stR.X - radii[pos]) / stR.B
         R[pos] = np.clip(R[pos] - step, 0.0, labels[-1])
+    if not np.all(np.abs(step) <= NEWTON_TOL * R[pos]):
+        raise ConvergenceError(
+            f"flow-map inversion did not converge at t = {float(t):g}")
     R[~pos] = 0.0
     return R
 
@@ -333,7 +342,6 @@ def eulerian_fields(data: InitialData, t: float,
     """
     if t < 0:
         raise ParameterError("time must be nonnegative")
-    n = data.n
     free = data.m_infinity == 0.0
 
     if not (data.compatible or free):
@@ -352,7 +360,7 @@ def eulerian_fields(data: InitialData, t: float,
     radii = grid.nodes
 
     if free:
-        # invert r = R + v0(R) t by monotone interpolation + Newton
+        # invert r = R + v0(R) t by monotone interpolation (no Newton polish)
         Xs = labels + v0 * t
         if np.any(np.diff(Xs) <= 0):
             raise ContractError("free-streaming map is not invertible (B <= 0)")
@@ -375,9 +383,6 @@ def eulerian_fields(data: InitialData, t: float,
             hi *= 2.0
         label_top = hi
     R = invert_flow_map(data, t, radii, label_top=label_top)
-    F = data.F_at(R)
-    G = data.G_at(R)
-    one_Ft = 1.0 + F * t
-    rho_out = data.rho0_at(R) / (one_Ft * (1.0 + G * t))
-    v_out = data.v0_at(R) * one_Ft ** (2.0 / n - 1.0)
-    return (RadialProfile(grid, rho_out), RadialProfile(grid, v_out))
+    st = explicit_characteristics(data, t, R)
+    return (RadialProfile(grid, data.rho0_at(R) / st.J),
+            RadialProfile(grid, st.Xdot))

@@ -352,9 +352,7 @@ def velocity_lp_lagrangian(data: InitialData, t: float, p: float,
     labels = np.concatenate([data.grid.nodes,
                              np.geomspace(data.r_max, label_top, 2000)[1:]])
     labels = labels[labels > 0]
-    v0 = data.v0_at(labels)
-    F = data.F_at(labels)
-    G = data.G_at(labels)
+    v0, F, G = data.rates_at(labels)
     one_Ft = 1.0 + F * t
     integrand = (np.abs(v0) ** p * one_Ft ** (p * (2.0 / n - 1.0))
                  * labels ** (n - 1) * one_Ft ** (2.0 * (n - 1.0) / n)

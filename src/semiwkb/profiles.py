@@ -4,6 +4,7 @@ and the critical-threshold function for the radial attractive problem."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import hashlib
@@ -303,6 +304,10 @@ class InitialData:
             out[inside] = self.amplitude(R[inside])
         return out
 
+    @cached_property
+    def _v0_prime(self) -> RadialProfile:
+        return RadialProfile(self.grid, self.velocity.derivative(1).real)
+
     def v0_prime_at(self, R):
         R = np.atleast_1d(np.asarray(R, dtype=float))
         if self.exact is not None:
@@ -310,39 +315,36 @@ class InitialData:
         out = np.zeros_like(R)
         inside = R <= self.r_max
         if np.any(inside):
-            dv = RadialProfile(self.grid, self.velocity.derivative(1).real)
-            out[inside] = dv(R[inside])
+            out[inside] = self._v0_prime(R[inside])
         outside = ~inside
         if np.any(outside) and self.tail_coeff != 0.0:
             out[outside] = self.tail_coeff * (1.0 - self.n / 2.0) \
                 * R[outside] ** (-self.n / 2.0)
         return out
 
-    def F_at(self, R):
-        """Expansion rate n*v0/(2R), continued to R=0 by its limit."""
-        R = np.atleast_1d(np.asarray(R, dtype=float))
-        pos = R > 0
-        F = np.empty_like(R)
-        F[pos] = self.n * self.v0_at(R[pos]) / (2.0 * R[pos])
-        if np.any(~pos):
-            F[~pos] = 0.5 * self.n * self.v0_prime_at(np.zeros(1))[0]
-        return F
+    def rates_at(self, R):
+        """(v0, F, G) at the labels R from one evaluation of v0 and rho0.
 
-    def G_at(self, R):
-        """Compression rate |lam| rho0 R / ((n-2) v0), continued to R=0."""
+        F = n v0/(2R) is the expansion rate and G = |lam| rho0 R/((n-2) v0)
+        the compression rate of the compatible flow; both continue to R = 0
+        by their limits through v0'(0), and G = 0 where v0 vanishes.
+        """
         R = np.atleast_1d(np.asarray(R, dtype=float))
         v = self.v0_at(R)
         rho = self.rho0_at(R)
-        num = np.abs(self.lam) * rho * R
+        pos = R > 0
+        F = np.empty_like(R)
+        F[pos] = self.n * v[pos] / (2.0 * R[pos])
         G = np.zeros_like(R)
         ok = v > 0
-        G[ok] = num[ok] / ((self.n - 2) * v[ok])
-        origin = (R == 0) & (rho > 0)
-        if np.any(origin):
+        G[ok] = np.abs(self.lam) * rho[ok] * R[ok] / ((self.n - 2) * v[ok])
+        if not np.all(pos):
             slope = self.v0_prime_at(np.zeros(1))[0]
+            F[~pos] = 0.5 * self.n * slope
+            origin = (R == 0) & (rho > 0)
             if slope > 0:
                 G[origin] = np.abs(self.lam) * rho[origin] / ((self.n - 2) * slope)
-        return G
+        return v, F, G
 
     def content_hash(self) -> str:
         h = hashlib.sha256()

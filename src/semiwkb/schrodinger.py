@@ -112,7 +112,7 @@ def _poisson_on_wavegrid(density: np.ndarray, r: np.ndarray, dr: float) -> np.nd
     rho0 = (4.0 * density[0] - density[1]) / 3.0
     r_ext = np.concatenate([[0.0], r, [r[-1] + dr]])
     rho_ext = np.concatenate([[max(rho0, 0.0)], density, [0.0]])
-    return hartree_potential(rho_ext, r_ext, 3, "decay")[1:-1]
+    return hartree_potential(rho_ext, r_ext, 3)[1:-1]
 
 
 def _kinetic_phases(eps: float, L: float, M: int, dt: float) -> np.ndarray:

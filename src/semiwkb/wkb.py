@@ -31,7 +31,7 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from .errors import (ContractError, DomainError, ParameterError,
-                     StepRejectionError, UnsupportedConfigurationError)
+                     StepRejectionError)
 from .euler_poisson import explicit_characteristics, invert_flow_map
 from .grids import (RadialGrid, RadialProfile, cumulative_radial,
                     derivative_uniform)
@@ -75,46 +75,35 @@ class CorrectorSeries:
 # radial Poisson field
 # ---------------------------------------------------------------------------
 
-def hartree_potential(source: np.ndarray, r: np.ndarray, n: int,
-                      normalization: str = "decay") -> np.ndarray:
+def hartree_potential(source: np.ndarray, r: np.ndarray, n: int) -> np.ndarray:
     """Solve -(r^(n-1) V')' = r^(n-1) * source radially (signed source allowed).
 
-    'decay' closes the tail analytically with the captured charge and vanishes
-    at infinity (n >= 3); 'origin' anchors V(0) = 0 (the n <= 2 convention).
+    n >= 3: the tail is closed analytically with the captured charge and V
+    vanishes at infinity.  n <= 2, where no decaying solution exists: V(0) = 0.
     """
     m = cumulative_radial(source * r ** (n - 1), r)
     with np.errstate(divide="ignore", invalid="ignore"):
         h = np.where(r > 0, m * r ** (1.0 - n), 0.0)
     H = cumulative_radial(h, r)
-    if normalization == "decay":
-        tail = m[-1] * r[-1] ** (2 - n) / (n - 2)
-        return (H[-1] - H) + tail
-    return H
+    if n <= 2:
+        return H
+    tail = m[-1] * r[-1] ** (2 - n) / (n - 2)
+    return (H[-1] - H) + tail
 
 
-def poisson_radial(rho: RadialProfile, n: int,
-                   normalization: str | None = None) -> RadialProfile:
+def poisson_radial(rho: RadialProfile, n: int) -> RadialProfile:
     """Attractive-problem potential of a radial density.
 
     n >= 3: V(r) = integral_r^inf s^(1-n) m(s) ds with the tail beyond the grid
     closed analytically using m(s) ~ m(r_max).  n <= 2: the decay condition is
-    not meaningful; V is anchored to V(0) = 0 instead, and requesting 'decay'
-    is a contract error.
+    not meaningful; V is anchored to V(0) = 0 instead.
     """
     vals = rho.values
     if np.iscomplexobj(vals):
         raise DomainError("density must be real")
     if np.min(vals) < -1e-12 * max(np.max(np.abs(vals)), 1.0):
         raise DomainError("density has negative samples")
-    if normalization is None:
-        normalization = "decay" if n >= 3 else "origin"
-    if normalization not in ("decay", "origin"):
-        raise ParameterError(f"unknown normalization {normalization!r}")
-    if normalization == "decay" and n <= 2:
-        raise UnsupportedConfigurationError(
-            "the decay-at-infinity normalization is not defined for n <= 2")
-    out = hartree_potential(np.clip(vals, 0.0, None), rho.grid.nodes, n,
-                            normalization)
+    out = hartree_potential(np.clip(vals, 0.0, None), rho.grid.nodes, n)
     return RadialProfile(rho.grid, out)
 
 
@@ -134,16 +123,7 @@ def _Q(alpha: float, F: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
-def _kinetic_term(data: InitialData, t: float, R: np.ndarray) -> np.ndarray:
-    v0 = data.v0_at(R)
-    F = data.F_at(R)
-    return 0.5 * v0 ** 2 * _Q((4.0 - data.n) / data.n, F, t)
-
-
-def _I_kernel(data: InitialData, t: float, R: np.ndarray) -> np.ndarray:
-    n = data.n
-    F = data.F_at(R)
-    G = data.G_at(R)
+def _I_kernel(n: int, t: float, F: np.ndarray, G: np.ndarray) -> np.ndarray:
     ratio = np.zeros_like(F)
     pos = F > 0
     ratio[pos] = G[pos] / F[pos]
@@ -172,9 +152,9 @@ def _potential_tail(data: InitialData, t: float) -> float:
 def _potential_term_nodes(data: InitialData, t: float) -> np.ndarray:
     """P(t, R) at the data-grid nodes (cumulative from the top plus tail)."""
     r = data.grid.nodes
-    v0 = data.v0_at(r)
+    v0, F, G = data.rates_at(r)
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(r > 0, v0 ** 2 / r, 0.0) * _I_kernel(data, t, r)
+        w = np.where(r > 0, v0 ** 2 / r, 0.0) * _I_kernel(data.n, t, F, G)
     Wc = cumulative_radial(w, r)
     tail = _potential_tail(data, t)
     return 0.5 * (data.n - 2) * (tail + Wc[-1] - Wc)
@@ -214,15 +194,13 @@ def leading_order(data: InitialData, t: float,
         raise ContractError("leading_order requires compatible or static data")
     radii = grid.nodes
     R = invert_flow_map(data, t, radii)
-    F = data.F_at(R)
-    G = data.G_at(R)
-    one_Ft = 1.0 + F * t
-    one_Gt = 1.0 + G * t
-    a0 = data.amplitude_at(R) / np.sqrt(one_Ft * one_Gt)
+    v0, F, G = data.rates_at(R)
+    a0 = data.amplitude_at(R) / np.sqrt((1.0 + F * t) * (1.0 + G * t))
 
     phi_nodes = _potential_term_nodes(data, t)
     P_spline = CubicSpline(data.grid.nodes, phi_nodes)
-    phi0 = data.phi0_at(R) + _kinetic_term(data, t, R) + P_spline(R)
+    kinetic = 0.5 * v0 ** 2 * _Q((4.0 - data.n) / data.n, F, t)
+    phi0 = data.phi0_at(R) + kinetic + P_spline(R)
 
     a0_profile = RadialProfile(grid, a0)
     rho_now = RadialProfile(grid, np.abs(a0) ** 2)
@@ -309,23 +287,23 @@ class _Background:
                 "(lam = 0, v0 = 0) background")
 
     def coefficients(self, t: float) -> dict:
+        """Fields at time t on the nodes, with the labels R they come from."""
         data, r, h = self.data, self.r, self.h
         if self.static:
+            R = r
             a0 = data.amplitude_at(r)
             v = np.zeros_like(r)
             lap_phi0 = np.zeros_like(r)
         else:
             R = invert_flow_map(data, t, r)
-            F = data.F_at(R)
-            G = data.G_at(R)
-            one_Ft = 1.0 + F * t
-            a0 = data.amplitude_at(R) / np.sqrt(one_Ft * (1.0 + G * t))
-            v = data.v0_at(R) * one_Ft ** (2.0 / data.n - 1.0)
+            st = explicit_characteristics(data, t, R)
+            a0 = data.amplitude_at(R) / np.sqrt(st.J)
+            v = st.Xdot
             lap_phi0 = _radial_divergence(v, r, h, data.n, "odd", self.origin)
         da0 = derivative_uniform(a0, h, 1, left_parity="even",
                                  origin_on_grid=self.origin)
         lap_a0 = self._laplacian(a0, "even")
-        return {"a0": a0, "da0": da0, "lap_a0": lap_a0,
+        return {"R": R, "a0": a0, "da0": da0, "lap_a0": lap_a0,
                 "v": v, "lap_phi0": lap_phi0}
 
     def _laplacian(self, f: np.ndarray, parity: str) -> np.ndarray:
@@ -339,13 +317,11 @@ class _Background:
             geo[0] = fpp[0]
         return fpp + (self.data.n - 1) * geo
 
-    def departure_points(self, t_new: float, dt: float) -> np.ndarray:
-        """Feet of the background characteristics arriving at the nodes."""
+    def departure_points(self, R: np.ndarray, t: float) -> np.ndarray:
+        """Feet at time t of the background characteristics with labels R."""
         if self.static:
             return self.r
-        R = invert_flow_map(self.data, t_new, self.r)
-        st = explicit_characteristics(self.data, t_new - dt,
-                                      np.maximum(R, 1e-300))
+        st = explicit_characteristics(self.data, t, np.maximum(R, 1e-300))
         dep = np.where(R > 0, st.X, 0.0)
         return np.clip(dep, self.r[0], self.r[-1])
 
@@ -422,7 +398,7 @@ def first_corrector(data: InitialData, t_end: float,
         rhs_a_old, rhs_p_old = reaction(c_old, a1, p1)
         qa = a1 + 0.5 * step * rhs_a_old
         qp = p1 + 0.5 * step * rhs_p_old
-        dep = bg.departure_points(t_new, step)
+        dep = bg.departure_points(c_new["R"], t_new - step)
         qa = RadialProfile(grid, qa)(dep)
         qp = RadialProfile(grid, qp)(dep)
 

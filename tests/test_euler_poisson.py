@@ -1,13 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from semiwkb import (ContractError, ParameterError, RadialGrid, RadialProfile,
-                     UnsupportedConfigurationError, ball_data, blowup_time,
-                     classify, eulerian_fields, explicit_characteristics,
-                     free_data, integrate_characteristics, large_time_class,
+import semiwkb.euler_poisson as ep
+from semiwkb import (ContractError, ConvergenceError, ParameterError,
+                     RadialGrid, RadialProfile, UnsupportedConfigurationError,
+                     ball_data, blowup_time, classify, eulerian_fields,
+                     explicit_characteristics, free_data,
+                     integrate_characteristics, large_time_class,
                      smooth_ball_data)
 from semiwkb.euler_poisson import (DEFORMATION_VANISHES, FINITE_TIME_BLOWUP,
                                    GLOBAL, NECESSARY_CONDITION_VIOLATED,
@@ -235,12 +239,26 @@ def test_flow_map_monotone_in_labels(smooth):
         assert np.all(state.B > 0)
 
 
-def test_invert_flow_map_residual(smooth):
-    t = 5.0
+def test_invert_flow_map_residual(smooth, ball):
     radii = np.linspace(0.0, 30.0, 701)
-    R = invert_flow_map(smooth, t, radii)
-    st1 = explicit_characteristics(smooth, t, np.maximum(R[1:], 1e-300))
-    assert np.max(np.abs(st1.X - radii[1:])) < 1e-10
+    for data in (smooth, ball):
+        for t in (5.0, 1e2, 1e4):
+            R = invert_flow_map(data, t, radii)
+            st1 = explicit_characteristics(data, t, np.maximum(R[1:], 1e-300))
+            assert np.max(np.abs(st1.X - radii[1:])) < 1e-10
+
+
+def test_invert_flow_map_fails_closed(smooth, monkeypatch):
+    # B scaled by 0.1 makes every Newton step overshoot ninefold
+    exact = ep.explicit_characteristics
+
+    def overshooting(data, t, R):
+        st = exact(data, t, R)
+        return dataclasses.replace(st, B=0.1 * st.B)
+
+    monkeypatch.setattr(ep, "explicit_characteristics", overshooting)
+    with pytest.raises(ConvergenceError):
+        invert_flow_map(smooth, 5.0, np.linspace(0.0, 30.0, 701))
 
 
 @settings(max_examples=10, deadline=None)

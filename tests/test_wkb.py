@@ -7,22 +7,22 @@ from scipy.integrate import quad
 from scipy.special import erf
 
 from semiwkb import (ContractError, DomainError, ParameterError, RadialGrid,
-                     RadialProfile, StepRejectionError,
-                     UnsupportedConfigurationError, ball_data,
+                     RadialProfile, StepRejectionError, ball_data,
                      build_initial_data, first_corrector, leading_order,
                      limit_system_residual, phase_time_constant,
                      poisson_radial, smooth_ball_data)
 from semiwkb.grids import derivative_uniform
 from semiwkb.norms import lp_norm
 from semiwkb.profiles import InitialData
+from semiwkb import wkb
 from semiwkb.wkb import WkbFields
 
 
-def static_gaussian(points=1025, r_max=20.0, lam=0.0):
+def static_gaussian(points=1025, r_max=20.0, lam=0.0, n=3):
     g = RadialGrid(r_max, points)
     r = g.nodes
     zero = RadialProfile(g, np.zeros(points))
-    return InitialData(n=3, lam=lam,
+    return InitialData(n=n, lam=lam,
                        amplitude=RadialProfile(g, np.exp(-r ** 2 / 2)),
                        phase=zero, velocity=zero, mass=zero, threshold=zero,
                        kappa=None, delta=None, compatible=False,
@@ -77,8 +77,6 @@ def test_poisson_low_dimension_normalizations():
     g = RadialGrid(10.0, 512)
     r = g.nodes
     rho = RadialProfile(g, np.exp(-r ** 2))
-    with pytest.raises(UnsupportedConfigurationError):
-        poisson_radial(rho, 2, normalization="decay")
     V = poisson_radial(rho, 2)
     assert V.values[0] == 0.0
     assert np.all(np.diff(V.values) >= 0.0)
@@ -157,10 +155,7 @@ def test_phase_constant_matches_time_integration(n):
 
     def potential_at_origin(s):
         def integrand(R):
-            Ra = np.atleast_1d(R)
-            F = d.F_at(Ra)[0]
-            G = d.G_at(Ra)[0]
-            v0 = d.v0_at(Ra)[0]
+            v0, F, G = (x[0] for x in d.rates_at(R))
             return (v0 * v0 / R) * (1 + F * s) ** (4.0 / n - 3.0) * (1 + G * s)
 
         total = 0.0
@@ -197,16 +192,32 @@ def test_corrector_vacuum_stays_zero():
 
 
 def test_corrector_static_gaussian_taylor_oracle():
-    d = static_gaussian()
-    g = d.grid
-    r = g.nodes
-    T = 0.25
-    cs = first_corrector(d, T, grid=g)
-    a1 = cs.a1[-1].values
-    exact = 0.5j * T * (r ** 2 - 3.0) * np.exp(-r ** 2 / 2)
-    assert np.max(np.abs(a1 - exact)) < 1e-6
-    assert np.max(np.abs(a1.real)) == 0.0
-    assert np.max(np.abs(cs.phi1[-1].values)) == 0.0
+    # a1 = (i/2) T Lap a0 with Lap exp(-r^2/2) = (r^2 - n) exp(-r^2/2)
+    for n in (2, 3):
+        d = static_gaussian(n=n)
+        g = d.grid
+        r = g.nodes
+        T = 0.25
+        cs = first_corrector(d, T, grid=g)
+        a1 = cs.a1[-1].values
+        exact = 0.5j * T * (r ** 2 - n) * np.exp(-r ** 2 / 2)
+        assert np.max(np.abs(a1 - exact)) < 1e-6
+        assert np.max(np.abs(a1.real)) == 0.0
+        assert np.max(np.abs(cs.phi1[-1].values)) == 0.0
+
+
+def test_corrector_inverts_flow_map_once_per_step(smooth_small, monkeypatch):
+    times = []
+    invert = wkb.invert_flow_map
+
+    def counting(data, t, *args, **kwargs):
+        times.append(t)
+        return invert(data, t, *args, **kwargs)
+
+    monkeypatch.setattr(wkb, "invert_flow_map", counting)
+    first_corrector(smooth_small, 0.02, grid=RadialGrid(40.0, 513), dt=0.005)
+    step_times = [t for t in times if t > 0.0]   # t = 0 sets up the first step
+    assert len(step_times) == len(set(step_times)) == 4
 
 
 def test_corrector_real_data_purely_imaginary(smooth_small):
