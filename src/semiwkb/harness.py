@@ -4,7 +4,6 @@ sweeps, decay fits, and report emission."""
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import time
 import warnings
@@ -119,11 +118,8 @@ class ExperimentConfig:
         object.__setattr__(self, "eps_ladder", lad)
 
     @classmethod
-    def from_json(cls, payload: dict | str, scenario: str | None = None
+    def from_json(cls, payload: dict, scenario: str | None = None
                   ) -> "ExperimentConfig":
-        if isinstance(payload, str):
-            with open(payload) as f:
-                payload = json.load(f)
         if not isinstance(payload, dict):
             raise ConfigError("configuration must be a JSON object")
         payload = dict(payload)
@@ -150,6 +146,21 @@ class ExperimentConfig:
         payload.pop("out_dir", None)
         payload.pop("threads", None)
         return sio.config_hash(payload)
+
+
+def _write(config: ExperimentConfig, name: str, payload, columns=None,
+           **header) -> None:
+    """Write one output file of a scenario into ``config.out_dir``: CSV rows
+    under a config-hash header when ``columns`` is given, else JSON Lines
+    for ``*.jsonl`` names and JSON otherwise."""
+    path = os.path.join(config.out_dir, name)
+    if columns is not None:
+        sio.write_csv(path, columns, payload,
+                      header={"config_hash": config.hash(), **header})
+    elif name.endswith(".jsonl"):
+        sio.write_jsonl(path, payload)
+    else:
+        sio.write_json(path, payload)
 
 
 @dataclass(frozen=True)
@@ -291,28 +302,17 @@ def converge(config: ExperimentConfig) -> ConvergenceReport:
                                excluded_eps=sorted(set(exc_m + exc_f)),
                                config_hash=config.hash())
     if config.out_dir:
-        _emit_convergence(config, report)
+        cols = ("eps", "err_modulus", "err_full")
+        _write(config, "convergence.csv", [[r[k] for k in cols] for r in rows],
+               columns=cols, scenario="converge")
+        _write(config, "convergence.json", {
+            "config_hash": report.config_hash,
+            "rows": [{k: r[k] for k in cols} for r in rows],
+            "fitted_order_modulus": om, "fitted_order_full": of,
+            "excluded_eps": report.excluded_eps})
+        _write(config, "timing.json",
+               {"runtimes_s": {repr(r["eps"]): r["runtime_s"] for r in rows}})
     return report
-
-
-def _emit_convergence(config: ExperimentConfig, report: ConvergenceReport):
-    out = config.out_dir
-    header = {"config_hash": report.config_hash, "scenario": "converge"}
-    sio.write_csv(os.path.join(out, "convergence.csv"),
-                  ["eps", "err_modulus", "err_full"],
-                  [(r["eps"], r["err_modulus"], r["err_full"])
-                   for r in report.rows], header=header)
-    sio.write_json(os.path.join(out, "convergence.json"), {
-        "config_hash": report.config_hash,
-        "rows": [{k: r[k] for k in ("eps", "err_modulus", "err_full")}
-                 for r in report.rows],
-        "fitted_order_modulus": report.fitted_order_modulus,
-        "fitted_order_full": report.fitted_order_full,
-        "excluded_eps": report.excluded_eps,
-    })
-    sio.write_json(os.path.join(out, "timing.json"),
-                   {"runtimes_s": {repr(r["eps"]): r["runtime_s"]
-                                   for r in report.rows}})
 
 
 def classify_sweep(config: ExperimentConfig) -> list:
@@ -331,12 +331,11 @@ def classify_sweep(config: ExperimentConfig) -> list:
             rows.append({"amplitude_scale": alpha, "velocity_scale": beta,
                          "kind": verdict.kind, "certificate": verdict.certificate})
     if config.out_dir:
-        sio.write_csv(os.path.join(config.out_dir, "classify_sweep.csv"),
-                      ["amplitude_scale", "velocity_scale", "kind", "certificate"],
-                      [(r["amplitude_scale"], r["velocity_scale"], r["kind"],
-                        '"%s"' % r["certificate"]) for r in rows],
-                      header={"config_hash": config.hash(),
-                              "scenario": "classify"})
+        _write(config, "classify_sweep.csv",
+               [(r["amplitude_scale"], r["velocity_scale"], r["kind"],
+                 '"%s"' % r["certificate"]) for r in rows],
+               columns=["amplitude_scale", "velocity_scale", "kind",
+                        "certificate"], scenario="classify")
     return rows
 
 
@@ -407,7 +406,7 @@ def decay_study(config: ExperimentConfig) -> dict:
               "grad_phi0_lp_strictly_decreasing":
                   bool(np.all(np.diff(series["grad_phi0_lp"]) < 0))}
     if config.out_dir:
-        sio.write_json(os.path.join(config.out_dir, "decay_study.json"), report)
+        _write(config, "decay_study.json", report)
     return report
 
 
@@ -423,23 +422,24 @@ def evolve_ep(config: ExperimentConfig) -> dict:
                                                     t_eval=t_eval)
     out = {"verdict": verdict.as_dict(), "config_hash": config.hash()}
     if config.out_dir:
-        sio.write_json(os.path.join(config.out_dir, "verdict.json"), out)
+        _write(config, "verdict.json", out)
         for R, traj in trajectories.items():
-            sio.write_trajectory_csv(
-                os.path.join(config.out_dir, f"trajectory_R{R:g}.csv"), traj,
-                header={"config_hash": config.hash(), "label": R})
+            _write(config, f"trajectory_R{R:g}.csv",
+                   zip(traj.t, traj.X, traj.Xdot, traj.B),
+                   columns=["t", "X", "Xdot", "B"], label=R)
         if verdict.kind == GLOBAL:
             for t in config.times:
                 rho, v = eulerian_fields(data, float(t))
-                sio.write_profile_csv(
-                    os.path.join(config.out_dir, f"rho_t{t:g}.csv"), rho,
-                    header={"config_hash": config.hash(), "t": t})
-                sio.write_json(
-                    os.path.join(config.out_dir, f"rho_t{t:g}.json"),
-                    sio.profile_descriptor(rho, provenance={
-                        "field": "density", "t": t,
-                        "config_hash": config.hash(),
-                        "data_hash": data.content_hash()}))
+                _write(config, f"rho_t{t:g}.csv",
+                       zip(rho.grid.nodes, rho.values, np.zeros_like(rho.values)),
+                       columns=["r", "value_re", "value_im"], t=t)
+                # density is real; splines interpolate at cubic order
+                _write(config, f"rho_t{t:g}.json", {
+                    "grid": rho.grid.descriptor(), "complex": False,
+                    "interpolation_order": 3,
+                    "provenance": {"field": "density", "t": t,
+                                   "config_hash": config.hash(),
+                                   "data_hash": data.content_hash()}})
     out["trajectories"] = {str(R): len(traj.t) for R, traj in trajectories.items()}
     return out
 
@@ -448,7 +448,7 @@ def wkb_eval(config: ExperimentConfig) -> list:
     """Evaluate WKB fields (with the first corrector) at the configured times."""
     data = build_data(config.data)
     grid = RadialGrid(config.data.r_max, config.data.points)
-    times = sorted(float(t) for t in config.times)
+    times = sorted(set(float(t) for t in config.times))
     corr = first_corrector(data, max(times),
                            grid=RadialGrid(config.data.r_max,
                                            config.corrector_points),
@@ -466,11 +466,15 @@ def wkb_eval(config: ExperimentConfig) -> list:
                              "l2_a0": rep.lp_norms[2.0],
                              "y_norm_a0": rep.y_norm})
         if config.out_dir:
-            sio.write_fields_csv(
-                os.path.join(config.out_dir, f"fields_t{t:g}.csv"), f,
-                header={"config_hash": config.hash(), "t": t})
+            a0 = f.a0.values
+            _write(config, f"fields_t{t:g}.csv",
+                   zip(grid.nodes, np.real(a0), np.imag(a0), f.phi0.values,
+                       f.V_P.values, np.real(a1.values), np.imag(a1.values),
+                       p1.values),
+                   columns=["r", "a0_re", "a0_im", "phi0", "V_P", "a1_re",
+                            "a1_im", "phi1"], t=t)
     if config.out_dir:
-        sio.write_jsonl(os.path.join(config.out_dir, "norms.jsonl"), norm_records)
+        _write(config, "norms.jsonl", norm_records)
     return outputs
 
 
@@ -490,14 +494,12 @@ def schrodinger_run(config: ExperimentConfig) -> dict:
     header = dict(res.header)
     header["config_hash"] = config.hash()
     if config.out_dir:
-        sio.write_json(os.path.join(config.out_dir, "header.json"), header)
-        sio.write_jsonl(os.path.join(config.out_dir, "observables.jsonl"), records)
+        _write(config, "header.json", header)
+        _write(config, "observables.jsonl", records)
         u = res.snapshots[-1]
-        sio.write_csv(os.path.join(config.out_dir, f"snapshot_t{u.t:g}.csv"),
-                      ["r", "re", "im"],
-                      zip(u.r, u.values.real, u.values.imag),
-                      header={"config_hash": config.hash(), "t": u.t,
-                              "eps": eps})
+        _write(config, f"snapshot_t{u.t:g}.csv",
+               zip(u.r, u.values.real, u.values.imag),
+               columns=["r", "re", "im"], t=u.t, eps=eps)
     return {"header": header, "observables": records,
             "truncation_warnings": res.truncation_warnings}
 

@@ -9,11 +9,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .grids import RadialProfile
-
 __all__ = ["config_hash", "canonical_json", "write_csv", "write_json",
-           "write_jsonl", "write_profile_csv", "write_fields_csv",
-           "write_trajectory_csv", "profile_descriptor"]
+           "write_jsonl"]
 
 
 def canonical_json(payload) -> str:
@@ -56,37 +53,3 @@ def write_jsonl(path: str, records: Iterable[dict]) -> None:
     with open(path, "w") as f:
         for rec in records:
             f.write(canonical_json(rec) + "\n")
-
-
-def profile_descriptor(profile: RadialProfile, provenance: dict | None = None) -> dict:
-    return {"grid": profile.grid.descriptor(),
-            "complex": bool(profile.is_complex),
-            "interpolation_order": 3,  # profiles interpolate by cubic splines
-            "provenance": provenance or {}}
-
-
-def write_profile_csv(path: str, profile: RadialProfile,
-                      header: dict | None = None) -> None:
-    vals = profile.values
-    rows = zip(profile.grid.nodes,
-               np.real(vals),
-               np.imag(vals) if profile.is_complex else np.zeros_like(np.real(vals)))
-    write_csv(path, ["r", "value_re", "value_im"], rows, header=header)
-
-
-def write_fields_csv(path: str, fields, header: dict | None = None) -> None:
-    """Snapshot columns: r, a0_re, a0_im, phi0, V_P, a1_re, a1_im, phi1."""
-    r = fields.grid.nodes
-    a0 = fields.a0.values.astype(complex)
-    z = np.zeros_like(r)
-    a1 = fields.a1.values.astype(complex) if fields.a1 is not None else z.astype(complex)
-    p1 = fields.phi1.values if fields.phi1 is not None else z
-    rows = zip(r, a0.real, a0.imag, fields.phi0.values, fields.V_P.values,
-               a1.real, a1.imag, p1)
-    write_csv(path, ["r", "a0_re", "a0_im", "phi0", "V_P", "a1_re", "a1_im", "phi1"],
-              rows, header=header)
-
-
-def write_trajectory_csv(path: str, traj, header: dict | None = None) -> None:
-    rows = zip(traj.t, traj.X, traj.Xdot, traj.B)
-    write_csv(path, ["t", "X", "Xdot", "B"], rows, header=header)

@@ -497,13 +497,8 @@ def ball_data(n: int = 3, lam: float = -1.0, grid: RadialGrid | None = None,
     mass = RadialProfile(grid, m0(r))
     vel = RadialProfile(grid, v0(r))
     phase = RadialProfile(grid, phi0(r))
-    if n >= 3:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pot = 2.0 * lam * m0(r) / ((n - 2) * r ** (n - 2))
-        pot = np.where(r > 0, pot, 0.0)
-        threshold = RadialProfile(grid, v0(r) ** 2 + pot)
-    else:
-        threshold = None
+    threshold = RadialProfile(grid, _threshold_values(
+        m0(r), v0(r), lam, n, r)) if n >= 3 else None
     compatible = velocity == "compatible" and scale == 1.0 and lam < 0 and n >= 3
     return InitialData(n=n, lam=lam, amplitude=amp, phase=phase, velocity=vel,
                        mass=mass, threshold=threshold, kappa=None, delta=None,

@@ -229,14 +229,16 @@ def run(data: InitialData, eps: float, t_end: float,
                           "fraction": ob.boundary_mass / total0})
         return ob
 
-    eps_t = 1e-12 * max(t_end, 1.0)
-    while obs_times and obs_times[0] <= u.t + eps_t:
-        observables.append(monitor(u))
-        obs_times.pop(0)
-    while snap_times and snap_times[0] <= u.t + eps_t:
-        snapshots.append(u)
-        snap_times.pop(0)
+    def sample(field, upto):
+        while obs_times and obs_times[0] <= upto:
+            observables.append(monitor(field))
+            obs_times.pop(0)
+        while snap_times and snap_times[0] <= upto:
+            snapshots.append(field)
+            snap_times.pop(0)
 
+    eps_t = 1e-12 * max(t_end, 1.0)
+    sample(u, u.t + eps_t)
     nsteps = int(round(t_end / dt))
     if abs(nsteps * dt - t_end) > 1e-9 * t_end:
         nsteps = int(math.ceil(t_end / dt))
@@ -245,12 +247,9 @@ def run(data: InitialData, eps: float, t_end: float,
         if step <= 0:
             break
         u = strang_step(u, step)
-        while obs_times and obs_times[0] <= u.t + eps_t:
-            observables.append(monitor(u))
-            obs_times.pop(0)
-        while snap_times and snap_times[0] <= u.t + eps_t:
-            snapshots.append(u)
-            snap_times.pop(0)
+        sample(u, u.t + eps_t)
+    # the accumulated time may stop short of t_end by more than eps_t
+    sample(u, t_end + eps_t)
 
     if trunc:
         warnings.warn(f"boundary mass exceeded {BOUNDARY_TOL:g} of the total "

@@ -328,7 +328,6 @@ class _Background:
 
 def first_corrector(data: InitialData, t_end: float,
                     grid: RadialGrid | None = None,
-                    A1: RadialProfile | None = None,
                     dt: float | None = None,
                     sample_times=None) -> CorrectorSeries:
     """March the first linearized pair (a1, phi1) to t_end.
@@ -336,7 +335,7 @@ def first_corrector(data: InitialData, t_end: float,
     Semi-Lagrangian Crank-Nicolson: both fields ride the leading-order
     characteristics exactly, and the reaction terms (amplitude-phase coupling,
     the dispersive source  i/2 * Lap a0, and the Hartree feedback) are treated
-    by trapezoidal fixed-point iteration.  a1(0) = A1 (default 0), phi1(0) = 0.
+    by trapezoidal fixed-point iteration.  a1(0) = 0, phi1(0) = 0.
     """
     if t_end <= 0:
         raise ParameterError("t_end must be positive")
@@ -356,8 +355,6 @@ def first_corrector(data: InitialData, t_end: float,
             f"0.5*dr/max|v0| = {dt_cfl:.3e}")
 
     a1 = np.zeros(grid.points, dtype=complex)
-    if A1 is not None:
-        a1 = a1 + np.asarray(A1.values, dtype=complex)
     p1 = np.zeros(grid.points)
 
     if sample_times is None:

@@ -58,6 +58,17 @@ def test_on_disk_format_pinned():
                 "schrodinger-run": "d3d47abd6cc9e3ba"}
     for scenario, digest in recorded.items():
         assert ExperimentConfig(scenario=scenario).hash() == digest
+    # the committed study configs
+    configs = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+    committed = {"converge": "67bf6b77004b98e7",
+                 "classify": "3c3f65a3637a7654",
+                 "decay-study": "8853f95825dc9a11"}
+    assert sorted(os.listdir(configs)) == sorted(f"{s}.json" for s in committed)
+    for scenario, digest in committed.items():
+        with open(os.path.join(configs, f"{scenario}.json")) as f:
+            payload = json.load(f)
+        assert ExperimentConfig.from_json(payload,
+                                          scenario=scenario).hash() == digest
 
 
 def test_config_hash_stable():
@@ -211,16 +222,20 @@ def test_evolve_ep_outputs(tmp_path):
 
 
 def test_wkb_eval_outputs(tmp_path):
-    cfg = ExperimentConfig(scenario="wkb-eval",
-                           data=DataConfig(points=1024, r_max=20.0, chirp=0.5),
-                           times=(0.2, 0.4), corrector_points=513,
-                           out_dir=str(tmp_path))
-    fields = wkb_eval(cfg)
-    assert len(fields) == 2
-    assert fields[0].a1 is not None and fields[1].phi1 is not None
-    text = (tmp_path / "fields_t0.2.csv").read_text()
-    assert text.splitlines()[2].startswith("r,a0_re,a0_im,phi0,V_P,a1_re")
-    assert (tmp_path / "norms.jsonl").exists()
+    # a repeated time gives one snapshot
+    for k, times in enumerate([(0.2, 0.4), (0.2, 0.4, 0.2)]):
+        out = tmp_path / str(k)
+        cfg = ExperimentConfig(scenario="wkb-eval",
+                               data=DataConfig(points=1024, r_max=20.0,
+                                               chirp=0.5),
+                               times=times, corrector_points=513,
+                               out_dir=str(out))
+        fields = wkb_eval(cfg)
+        assert len(fields) == 2
+        assert fields[0].a1 is not None and fields[1].phi1 is not None
+        text = (out / "fields_t0.2.csv").read_text()
+        assert text.splitlines()[2].startswith("r,a0_re,a0_im,phi0,V_P,a1_re")
+        assert (out / "norms.jsonl").exists()
 
 
 def test_schrodinger_run_outputs(tmp_path):

@@ -190,3 +190,15 @@ def test_run_header_reproducibility(smooth_chirped):
     assert h["eps"] == 0.5 and h["lam"] == smooth_chirped.lam
     assert h["data_hash"] == smooth_chirped.content_hash()
     assert h["grid"]["points"] == 512
+
+
+def test_run_samples_t_end_when_march_stops_short():
+    # three steps of dt = 0.3333333333 end 1e-10 short of t_end = 1
+    from semiwkb.profiles import gaussian_free_data
+    d = gaussian_free_data(RadialGrid(20.0, 1024))
+    res = run(d, 0.25, 1.0, dt=0.3333333333,
+              grid=RadialGrid(20.0, 64, include_origin=False),
+              snapshot_times=[1.0])
+    assert len(res.observables) == 2 and len(res.snapshots) == 1
+    assert abs(res.observables[-1].t - 1.0) < 1e-9
+    assert res.snapshots[0].t == res.observables[-1].t
