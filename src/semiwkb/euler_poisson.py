@@ -169,19 +169,20 @@ def classify(data: InitialData, tol: float = 1e-9, *,
 
 
 # ---------------------------------------------------------------------------
-# explicit characteristics (compatible data)
+# explicit characteristics (compatible or static data)
 # ---------------------------------------------------------------------------
 
 def explicit_characteristics(data: InitialData, t, R) -> CharacteristicState:
-    """Closed-form characteristic state for compatible data.
+    """Closed-form characteristic state for compatible or static (X = R) data.
 
     X = R (1 + F t)^(2/n), Xdot = v0 (1 + F t)^(2/n - 1),
     B = (1 + F t)^(2/n - 1) (1 + G t), J = (1 + F t)(1 + G t), with
     F = n v0/(2R) and G = |lam| rho0 R / ((n-2) v0) = v0' + (n-2) v0 / (2R)
     from ``InitialData.rates_at``.
     """
-    if not data.compatible:
-        raise ContractError("explicit characteristics require compatible data")
+    if not data.explicit_flow:
+        raise ContractError("explicit characteristics require compatible "
+                            "or static data")
     t = np.asarray(t, dtype=float)
     R = np.atleast_1d(np.asarray(R, dtype=float))
     if np.any(t < 0):
@@ -299,14 +300,15 @@ def large_time_class(C_at_R: float, lam: float, tol: float = 1e-12,
 
 def invert_flow_map(data: InitialData, t: float, radii: np.ndarray,
                     label_top: float | None = None) -> np.ndarray:
-    """Solve X(t, R) = r for R on compatible data (X strictly increasing in R).
+    """Solve X(t, R) = r for R on the closed-form flow (X strictly increasing).
 
     Warm start by monotone interpolation through grid labels, then six
     Newton steps R <- R - (X - r)/B; raises ConvergenceError unless every
     final step is within 1e-10 R.
     """
-    if not data.compatible:
-        raise ContractError("flow-map inversion requires compatible data")
+    if not data.explicit_flow:
+        raise ContractError("flow-map inversion requires compatible or "
+                            "static data")
     radii = np.asarray(radii, dtype=float)
     labels = data.grid.nodes
     if label_top is not None and label_top > labels[-1]:
@@ -320,10 +322,12 @@ def invert_flow_map(data: InitialData, t: float, radii: np.ndarray,
     R = PchipInterpolator(Xs, labels)(np.clip(radii, 0.0, Xs[-1]))
     pos = radii > 0
     for _ in range(6):
-        stR = explicit_characteristics(data, t, np.maximum(R[pos], 1e-300))
+        stR = explicit_characteristics(data, t, R[pos])
         step = (stR.X - radii[pos]) / stR.B
         R[pos] = np.clip(R[pos] - step, 0.0, labels[-1])
-    if not np.all(np.abs(step) <= NEWTON_TOL * R[pos]):
+    # a subnormal label holds fewer digits than NEWTON_TOL asks for
+    scale = np.maximum(R[pos], np.finfo(float).tiny)
+    if not np.all(np.abs(step) <= NEWTON_TOL * scale):
         raise ConvergenceError(
             f"flow-map inversion did not converge at t = {float(t):g}")
     R[~pos] = 0.0
@@ -335,18 +339,18 @@ def eulerian_fields(data: InitialData, t: float,
                     ) -> tuple[RadialProfile, RadialProfile]:
     """Density and velocity at time t on an Eulerian grid.
 
-    Compatible data uses the closed-form flow map; vacuum data streams freely.
+    Vacuum data streams freely; compatible and static data use the flow map.
     The default output grid spans the image [0, X(t, R_top)] of the data grid.
-    The compatible path extends labels analytically (vacuum velocity tail)
+    The flow-map path extends labels analytically (vacuum velocity tail)
     when the requested grid reaches beyond the image of the data grid.
     """
     if t < 0:
         raise ParameterError("time must be nonnegative")
     free = data.m_infinity == 0.0
 
-    if not (data.compatible or free):
-        raise ContractError("eulerian_fields needs compatible or vacuum data "
-                            "(classify must yield Global)")
+    if not (free or data.explicit_flow):
+        raise ContractError("eulerian_fields needs compatible, static or "
+                            "vacuum data (classify must yield Global)")
 
     labels = data.grid.nodes
     if free:

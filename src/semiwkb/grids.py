@@ -16,6 +16,7 @@ __all__ = [
     "RadialProfile",
     "fd_weights",
     "derivative_uniform",
+    "over_r",
     "cumulative_radial",
     "trapezoid_weights",
 ]
@@ -162,6 +163,15 @@ def derivative_uniform(values: np.ndarray, dr: float, order: int = 1,
     for i in range(2):
         out[n - 1 - i] = ((-1) ** order) * (edge[i] @ values[::-1][:6])
     return out / dr ** order
+
+
+def over_r(values: np.ndarray, r: np.ndarray, limit) -> np.ndarray:
+    """values / r at r > 0, with ``limit`` at a node on the origin."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(r > 0, values / r, 0.0)
+    if r[0] == 0.0:
+        out[0] = limit
+    return out
 
 
 # ---------------------------------------------------------------------------

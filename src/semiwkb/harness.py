@@ -105,6 +105,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}; "
                               f"expected one of {SCENARIOS}")
         lad = tuple(float(e) for e in self.eps_ladder)
+        if not lad:
+            raise ConfigError("eps ladder must not be empty")
         if any(not (0.0 < e <= 1.0) for e in lad):
             raise ConfigError("eps ladder entries must lie in (0, 1]")
         if any(b >= a for a, b in zip(lad, lad[1:])):
@@ -115,6 +117,16 @@ class ExperimentConfig:
             raise ConfigError("t_end must be positive")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if self.ppw < 1:
+            raise ConfigError("ppw must be >= 1")
+        if self.norm_p < 1:
+            raise ConfigError("norm_p must be >= 1")
+        tail = self.t_tail
+        if len(tail) != 3 or not (0.0 < tail[0] < tail[1] and tail[2] >= 1):
+            raise ConfigError("t_tail must be (t_min, t_max, count) with "
+                              "0 < t_min < t_max and count >= 1")
+        if self.scenario == "wkb-eval" and not self.times:
+            raise ConfigError("wkb-eval needs at least one time")
         object.__setattr__(self, "eps_ladder", lad)
 
     @classmethod

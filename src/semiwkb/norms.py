@@ -23,7 +23,7 @@ from scipy.fft import dst
 
 from .errors import (DomainError, ParameterError, ResolutionError,
                      UnsupportedConfigurationError)
-from .grids import RadialProfile, derivative_uniform, trapezoid_weights
+from .grids import RadialProfile, derivative_uniform, over_r, trapezoid_weights
 
 __all__ = ["NormReport", "DecayFit", "sphere_area", "lp_norm",
            "sobolev_norm", "norm_diagnostics", "decay_fit"]
@@ -70,14 +70,6 @@ def _derivs(values, r, parity):
     return f1, f2
 
 
-def _over_r(values, r, limit):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(r > 0, values / r, 0.0)
-    if r[0] == 0.0:
-        out[0] = limit
-    return out
-
-
 def sobolev_norm(values: np.ndarray, r: np.ndarray, sigma: float, n: int,
                  parity: str = "even") -> float:
     """||g||_{H^sigma(R^n)} of a radial scalar function.
@@ -111,7 +103,7 @@ def sobolev_norm(values: np.ndarray, r: np.ndarray, sigma: float, n: int,
         f1, f2 = _derivs(values, r, parity)
         total += lp_norm(f1, r, n, 2) ** 2
         if sigma == 2:
-            geo = _over_r(f1, r, f2[0] if parity == "even" else 0.0)
+            geo = over_r(f1, r, f2[0] if parity == "even" else 0.0)
             hess = np.sqrt(f2 ** 2 + (n - 1) * geo ** 2)
             total += lp_norm(hess, r, n, 2) ** 2
     return float(np.sqrt(total))
@@ -147,16 +139,16 @@ def norm_diagnostics(profile: RadialProfile, n: int, p: float = 2.0,
         f1, f2 = _derivs(vals, r, parity)
 
     if vector:
-        geo = _over_r(vals, r, f1[0])
+        geo = over_r(vals, r, f1[0])
         grad_mag = np.sqrt(np.abs(f1) ** 2 + (n - 1) * np.abs(geo) ** 2)
         comp = [(f2, 1.0),
                 (derivative_uniform(geo, r[1] - r[0], 1, left_parity="even",
                                     origin_on_grid=r[0] == 0.0), n - 1.0),
-                (_over_r(f1 - geo, r, 0.0), 2.0 * (n - 1.0))]
+                (over_r(f1 - geo, r, 0.0), 2.0 * (n - 1.0))]
     else:
         grad_mag = np.abs(f1)
         comp = [(f2, 1.0),
-                (_over_r(f1, r, f2[0]), n - 1.0)]
+                (over_r(f1, r, f2[0]), n - 1.0)]
 
     grad_lq = lp_norm(grad_mag, r, n, q)
 

@@ -305,6 +305,14 @@ class InitialData:
         return out
 
     @cached_property
+    def explicit_flow(self) -> bool:
+        """Whether the closed-form flow of the compatible family applies:
+        compatible data, or uncoupled data at rest (lam = 0, v0 = 0, X = R)."""
+        return self.compatible or (
+            self.lam == 0.0
+            and float(np.max(np.abs(self.v0_at(self.grid.nodes)))) == 0.0)
+
+    @cached_property
     def _v0_prime(self) -> RadialProfile:
         return RadialProfile(self.grid, self.velocity.derivative(1).real)
 

@@ -30,11 +30,10 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
-from .errors import (ContractError, DomainError, ParameterError,
-                     StepRejectionError)
+from .errors import DomainError, ParameterError, StepRejectionError
 from .euler_poisson import explicit_characteristics, invert_flow_map
 from .grids import (RadialGrid, RadialProfile, cumulative_radial,
-                    derivative_uniform)
+                    derivative_uniform, over_r)
 from .profiles import InitialData
 
 __all__ = [
@@ -153,8 +152,7 @@ def _potential_term_nodes(data: InitialData, t: float) -> np.ndarray:
     """P(t, R) at the data-grid nodes (cumulative from the top plus tail)."""
     r = data.grid.nodes
     v0, F, G = data.rates_at(r)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(r > 0, v0 ** 2 / r, 0.0) * _I_kernel(data.n, t, F, G)
+    w = over_r(v0 ** 2, r, 0.0) * _I_kernel(data.n, t, F, G)
     Wc = cumulative_radial(w, r)
     tail = _potential_tail(data, t)
     return 0.5 * (data.n - 2) * (tail + Wc[-1] - Wc)
@@ -165,35 +163,21 @@ def phase_time_constant(data: InitialData, t: float) -> float:
     return float(_potential_term_nodes(data, t)[0])
 
 
-def is_static_free(data: InitialData) -> bool:
-    """Free data whose limit fields do not move: lam = 0 and v0 = 0."""
-    return (not data.compatible and data.lam == 0.0
-            and float(np.max(np.abs(data.v0_at(data.grid.nodes)))) == 0.0)
-
-
 def leading_order(data: InitialData, t: float,
                   grid: RadialGrid | None = None) -> WkbFields:
     """Eulerian leading-order WKB fields (a0, phi0, V_P) at time t.
 
     Lagrangian closed forms are pulled back through the monotone inverse of
     the flow map; the potential is recomputed from |a0|^2 so the Poisson
-    equation holds in the discrete sense.  For uncoupled static data (lam = 0
-    with zero initial velocity) the fields are frozen at their initial values.
+    equation holds in the discrete sense.  Uncoupled data at rest (lam = 0,
+    v0 = 0) rides the same flow with X = R: its fields stay at their initial
+    values.
     """
     if t < 0:
         raise ParameterError("time must be nonnegative")
     if grid is None:
         grid = data.grid
-    if is_static_free(data):
-        a0 = data.amplitude_at(grid.nodes)
-        rho = RadialProfile(grid, np.abs(a0) ** 2)
-        return WkbFields(t=float(t), a0=RadialProfile(grid, a0),
-                         phi0=RadialProfile(grid, np.zeros(grid.points)),
-                         V_P=poisson_radial(rho, data.n))
-    if not data.compatible:
-        raise ContractError("leading_order requires compatible or static data")
-    radii = grid.nodes
-    R = invert_flow_map(data, t, radii)
+    R = invert_flow_map(data, t, grid.nodes)
     v0, F, G = data.rates_at(R)
     a0 = data.amplitude_at(R) / np.sqrt((1.0 + F * t) * (1.0 + G * t))
 
@@ -213,16 +197,21 @@ def leading_order(data: InitialData, t: float,
 # residual gauges
 # ---------------------------------------------------------------------------
 
-def _radial_divergence(values: np.ndarray, r: np.ndarray, dr: float, n: int,
-                       parity: str, origin_on_grid: bool) -> np.ndarray:
+def _radial_divergence(values: np.ndarray, grid: RadialGrid, n: int,
+                       parity: str) -> np.ndarray:
     """(1/r^(n-1)) d/dr (r^(n-1) f) = f' + (n-1) f / r with origin limit."""
-    fp = derivative_uniform(values, dr, 1, left_parity=parity,
-                            origin_on_grid=origin_on_grid)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        geo = np.where(r > 0, values / r, 0.0)
-    if r[0] == 0.0:
-        geo[0] = fp[0]
-    return fp + (n - 1) * geo
+    fp = derivative_uniform(values, grid.dr, 1, left_parity=parity,
+                            origin_on_grid=grid.include_origin)
+    return fp + (n - 1) * over_r(values, grid.nodes, fp[0])
+
+
+def _radial_laplacian(values: np.ndarray, grid: RadialGrid, n: int,
+                      parity: str) -> np.ndarray:
+    """f'' + (n-1) f' / r with origin limit."""
+    fp, fpp = (derivative_uniform(values, grid.dr, k, left_parity=parity,
+                                  origin_on_grid=grid.include_origin)
+               for k in (1, 2))
+    return fpp + (n - 1) * over_r(fp, grid.nodes, fpp[0])
 
 
 def limit_system_residual(fields: WkbFields, data: InitialData,
@@ -250,7 +239,7 @@ def limit_system_residual(fields: WkbFields, data: InitialData,
     origin = grid.include_origin
     v = derivative_uniform(phi0, h, 1, left_parity="even", origin_on_grid=origin)
     da0 = derivative_uniform(a0, h, 1, left_parity="even", origin_on_grid=origin)
-    div_v = _radial_divergence(v, r, h, data.n, "odd", origin)
+    div_v = _radial_divergence(v, grid, data.n, "odd")
 
     transport = da0_dt + v * da0 + 0.5 * a0 * div_v
     hjb = dphi0_dt + 0.5 * v ** 2 + data.lam * fields.V_P.values
@@ -271,59 +260,17 @@ def limit_system_residual(fields: WkbFields, data: InitialData,
 # first corrector
 # ---------------------------------------------------------------------------
 
-class _Background:
-    """Eulerian leading-order coefficients on a fixed grid at arbitrary times."""
-
-    def __init__(self, data: InitialData, grid: RadialGrid):
-        self.data = data
-        self.grid = grid
-        self.r = grid.nodes
-        self.h = grid.dr
-        self.origin = grid.include_origin
-        self.static = not data.compatible
-        if self.static and not is_static_free(data):
-            raise ContractError(
-                "first_corrector needs compatible data or a static "
-                "(lam = 0, v0 = 0) background")
-
-    def coefficients(self, t: float) -> dict:
-        """Fields at time t on the nodes, with the labels R they come from."""
-        data, r, h = self.data, self.r, self.h
-        if self.static:
-            R = r
-            a0 = data.amplitude_at(r)
-            v = np.zeros_like(r)
-            lap_phi0 = np.zeros_like(r)
-        else:
-            R = invert_flow_map(data, t, r)
-            st = explicit_characteristics(data, t, R)
-            a0 = data.amplitude_at(R) / np.sqrt(st.J)
-            v = st.Xdot
-            lap_phi0 = _radial_divergence(v, r, h, data.n, "odd", self.origin)
-        da0 = derivative_uniform(a0, h, 1, left_parity="even",
-                                 origin_on_grid=self.origin)
-        lap_a0 = self._laplacian(a0, "even")
-        return {"R": R, "a0": a0, "da0": da0, "lap_a0": lap_a0,
-                "v": v, "lap_phi0": lap_phi0}
-
-    def _laplacian(self, f: np.ndarray, parity: str) -> np.ndarray:
-        fp = derivative_uniform(f, self.h, 1, left_parity=parity,
-                                origin_on_grid=self.origin)
-        fpp = derivative_uniform(f, self.h, 2, left_parity=parity,
-                                 origin_on_grid=self.origin)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            geo = np.where(self.r > 0, fp / self.r, 0.0)
-        if self.r[0] == 0.0:
-            geo[0] = fpp[0]
-        return fpp + (self.data.n - 1) * geo
-
-    def departure_points(self, R: np.ndarray, t: float) -> np.ndarray:
-        """Feet at time t of the background characteristics with labels R."""
-        if self.static:
-            return self.r
-        st = explicit_characteristics(self.data, t, np.maximum(R, 1e-300))
-        dep = np.where(R > 0, st.X, 0.0)
-        return np.clip(dep, self.r[0], self.r[-1])
+def _background(data: InitialData, grid: RadialGrid, t: float) -> dict:
+    """Eulerian leading-order coefficients on the nodes at time t, with the
+    labels R they come from."""
+    R = invert_flow_map(data, t, grid.nodes)
+    st = explicit_characteristics(data, t, R)
+    a0 = data.amplitude_at(R) / np.sqrt(st.J)
+    da0 = derivative_uniform(a0, grid.dr, 1, left_parity="even",
+                             origin_on_grid=grid.include_origin)
+    return {"R": R, "a0": a0, "da0": da0,
+            "lap_a0": _radial_laplacian(a0, grid, data.n, "even"),
+            "lap_phi0": _radial_divergence(st.Xdot, grid, data.n, "odd")}
 
 
 def first_corrector(data: InitialData, t_end: float,
@@ -341,9 +288,9 @@ def first_corrector(data: InitialData, t_end: float,
         raise ParameterError("t_end must be positive")
     if grid is None:
         grid = RadialGrid(data.r_max, 2049)
-    bg = _Background(data, grid)
-    r, h = bg.r, bg.h
+    r, h = grid.nodes, grid.dr
     n, lam = data.n, data.lam
+    c_old = _background(data, grid, 0.0)
 
     vmax = float(np.max(np.abs(data.v0_at(r))))
     dt_cfl = 0.5 * h / vmax if vmax > 0 else np.inf
@@ -373,8 +320,8 @@ def first_corrector(data: InitialData, t_end: float,
 
     def reaction(c, a1v, p1v):
         dp1 = derivative_uniform(p1v, h, 1, left_parity="even",
-                                 origin_on_grid=bg.origin)
-        lap_p1 = bg._laplacian(p1v, "even")
+                                 origin_on_grid=grid.include_origin)
+        lap_p1 = _radial_laplacian(p1v, grid, n, "even")
         rhs_a = (-dp1 * c["da0"]
                  - 0.5 * (c["a0"] * lap_p1 + a1v * c["lap_phi0"])
                  + 0.5j * c["lap_a0"])
@@ -383,19 +330,20 @@ def first_corrector(data: InitialData, t_end: float,
         return rhs_a, rhs_p
 
     t = 0.0
-    c_old = bg.coefficients(0.0)
     eps_t = 1e-12 * max(t_end, 1.0)
     while t < t_end - eps_t:
         step = min(dt, t_end - t)
         if sample_times and sample_times[0] < t + step - eps_t:
             step = max(sample_times[0] - t, eps_t)
         t_new = t + step
-        c_new = bg.coefficients(t_new)
+        c_new = _background(data, grid, t_new)
 
         rhs_a_old, rhs_p_old = reaction(c_old, a1, p1)
         qa = a1 + 0.5 * step * rhs_a_old
         qp = p1 + 0.5 * step * rhs_p_old
-        dep = bg.departure_points(c_new["R"], t_new - step)
+        # feet at the old time of the characteristics through the nodes
+        X = explicit_characteristics(data, t_new - step, c_new["R"]).X
+        dep = np.clip(X, r[0], r[-1])
         qa = RadialProfile(grid, qa)(dep)
         qp = RadialProfile(grid, qp)(dep)
 

@@ -18,6 +18,7 @@ from semiwkb.euler_poisson import (DEFORMATION_VANISHES, FINITE_TIME_BLOWUP,
                                    POSITION_VANISHES, UNDETERMINED,
                                    invert_flow_map)
 from semiwkb.grids import cumulative_radial
+from semiwkb.profiles import gaussian_free_data
 
 
 def rk_oracle(data, R, times, tol=1e-12):
@@ -261,6 +262,29 @@ def test_invert_flow_map_fails_closed(smooth, monkeypatch):
         invert_flow_map(smooth, 5.0, np.linspace(0.0, 30.0, 701))
 
 
+@settings(max_examples=15, deadline=None)
+@given(t=st.floats(min_value=0.0, max_value=1e4),
+       fractions=st.lists(st.floats(min_value=0.0, max_value=1.0),
+                          min_size=1, max_size=16))
+def test_flow_map_round_trip(smooth_small, ball, t, fractions):
+    # compatible data: X(t, inverse(t, r)) = r to round-off on the image
+    for data in (smooth_small, ball):
+        top = explicit_characteristics(data, t, data.grid.nodes[-1:]).X[0]
+        radii = top * np.array(fractions)
+        R = invert_flow_map(data, t, radii)
+        X = explicit_characteristics(data, t, R).X
+        assert np.all(np.abs(X - radii) <= 1e-12 * np.maximum(radii, 1.0))
+    # static data (lam = 0, v0 = 0): the flow is the identity, exactly
+    for n in (1, 2, 3, 4):
+        static = gaussian_free_data(RadialGrid(20.0, 1024), n=n)
+        radii = np.append(20.0 * np.array(fractions), 1e-300)
+        R = invert_flow_map(static, t, radii)
+        state = explicit_characteristics(static, t, R)
+        assert np.array_equal(R, radii)
+        assert np.array_equal(state.X, R)
+        assert np.all(state.Xdot == 0.0) and np.all(state.J == 1.0)
+
+
 @settings(max_examples=10, deadline=None)
 @given(alpha=st.floats(min_value=0.1, max_value=10.0))
 def test_scaling_covariance(alpha):
@@ -272,6 +296,34 @@ def test_scaling_covariance(alpha):
     b = explicit_characteristics(scaled, t, R)
     assert np.max(np.abs(a.X - b.X)) < 1e-10
     assert np.max(np.abs(a.B - b.B)) < 1e-10
+
+
+def test_eulerian_static_data_stays_put():
+    d = gaussian_free_data(RadialGrid(20.0, 1024))
+    rho0 = np.abs(d.amplitude_at(d.grid.nodes)) ** 2
+    for t in (0.0, 1.0, 100.0):
+        rho, v = eulerian_fields(d, t)
+        assert np.array_equal(rho.grid.nodes, d.grid.nodes)
+        assert np.array_equal(rho.values, rho0)
+        assert np.all(v.values == 0.0)
+
+
+def test_eulerian_vacuum_free_streaming():
+    g = RadialGrid(20.0, 1024)
+    d = free_data(RadialProfile(g, 0.5 * (1.0 - np.exp(-g.nodes ** 2))), 3)
+    R = g.nodes
+    v0 = d.v0_at(R)
+    for t in (0.5, 1.0, 4.0):
+        rho, v = eulerian_fields(d, t)
+        assert np.all(rho.values == 0.0)
+        assert np.max(np.abs(v(R + v0 * t) - v0)) <= 1e-6
+    # radii past the image r_max + v0(r_max) t are vacuum
+    top = R[-1] + v0[-1] * 4.0
+    with pytest.warns(RuntimeWarning, match="fields set to vacuum there"):
+        rho, v = eulerian_fields(d, 4.0, RadialGrid(top + 5.0, 1024))
+    beyond = v.grid.nodes > top
+    assert beyond.any() and np.all(v.values[beyond] == 0.0)
+    assert np.all(rho.values == 0.0)
 
 
 def test_eulerian_requires_global_data(ball_zero_velocity):

@@ -205,20 +205,24 @@ def test_decay_study_fits(tmp_path):
 
 
 def test_evolve_ep_outputs(tmp_path):
-    cfg = ExperimentConfig(scenario="evolve-ep",
-                           data=DataConfig(points=2048, r_max=30.0),
-                           t_end=2.0, labels=(0.5, 1.0), times=(1.0,),
-                           out_dir=str(tmp_path))
-    out = evolve_ep(cfg)
-    assert out["verdict"]["kind"] == "Global"
-    assert (tmp_path / "verdict.json").exists()
-    assert (tmp_path / "trajectory_R0.5.csv").exists()
-    assert (tmp_path / "trajectory_R1.csv").exists()
-    assert (tmp_path / "rho_t1.csv").exists()
-    desc = json.loads((tmp_path / "rho_t1.json").read_text())
-    assert desc["grid"]["points"] > 0 and "provenance" in desc
-    text = (tmp_path / "trajectory_R1.csv").read_text()
-    assert text.splitlines()[2] == "t,X,Xdot,B"
+    # compatible data, and uncoupled data at rest (static limit flow X = R)
+    for k, data in enumerate([DataConfig(points=2048, r_max=30.0),
+                              DataConfig(family="gaussian_free", lam=0.0,
+                                         points=2048, r_max=30.0)]):
+        out_dir = tmp_path / str(k)
+        cfg = ExperimentConfig(scenario="evolve-ep", data=data,
+                               t_end=2.0, labels=(0.5, 1.0), times=(1.0,),
+                               out_dir=str(out_dir))
+        out = evolve_ep(cfg)
+        assert out["verdict"]["kind"] == "Global"
+        assert (out_dir / "verdict.json").exists()
+        assert (out_dir / "trajectory_R0.5.csv").exists()
+        assert (out_dir / "trajectory_R1.csv").exists()
+        assert (out_dir / "rho_t1.csv").exists()
+        desc = json.loads((out_dir / "rho_t1.json").read_text())
+        assert desc["grid"]["points"] > 0 and "provenance" in desc
+        text = (out_dir / "trajectory_R1.csv").read_text()
+        assert text.splitlines()[2] == "t,X,Xdot,B"
 
 
 def test_wkb_eval_outputs(tmp_path):
@@ -278,6 +282,20 @@ def test_cli_exit_codes(tmp_path):
         typed = tmp_path / "typed.json"
         typed.write_text(json.dumps(payload))
         assert cli_main(["converge", "--config", str(typed)]) == 2
+
+    # out-of-range values are validation errors under the scenario they
+    # would otherwise break (a negative ppw defeats the resolution guard)
+    for scenario, payload in (
+            ("schrodinger-run", {"ppw": 0}),
+            ("schrodinger-run", {"ppw": -4, "solver_points": 16}),
+            ("schrodinger-run", {"eps_ladder": []}),
+            ("decay-study", {"t_tail": [100, 10000]}),
+            ("decay-study", {"t_tail": [100, 10000, -1]}),
+            ("decay-study", {"norm_p": 0}),
+            ("wkb-eval", {"times": []})):
+        ranged = tmp_path / "ranged.json"
+        ranged.write_text(json.dumps(payload))
+        assert cli_main([scenario, "--config", str(ranged)]) == 2
 
     # under-resolved solver grid -> resolution error -> exit 3
     res = tmp_path / "res.json"
