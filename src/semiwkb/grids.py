@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, ParameterError
@@ -182,14 +181,26 @@ def cumulative_radial(y: np.ndarray, r: np.ndarray,
                       origin_exponent: float | None = None) -> np.ndarray:
     """Cumulative integral of y over [r[0], r] node by node.
 
-    Composite Simpson over the nodes r.  When ``origin_exponent`` p is given
-    and the grid starts at r=0, the first cell is integrated with the local
-    model y ~ c*r^p (exact for power-law integrands, which are steep there for
+    Composite Simpson on the uniform spacing h of r, laid out as
+    ``scipy.integrate.cumulative_simpson`` lays it out: the nodes
+    (2k, 2k+1, 2k+2) give their two intervals h/12*(5, 8, -1) and
+    h/12*(-1, 8, 5), and the last interval always takes the second formula
+    on the last three nodes.  When ``origin_exponent`` p is given and the
+    grid starts at r=0, the first cell is integrated with the local model
+    y ~ c*r^p (exact for power-law integrands, which are steep there for
     large p).
     """
     y = np.asarray(y)
     r = np.asarray(r, dtype=float)
-    out = cumulative_simpson(y, x=r, initial=0.0)
+    h = (r[-1] - r[0]) / (len(r) - 1)
+    y0, y1, y2 = y[:-2:2], 8.0 * y[1:-1:2], y[2::2]
+    sub = np.empty(len(y) - 1, dtype=np.result_type(y, float))
+    sub[:2 * len(y0):2] = 5.0 * y0 + y1 - y2
+    sub[1:2 * len(y0):2] = 5.0 * y2 + y1 - y0
+    sub[-1] = 5.0 * y[-1] + 8.0 * y[-2] - y[-3]
+    out = np.zeros(len(y), dtype=sub.dtype)
+    np.cumsum(sub, out=out[1:])
+    out *= h / 12.0
     if origin_exponent is not None and r[0] == 0.0 and len(r) > 2:
         p = float(origin_exponent)
         if p <= -1:

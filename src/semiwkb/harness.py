@@ -423,7 +423,10 @@ def decay_study(config: ExperimentConfig) -> dict:
 
 
 def evolve_ep(config: ExperimentConfig) -> dict:
-    """Integrate characteristics for the configured labels and export them."""
+    """Integrate characteristics for the configured labels and export them.
+
+    Every trajectory and field is computed before the first file is written,
+    so a run that fails leaves no partial output behind."""
     data = build_data(config.data)
     verdict = classify(data, witness=True)
     t_eval = np.linspace(0.0, config.t_end, 201)
@@ -432,6 +435,8 @@ def evolve_ep(config: ExperimentConfig) -> dict:
         trajectories[R] = integrate_characteristics(data, float(R),
                                                     config.t_end,
                                                     t_eval=t_eval)
+    fields = ({t: eulerian_fields(data, float(t))[0] for t in config.times}
+              if verdict.kind == GLOBAL else {})
     out = {"verdict": verdict.as_dict(), "config_hash": config.hash()}
     if config.out_dir:
         _write(config, "verdict.json", out)
@@ -439,19 +444,17 @@ def evolve_ep(config: ExperimentConfig) -> dict:
             _write(config, f"trajectory_R{R:g}.csv",
                    zip(traj.t, traj.X, traj.Xdot, traj.B),
                    columns=["t", "X", "Xdot", "B"], label=R)
-        if verdict.kind == GLOBAL:
-            for t in config.times:
-                rho, v = eulerian_fields(data, float(t))
-                _write(config, f"rho_t{t:g}.csv",
-                       zip(rho.grid.nodes, rho.values, np.zeros_like(rho.values)),
-                       columns=["r", "value_re", "value_im"], t=t)
-                # density is real; splines interpolate at cubic order
-                _write(config, f"rho_t{t:g}.json", {
-                    "grid": rho.grid.descriptor(), "complex": False,
-                    "interpolation_order": 3,
-                    "provenance": {"field": "density", "t": t,
-                                   "config_hash": config.hash(),
-                                   "data_hash": data.content_hash()}})
+        for t, rho in fields.items():
+            _write(config, f"rho_t{t:g}.csv",
+                   zip(rho.grid.nodes, rho.values, np.zeros_like(rho.values)),
+                   columns=["r", "value_re", "value_im"], t=t)
+            # density is real; splines interpolate at cubic order
+            _write(config, f"rho_t{t:g}.json", {
+                "grid": rho.grid.descriptor(), "complex": False,
+                "interpolation_order": 3,
+                "provenance": {"field": "density", "t": t,
+                               "config_hash": config.hash(),
+                               "data_hash": data.content_hash()}})
     out["trajectories"] = {str(R): len(traj.t) for R, traj in trajectories.items()}
     return out
 

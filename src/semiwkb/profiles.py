@@ -284,7 +284,8 @@ class InitialData:
         if self.exact is not None:
             return self.exact.phi0(R)
         out = np.zeros_like(R)
-        inside = R <= self.r_max
+        # the tail branch is exact at r_max, where a spline's last cell rounds
+        inside = R < self.r_max
         if np.any(inside):
             out[inside] = np.real(self.phase(R[inside]))
         outside = ~inside

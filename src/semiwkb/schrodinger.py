@@ -7,9 +7,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.fft import dst
+from scipy.fft import dst, next_fast_len
 
 from .errors import (ContractError, ParameterError, ResolutionError,
                      UnsupportedConfigurationError)
@@ -55,6 +56,12 @@ class WaveField:
     @property
     def dr(self) -> float:
         return self.grid.dr
+
+    @cached_property
+    def potential(self) -> np.ndarray:
+        """Hartree potential of |u|^2 at the nodes, solved once per field;
+        ``strang_step`` fills it from its trailing substep."""
+        return _poisson_on_wavegrid(np.abs(self.values) ** 2, self.grid)
 
 
 @dataclass(frozen=True)
@@ -106,26 +113,27 @@ def initial_wavefield(data: InitialData, eps: float, grid: RadialGrid,
     return WaveField(eps=eps, grid=grid, values=u, lam=data.lam, t=0.0)
 
 
-def _poisson_on_wavegrid(density: np.ndarray, r: np.ndarray, dr: float) -> np.ndarray:
-    """Radial Poisson potential at the interior nodes; the origin sample is an
-    even parabolic extrapolation and the far end is the Dirichlet zero."""
-    rho0 = (4.0 * density[0] - density[1]) / 3.0
-    r_ext = np.concatenate([[0.0], r, [r[-1] + dr]])
-    rho_ext = np.concatenate([[max(rho0, 0.0)], density, [0.0]])
-    return hartree_potential(rho_ext, r_ext, 3)[1:-1]
+def _poisson_on_wavegrid(density: np.ndarray, grid: RadialGrid) -> np.ndarray:
+    """Radial Poisson potential at the interior nodes.  With its origin sample
+    (an even parabolic extrapolation) and its far-end Dirichlet zero the
+    density lives on the uniform origin grid of M+2 nodes j*dr, j = 0..M+1."""
+    rho = np.zeros(grid.points + 2)
+    rho[1:-1] = density
+    rho[0] = max((4.0 * density[0] - density[1]) / 3.0, 0.0)
+    r = RadialGrid(grid.r_max, grid.points + 2).nodes
+    return hartree_potential(rho, r, 3)[1:-1]
 
 
+@lru_cache(maxsize=8)
 def _kinetic_phases(eps: float, L: float, M: int, dt: float) -> np.ndarray:
     k = np.arange(1, M + 1)
-    return np.exp(-0.5j * eps * (k * np.pi / L) ** 2 * dt)
+    phases = np.exp(-0.5j * eps * (k * np.pi / L) ** 2 * dt)
+    phases.setflags(write=False)
+    return phases
 
 
-def _potential_phase(u_vals: np.ndarray, r: np.ndarray, dr: float, lam: float,
-                     eps: float, half_dt: float) -> np.ndarray:
-    if lam == 0.0:
-        return u_vals
-    V = _poisson_on_wavegrid(np.abs(u_vals) ** 2, r, dr)
-    return u_vals * np.exp(-1j * lam * V * half_dt / eps)
+def _potential_phase(u: WaveField, half_dt: float) -> np.ndarray:
+    return u.values * np.exp((-1j * u.lam * half_dt / u.eps) * u.potential)
 
 
 def strang_step(u: WaveField, dt: float) -> WaveField:
@@ -134,21 +142,23 @@ def strang_step(u: WaveField, dt: float) -> WaveField:
 
     The potential is frozen within each phase substep; since it depends only
     on |u|^2, which the phase multiplication preserves, both substeps are
-    exactly unitary in the discrete L^2(r^2 dr) product.
+    exactly unitary in the discrete L^2(r^2 dr) product, and the trailing
+    substep's potential is handed on as the next step's leading one.
     """
     if dt < 0:
         raise ParameterError("dt must be nonnegative")
     if dt == 0.0:
         return u
-    r, dr = u.r, u.dr
-    vals = _potential_phase(u.values, r, dr, u.lam, u.eps, 0.5 * dt)
-    w = r * vals
-    L = u.grid.r_max
-    what = dst(w, type=1, norm="ortho")
-    what *= _kinetic_phases(u.eps, L, u.grid.points, dt)
-    vals = dst(what, type=1, norm="ortho") / r
-    vals = _potential_phase(vals, r, dr, u.lam, u.eps, 0.5 * dt)
-    return replace(u, values=vals, t=u.t + dt)
+    r = u.r
+    vals = u.values if u.lam == 0.0 else _potential_phase(u, 0.5 * dt)
+    what = dst(r * vals, type=1, norm="ortho")
+    what *= _kinetic_phases(u.eps, u.grid.r_max, u.grid.points, dt)
+    mid = replace(u, values=dst(what, type=1, norm="ortho") / r, t=u.t + dt)
+    if u.lam == 0.0:
+        return mid
+    out = replace(mid, values=_potential_phase(mid, 0.5 * dt))
+    vars(out)["potential"] = mid.potential
+    return out
 
 
 def discrete_mass(u: WaveField) -> float:
@@ -167,8 +177,8 @@ def discrete_energy(u: WaveField) -> float:
     du = _radial_derivative_2nd_order(u.values, u.dr)
     kin = 0.5 * u.eps ** 2 * np.sum(np.abs(du) ** 2 * u.r ** 2) * u.dr
     if u.lam != 0.0:
-        V = _poisson_on_wavegrid(np.abs(u.values) ** 2, u.r, u.dr)
-        pot = 0.5 * u.lam * np.sum(V * np.abs(u.values) ** 2 * u.r ** 2) * u.dr
+        pot = 0.5 * u.lam * np.sum(u.potential * np.abs(u.values) ** 2
+                                   * u.r ** 2) * u.dr
     else:
         pot = 0.0
     return FOUR_PI * float(kin + pot)
@@ -254,8 +264,10 @@ def run(data: InitialData, eps: float, t_end: float,
     if trunc:
         warnings.warn(f"boundary mass exceeded {BOUNDARY_TOL:g} of the total "
                       f"at t = {trunc[0]['t']:.6g}", RuntimeWarning)
+    n_fft = 2 * (grid.points + 1)       # DST-I length as an FFT
     header = {"eps": eps, "dt": dt, "t_end": t_end,
               "grid": grid.descriptor(), "data_hash": data.content_hash(),
-              "lam": data.lam, "ppw": ppw}
+              "lam": data.lam, "ppw": ppw, "transform_len": n_fft,
+              "transform_len_fast": next_fast_len(n_fft, real=True) == n_fft}
     return RunResult(observables=observables, snapshots=snapshots,
                      truncation_warnings=trunc, header=header)

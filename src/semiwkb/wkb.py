@@ -43,6 +43,10 @@ __all__ = [
 ]
 
 N_PICARD = 3        # fixed-point sweeps per corrector step
+# Largest change of the last sweep, relative to the state.  Measured worst over
+# the test and benchmark configurations: 3.0e-7 at dt = 1e-3, 2.8e-6 at
+# dt = 5e-3; a single sweep moves the state by about half its size.
+PICARD_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -80,9 +84,10 @@ def hartree_potential(source: np.ndarray, r: np.ndarray, n: int) -> np.ndarray:
     n >= 3: the tail is closed analytically with the captured charge and V
     vanishes at infinity.  n <= 2, where no decaying solution exists: V(0) = 0.
     """
-    m = cumulative_radial(source * r ** (n - 1), r)
+    area = r ** (n - 1)
+    m = cumulative_radial(source * area, r)
     with np.errstate(divide="ignore", invalid="ignore"):
-        h = np.where(r > 0, m * r ** (1.0 - n), 0.0)
+        h = np.where(r > 0, m / area, 0.0)
     H = cumulative_radial(h, r)
     if n <= 2:
         return H
@@ -350,8 +355,17 @@ def first_corrector(data: InitialData, t_end: float,
         a1_new, p1_new = qa.copy(), qp.copy()
         for _ in range(N_PICARD):
             rhs_a_new, rhs_p_new = reaction(c_new, a1_new, p1_new)
+            a1_last, p1_last = a1_new, p1_new
             a1_new = qa + 0.5 * step * rhs_a_new
             p1_new = qp + 0.5 * step * rhs_p_new
+        change = max(np.max(np.abs(a1_new - a1_last)),
+                     np.max(np.abs(p1_new - p1_last)))
+        scale = max(np.max(np.abs(a1_new)), np.max(np.abs(p1_new)))
+        if change > PICARD_TOL * scale:
+            raise StepRejectionError(
+                f"corrector fixed point did not settle at t = {t_new:.6g}: "
+                f"the last of {N_PICARD} sweeps moved the state by "
+                f"{change / scale:.3e} of its size")
 
         a1, p1, t, c_old = a1_new, np.real(p1_new), t_new, c_new
         if sample_times and t >= sample_times[0] - eps_t:

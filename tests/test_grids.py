@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
 
 from semiwkb import ParameterError, RadialGrid, RadialProfile
 from semiwkb.errors import DomainError
@@ -60,6 +61,19 @@ def test_cumulative_simpson_beats_trapezoid_on_uniform():
     r = np.linspace(0.0, 1.0, 201)
     out = cumulative_radial(np.exp(r), r)
     assert np.max(np.abs(out - (np.exp(r) - 1.0))) < 1e-10
+
+
+def test_cumulative_radial_matches_scipy_simpson():
+    # both layouts, odd and even node counts; 8194 is the 8192-point wave
+    # grid with its origin and far-end samples (the last interval of an
+    # even count takes the second-half formula)
+    for points in (17, 18, 1023, 1024, 8194):
+        for include_origin in (True, False):
+            r = RadialGrid(40.0, points, include_origin=include_origin).nodes
+            y = r ** 2 * np.exp(-r ** 2 / 4.0) + np.sin(3.0 * r)
+            ref = cumulative_simpson(y, x=r, initial=0.0)
+            out = cumulative_radial(y, r)
+            assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_cumulative_origin_model_exact_for_powers():

@@ -225,6 +225,16 @@ def test_evolve_ep_outputs(tmp_path):
         assert text.splitlines()[2] == "t,X,Xdot,B"
 
 
+def test_evolve_ep_failure_writes_nothing(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "data": {"points": 2048, "r_max": 30.0}, "times": [-1.0]}))
+    out_dir = tmp_path / "out"
+    assert cli_main(["evolve-ep", "--config", str(cfg_path),
+                     "--out", str(out_dir)]) == 2
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
 def test_wkb_eval_outputs(tmp_path):
     # a repeated time gives one snapshot
     for k, times in enumerate([(0.2, 0.4), (0.2, 0.4, 0.2)]):

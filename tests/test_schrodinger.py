@@ -1,6 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import erf
 
+from semiwkb import schrodinger
 from semiwkb import (ContractError, ParameterError, RadialGrid, RadialProfile,
                      ResolutionError, UnsupportedConfigurationError,
                      WaveField, initial_wavefield, lp_norm,
@@ -104,6 +110,37 @@ def test_dt_self_convergence_second_order(smooth_chirped):
     assert 1.9 <= order <= 2.1
 
 
+@settings(max_examples=10, deadline=None)
+@given(eps=st.floats(min_value=1.0 / 64.0, max_value=0.5),
+       dt=st.floats(min_value=1e-4, max_value=1e-3),   # run's default cap
+       chirp=st.floats(min_value=0.0, max_value=1.5))
+def test_strang_step_unitary_with_carried_potential(eps, dt, chirp):
+    d = smooth_ball_data(chirp=chirp, grid=RadialGrid(20.0, 2048))
+    carried = fresh = initial_wavefield(d, eps, wave_grid(4095, 20.0))
+    m0 = discrete_mass(carried)
+    for _ in range(50):
+        carried = strang_step(carried, dt)
+        # a field rebuilt from bare values solves for its own potential
+        fresh = strang_step(WaveField(fresh.eps, fresh.grid, fresh.values,
+                                      fresh.lam, fresh.t), dt)
+    assert abs(discrete_mass(carried) - m0) / m0 <= 1e-12
+    scale = np.max(np.abs(fresh.values))
+    assert np.max(np.abs(carried.values - fresh.values)) <= 1e-12 * scale
+
+
+def test_run_solves_poisson_once_per_step(monkeypatch, smooth_chirped):
+    calls, solve = [], schrodinger.hartree_potential
+
+    def counting(*args):
+        calls.append(args[1].size)
+        return solve(*args)
+
+    monkeypatch.setattr(schrodinger, "hartree_potential", counting)
+    run(smooth_chirped, 0.5, 0.02, dt=1e-3, grid=wave_grid(512))
+    # the initial field's solve, then one per step on the M+2 origin grid
+    assert calls == [514] * 21
+
+
 def test_gauge_covariance(smooth_chirped):
     u = initial_wavefield(smooth_chirped, 0.5, wave_grid())
     theta = 1.234
@@ -133,6 +170,21 @@ def test_energy_drift_is_second_order_in_dt(smooth_small):
 
     ratio = drift(0.1) / drift(0.05)
     assert 3.0 <= ratio <= 5.5
+
+
+def test_wavegrid_potential_gaussian_fourth_order():
+    # rho = exp(-r^2) has V = (sqrt(pi)/4) erf(r)/r in three dimensions.  The
+    # m/r^2 quadrature near the origin adds an h^4 log(1/h) term, so the
+    # error ratio approaches 16 from below.
+    errs = []
+    for M in (1023, 2047, 4095):
+        g = wave_grid(M, 8.0)
+        u = WaveField(0.5, g, np.exp(-g.nodes ** 2 / 2.0).astype(complex),
+                      lam=-1.0)
+        exact = 0.25 * math.sqrt(math.pi) * erf(g.nodes) / g.nodes
+        errs.append(np.max(np.abs(u.potential - exact)))
+    ratios = errs[0] / errs[1], errs[1] / errs[2]
+    assert all(13.0 <= q <= 17.0 for q in ratios)
 
 
 # -- observables ----------------------------------------------------------------------
@@ -190,6 +242,14 @@ def test_run_header_reproducibility(smooth_chirped):
     assert h["eps"] == 0.5 and h["lam"] == smooth_chirped.lam
     assert h["data_hash"] == smooth_chirped.content_hash()
     assert h["grid"]["points"] == 512
+
+
+def test_run_header_records_transform_length():
+    d = gaussian_data()
+    for M, fast in ((1023, True), (1024, False)):
+        h = run(d, 0.5, 1e-3, dt=1e-3, grid=wave_grid(M, 20.0)).header
+        assert h["transform_len"] == 2 * (M + 1)
+        assert h["transform_len_fast"] is fast
 
 
 def test_run_samples_t_end_when_march_stops_short():

@@ -250,6 +250,13 @@ def test_corrector_step_rejection(smooth_small):
         first_corrector(smooth_small, 0.5, grid=RadialGrid(40.0, 513), dt=0.5)
 
 
+def test_corrector_picard_gate_fails_closed(smooth_small, monkeypatch):
+    # one sweep leaves the fixed point unsettled by far more than the gate
+    monkeypatch.setattr(wkb, "N_PICARD", 1)
+    with pytest.raises(StepRejectionError, match="did not settle"):
+        first_corrector(smooth_small, 0.01, grid=RadialGrid(40.0, 513))
+
+
 def test_corrector_sample_times(smooth_small):
     cs = first_corrector(smooth_small, 0.4, grid=RadialGrid(40.0, 513),
                          sample_times=[0.0, 0.2, 0.4])
