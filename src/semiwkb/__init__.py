@@ -14,7 +14,7 @@ from .profiles import (InitialData, ball_data, build_initial_data,
 from .euler_poisson import (CharacteristicTrajectory, Verdict, blowup_time,
                             classify, eulerian_fields,
                             explicit_characteristics,
-                            integrate_characteristics, large_time_class)
+                            integrate_characteristics)
 from .wkb import (CorrectorSeries, WkbFields, first_corrector, leading_order,
                   limit_system_residual, phase_time_constant, poisson_radial)
 from .norms import DecayFit, NormReport, decay_fit, lp_norm, norm_diagnostics

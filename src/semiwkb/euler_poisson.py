@@ -20,9 +20,9 @@ from .profiles import InitialData
 __all__ = [
     "GLOBAL", "FINITE_TIME_BLOWUP", "NECESSARY_CONDITION_VIOLATED", "UNDETERMINED",
     "POSITION_VANISHES", "DEFORMATION_VANISHES",
-    "Verdict", "CharacteristicState", "CharacteristicTrajectory", "LargeTimeClass",
+    "Verdict", "CharacteristicState", "CharacteristicTrajectory",
     "classify", "explicit_characteristics", "integrate_characteristics",
-    "blowup_time", "large_time_class", "eulerian_fields", "invert_flow_map",
+    "blowup_time", "eulerian_fields", "invert_flow_map",
 ]
 
 GLOBAL = "Global"
@@ -69,16 +69,8 @@ class CharacteristicTrajectory:
     X: np.ndarray
     Xdot: np.ndarray
     B: np.ndarray
-    Bdot: np.ndarray
     event_time: Optional[float] = None
     event_mechanism: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class LargeTimeClass:
-    kind: str              # "Linear" | "Sublinear" | "Collapse"
-    growth_exponent: Optional[float]
-    asymptotic_slope: Optional[float]
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +252,7 @@ def integrate_characteristics(data: InitialData, R: float, t_end: float,
                       "reporting approach to collapse", RuntimeWarning)
 
     return CharacteristicTrajectory(R=R, t=sol.t, X=sol.y[0], Xdot=sol.y[1],
-                                    B=sol.y[2], Bdot=sol.y[3],
-                                    event_time=event_time,
+                                    B=sol.y[2], event_time=event_time,
                                     event_mechanism=event_mech)
 
 
@@ -274,24 +265,6 @@ def blowup_time(data: InitialData, R: float, t_max: float
     if traj.event_time is None:
         return None
     return traj.event_time, traj.event_mechanism
-
-
-def large_time_class(C_at_R: float, lam: float, tol: float = 1e-12,
-                     n: int | None = None) -> LargeTimeClass:
-    """Late-time growth class of X(t,R) from the sign of the threshold."""
-    if C_at_R > tol:
-        return LargeTimeClass("Linear", growth_exponent=1.0,
-                              asymptotic_slope=float(np.sqrt(C_at_R)))
-    if C_at_R < -tol:
-        if lam >= 0:
-            raise UnsupportedConfigurationError("C < 0 requires lam < 0")
-        return LargeTimeClass("Collapse", growth_exponent=None, asymptotic_slope=None)
-    if lam >= 0:
-        raise UnsupportedConfigurationError(
-            "C = 0 with lam >= 0 means locally vacuum data; class undefined")
-    return LargeTimeClass("Sublinear",
-                          growth_exponent=None if n is None else 2.0 / n,
-                          asymptotic_slope=None)
 
 
 # ---------------------------------------------------------------------------

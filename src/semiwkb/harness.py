@@ -476,9 +476,8 @@ def wkb_eval(config: ExperimentConfig) -> list:
         p1 = RadialProfile(grid, np.real(corr.phi1[i](grid.nodes)))
         f = WkbFields(t=f.t, a0=f.a0, phi0=f.phi0, V_P=f.V_P, a1=a1, phi1=p1)
         outputs.append(f)
-        rep = norm_diagnostics(f.a0, data.n, p=2, q=2, s=2, t=float(t))
-        norm_records.append({"t": float(t),
-                             "l2_a0": rep.lp_norms[2.0],
+        rep = norm_diagnostics(f.a0, data.n, t=float(t))
+        norm_records.append({"t": float(t), "l2_a0": rep.l2,
                              "y_norm_a0": rep.y_norm})
         if config.out_dir:
             a0 = f.a0.values

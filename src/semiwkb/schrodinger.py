@@ -222,12 +222,14 @@ def run(data: InitialData, eps: float, t_end: float,
         dt = min(1e-3, eps / 10.0)
     if dt <= 0:
         raise ParameterError("dt must be positive")
-    u = initial_wavefield(data, eps, grid, ppw=ppw)
-
     if observable_times is None:
         observable_times = [0.0, t_end]
     obs_times = sorted(set(float(s) for s in observable_times))
     snap_times = sorted(set(float(s) for s in (snapshot_times or [])))
+    if not all(0.0 <= s <= t_end for s in obs_times + snap_times):
+        raise ParameterError("observation and snapshot times must lie in "
+                             "[0, t_end]")
+    u = initial_wavefield(data, eps, grid, ppw=ppw)
 
     observables, snapshots, trunc = [], [], []
     total0 = discrete_mass(u)

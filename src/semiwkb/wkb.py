@@ -90,7 +90,7 @@ def hartree_potential(source: np.ndarray, r: np.ndarray, n: int) -> np.ndarray:
         h = np.where(r > 0, m / area, 0.0)
     H = cumulative_radial(h, r)
     if n <= 2:
-        return H
+        return H[0] - H
     tail = m[-1] * r[-1] ** (2 - n) / (n - 2)
     return (H[-1] - H) + tail
 
@@ -100,7 +100,7 @@ def poisson_radial(rho: RadialProfile, n: int) -> RadialProfile:
 
     n >= 3: V(r) = integral_r^inf s^(1-n) m(s) ds with the tail beyond the grid
     closed analytically using m(s) ~ m(r_max).  n <= 2: the decay condition is
-    not meaningful; V is anchored to V(0) = 0 instead.
+    not meaningful; V is anchored to V(0) = 0 instead and decreases outward.
     """
     vals = rho.values
     if np.iscomplexobj(vals):
@@ -251,8 +251,9 @@ def limit_system_residual(fields: WkbFields, data: InitialData,
 
     Vp = derivative_uniform(fields.V_P.values, h, 1, left_parity="even",
                             origin_on_grid=origin)
-    flux = r ** (data.n - 1) * Vp
-    poisson = -derivative_uniform(flux, h, 1, left_parity="odd",
+    flux = r ** (data.n - 1) * Vp       # parity (-1)^n across the origin
+    poisson = -derivative_uniform(flux, h, 1,
+                                  left_parity="odd" if data.n % 2 else "even",
                                   origin_on_grid=origin) \
         - r ** (data.n - 1) * np.abs(a0) ** 2
 

@@ -8,11 +8,9 @@ from scipy.integrate import solve_ivp
 
 import semiwkb.euler_poisson as ep
 from semiwkb import (ContractError, ConvergenceError, ParameterError,
-                     RadialGrid, RadialProfile, UnsupportedConfigurationError,
-                     ball_data, blowup_time, classify, eulerian_fields,
-                     explicit_characteristics, free_data,
-                     integrate_characteristics, large_time_class,
-                     smooth_ball_data)
+                     RadialGrid, RadialProfile, ball_data, blowup_time,
+                     classify, eulerian_fields, explicit_characteristics,
+                     free_data, integrate_characteristics, smooth_ball_data)
 from semiwkb.euler_poisson import (DEFORMATION_VANISHES, FINITE_TIME_BLOWUP,
                                    GLOBAL, NECESSARY_CONDITION_VIOLATED,
                                    POSITION_VANISHES, UNDETERMINED,
@@ -182,19 +180,6 @@ def test_wave_breaking_detected_for_overshoot():
     assert v.kind == FINITE_TIME_BLOWUP
     assert v.mechanism == DEFORMATION_VANISHES
     assert v.t_c is not None
-
-
-# -- large time class ------------------------------------------------------------
-
-def test_large_time_class_rows():
-    lin = large_time_class(1.0, -1.0)
-    assert lin.kind == "Linear" and abs(lin.asymptotic_slope - 1.0) < 1e-14
-    sub = large_time_class(0.0, -1.0, n=3)
-    assert sub.kind == "Sublinear" and abs(sub.growth_exponent - 2 / 3) < 1e-14
-    col = large_time_class(-0.5, -1.0)
-    assert col.kind == "Collapse"
-    with pytest.raises(UnsupportedConfigurationError):
-        large_time_class(0.0, 1.0)
 
 
 # -- Eulerian fields ---------------------------------------------------------------

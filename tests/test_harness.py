@@ -302,10 +302,17 @@ def test_cli_exit_codes(tmp_path):
             ("decay-study", {"t_tail": [100, 10000]}),
             ("decay-study", {"t_tail": [100, 10000, -1]}),
             ("decay-study", {"norm_p": 0}),
-            ("wkb-eval", {"times": []})):
+            ("wkb-eval", {"times": []}),
+            ("schrodinger-run", {"data": {"points": 1024, "r_max": 20.0},
+                                 "eps_ladder": [0.25], "t_end": 0.1,
+                                 "solver_points": 1024,
+                                 "times": [-1.0, 0.02]})):
         ranged = tmp_path / "ranged.json"
         ranged.write_text(json.dumps(payload))
-        assert cli_main([scenario, "--config", str(ranged)]) == 2
+        out_dir = tmp_path / "ranged_out"
+        assert cli_main([scenario, "--config", str(ranged),
+                         "--out", str(out_dir)]) == 2
+        assert not out_dir.exists()
 
     # under-resolved solver grid -> resolution error -> exit 3
     res = tmp_path / "res.json"

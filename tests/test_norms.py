@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from semiwkb import (DomainError, ParameterError, RadialGrid, RadialProfile,
                      decay_fit, leading_order, lp_norm, norm_diagnostics)
-from semiwkb.norms import sobolev_norm, sphere_area
+from semiwkb.norms import _l2, sphere_area
 
 
 def test_sphere_area_values():
@@ -33,51 +33,30 @@ def test_lp_norm_gaussian_exact():
 
 def test_all_norms_vanish_for_zero():
     g = RadialGrid(10.0, 512)
-    rep = norm_diagnostics(RadialProfile(g, np.zeros(512)), 3, p=4, q=3, s=3)
-    assert all(v == 0.0 for v in rep.lp_norms.values())
-    assert rep.h_s == 0.0 and rep.y_norm == 0.0
+    for n in (1, 3):
+        rep = norm_diagnostics(RadialProfile(g, np.zeros(512)), n, t=1.0)
+        assert rep.t == 1.0 and rep.l2 == 0.0 and rep.y_norm == 0.0
 
 
 def test_sobolev_spectral_matches_l2_at_order_zero():
     g = RadialGrid(30.0, 4096)
     r = g.nodes
     f = np.exp(-r ** 2 / 2)
-    spectral = sobolev_norm(f, r, 0.0, 3)
+    spectral = _l2(f, r, 3)
     direct = lp_norm(f, r, 3, 2)
     assert abs(spectral - direct) / direct < 1e-6
 
 
-def test_sobolev_spectral_known_h1_gaussian():
-    # ||g||_{H^1}^2 = ||g||^2 + ||grad g||^2 for g = exp(-r^2/2):
-    # pi^{3/2} + (3/2) pi^{3/2} / ... grad: |g'| = r g, L2^2 = 4pi int r^4 e^{-r^2}
-    g = RadialGrid(30.0, 8192)
-    r = g.nodes
-    f = np.exp(-r ** 2 / 2)
-    l2sq = np.pi ** 1.5
-    gradsq = 4.0 * np.pi * 3.0 * np.sqrt(np.pi) / 8.0
-    exact = np.sqrt(l2sq + gradsq)
-    assert abs(sobolev_norm(f, r, 1.0, 3) - exact) / exact < 1e-6
-
-
-def test_norm_report_composite_structure():
+def test_y_norm_gaussian_closed_form():
+    # a = exp(-r^2/2) in R^3: ||a||^2 = pi^(3/2), ||grad a||^2 = (3/2) pi^(3/2),
+    # ||grad^2 a||^2 = (15/4) pi^(3/2); real and complex-phase samples agree
     g = RadialGrid(30.0, 4096)
-    r = g.nodes
-    prof = RadialProfile(g, np.exp(-r ** 2 / 2))
-    rep = norm_diagnostics(prof, 3, p=8.0, q=4.0, s=4.0)
-    assert rep.y_norm == pytest.approx(
-        rep.lp_norms[8.0] + rep.grad_lq + rep.hess_hs2)
-    assert rep.grad_lq > 0 and rep.hess_hs2 > 0
-
-
-def test_vector_field_gradient_magnitude():
-    # w = r x/|x| has grad w = identity: |grad w|^2 = n, constant
-    g = RadialGrid(10.0, 1024)
-    r = g.nodes
-    rep = norm_diagnostics(RadialProfile(g, r.copy()), 3, p=2, q=2, s=2,
-                           vector=True)
-    # ||grad w||_{L2(ball of radius 10)}^2 = 3 * volume
-    vol = 4.0 * np.pi / 3.0 * 10.0 ** 3
-    assert abs(rep.grad_lq ** 2 - 3.0 * vol) / (3.0 * vol) < 1e-3
+    a = np.exp(-g.nodes ** 2 / 2)
+    exact = np.pi ** 0.75 * (1.0 + np.sqrt(1.5) + np.sqrt(3.75))
+    for vals in (a, np.exp(0.3j) * a):
+        rep = norm_diagnostics(RadialProfile(g, vals), 3)
+        assert abs(rep.y_norm - exact) / exact <= 1e-9
+        assert abs(rep.l2 - np.pi ** 0.75) / np.pi ** 0.75 <= 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -127,12 +106,3 @@ def test_decay_fit_validation():
         decay_fit(t[:5], t[:5])
     with pytest.raises(ParameterError):
         decay_fit(np.linspace(1.0, 10.0, 25), np.ones(25))  # < 2 decades
-
-
-def test_norm_diagnostics_validation():
-    g = RadialGrid(10.0, 256)
-    prof = RadialProfile(g, np.zeros(256))
-    with pytest.raises(ParameterError):
-        norm_diagnostics(prof, 3, p=0.5)
-    with pytest.raises(ParameterError):
-        norm_diagnostics(prof, 3, s=1.0)

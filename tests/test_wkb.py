@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
-from scipy.special import erf
+from scipy.special import erf, exp1
 
 from semiwkb import (ContractError, DomainError, ParameterError, RadialGrid,
                      RadialProfile, StepRejectionError, ball_data,
@@ -13,7 +13,7 @@ from semiwkb import (ContractError, DomainError, ParameterError, RadialGrid,
                      poisson_radial, smooth_ball_data)
 from semiwkb.grids import derivative_uniform
 from semiwkb.norms import lp_norm
-from semiwkb.profiles import InitialData
+from semiwkb.profiles import InitialData, gaussian_free_data
 from semiwkb import wkb
 from semiwkb.wkb import WkbFields
 
@@ -74,14 +74,31 @@ def test_poisson_discrete_residual_invariant():
 
 
 def test_poisson_low_dimension_normalizations():
-    g = RadialGrid(10.0, 512)
-    r = g.nodes
-    rho = RadialProfile(g, np.exp(-r ** 2))
-    V = poisson_radial(rho, 2)
-    assert V.values[0] == 0.0
-    assert np.all(np.diff(V.values) >= 0.0)
+    # closed forms for rho = exp(-r^2) with V(0) = 0; the attractive
+    # potential decreases outward as in n >= 3
+    def exact(n, r):
+        if n == 1:
+            return -0.5 * np.sqrt(np.pi) * (r * erf(r)
+                                            + np.expm1(-r ** 2) / np.sqrt(np.pi))
+        out = np.zeros_like(r)
+        x = r[r > 0] ** 2
+        out[r > 0] = -0.25 * (exp1(x) + np.log(x) + np.euler_gamma)
+        return out
+
+    err = {}
+    for points in (1025, 2049):
+        g = RadialGrid(8.0, points)
+        r = g.nodes
+        for n in (1, 2):
+            V = poisson_radial(RadialProfile(g, np.exp(-r ** 2)), n).values
+            assert V[0] == 0.0
+            assert np.all(np.diff(V) < 0.0)
+            err[n, points] = np.max(np.abs(V - exact(n, r)))
+    for n in (1, 2):
+        assert err[n, 1025] < 1e-8
+        assert err[n, 1025] / err[n, 2049] > 12.0     # measured 16.0, 14.1
     with pytest.raises(DomainError):
-        poisson_radial(RadialProfile(g, np.full(512, -1.0)), 3)
+        poisson_radial(RadialProfile(g, np.full(points, -1.0)), 3)
 
 
 # -- leading order -------------------------------------------------------------
@@ -123,6 +140,17 @@ def test_limit_system_residuals_small(smooth_chirped):
         assert np.max(np.abs(hj.values[w])) < 1e-5
         scale = np.max(r ** 2 * np.abs(f.a0.values) ** 2)
         assert np.max(np.abs(po.values[w])) < 1e-5 * scale
+
+
+def test_limit_system_residual_low_dimension_poisson():
+    # the flux r^(n-1) V' has parity (-1)^n across the origin
+    for n in (1, 2):
+        d = gaussian_free_data(RadialGrid(20.0, 2048), n=n)
+        f = leading_order(d, 0.0, d.grid)
+        _, _, po = limit_system_residual(f, d)
+        r = f.grid.nodes
+        scale = np.max(r ** (n - 1) * np.abs(f.a0.values) ** 2)
+        assert np.max(np.abs(po.values)) <= 1e-6 * scale
 
 
 def test_limit_system_residual_zero_data():
