@@ -179,8 +179,11 @@ def explicit_characteristics(data: InitialData, t, R) -> CharacteristicState:
     R = np.atleast_1d(np.asarray(R, dtype=float))
     if np.any(t < 0):
         raise ParameterError("time must be nonnegative")
-    v0, F, G = data.rates_at(R)
-    n = data.n
+    return _closed_form(data.n, R, t, *data.rates_at(R))
+
+
+def _closed_form(n, R, t, v0, F, G) -> CharacteristicState:
+    """The compatible flow at labels R with rates (v0, F, G); t broadcasts."""
     one_Ft = 1.0 + F * t
     X = R * one_Ft ** (2.0 / n)
     Xdot = v0 * one_Ft ** (2.0 / n - 1.0)
@@ -275,20 +278,25 @@ def invert_flow_map(data: InitialData, t: float, radii: np.ndarray,
                     label_top: float | None = None) -> np.ndarray:
     """Solve X(t, R) = r for R on the closed-form flow (X strictly increasing).
 
-    Warm start by monotone interpolation through grid labels, then six
-    Newton steps R <- R - (X - r)/B; raises ConvergenceError unless every
-    final step is within 1e-10 R.
+    Warm start by monotone interpolation through grid labels, whose rates are
+    tabulated once per data, then Newton steps R <- R - (X - r)/B until the
+    gate holds, at most six; raises ConvergenceError unless every final step
+    is within 1e-10 R.
     """
     if not data.explicit_flow:
         raise ContractError("flow-map inversion requires compatible or "
                             "static data")
+    if t < 0:
+        raise ParameterError("time must be nonnegative")
     radii = np.asarray(radii, dtype=float)
     labels = data.grid.nodes
+    table = _closed_form(data.n, labels[1:], t,
+                         *(a[1:] for a in data._node_rates)).X
     if label_top is not None and label_top > labels[-1]:
         ext = np.geomspace(labels[-1], label_top, 200)[1:]
         labels = np.concatenate([labels, ext])
-    st = explicit_characteristics(data, t, labels[1:])
-    Xs = np.concatenate([[0.0], st.X])
+        table = np.concatenate([table, explicit_characteristics(data, t, ext).X])
+    Xs = np.concatenate([[0.0], table])
     if np.any(radii > Xs[-1] * (1 + 1e-12)):
         raise ParameterError("requested radius beyond the characteristic image; "
                              "pass a larger label_top")
@@ -298,9 +306,11 @@ def invert_flow_map(data: InitialData, t: float, radii: np.ndarray,
         stR = explicit_characteristics(data, t, R[pos])
         step = (stR.X - radii[pos]) / stR.B
         R[pos] = np.clip(R[pos] - step, 0.0, labels[-1])
-    # a subnormal label holds fewer digits than NEWTON_TOL asks for
-    scale = np.maximum(R[pos], np.finfo(float).tiny)
-    if not np.all(np.abs(step) <= NEWTON_TOL * scale):
+        # a subnormal label holds fewer digits than NEWTON_TOL asks for
+        scale = np.maximum(R[pos], np.finfo(float).tiny)
+        if np.all(np.abs(step) <= NEWTON_TOL * scale):
+            break
+    else:
         raise ConvergenceError(
             f"flow-map inversion did not converge at t = {float(t):g}")
     R[~pos] = 0.0

@@ -262,16 +262,14 @@ class RadialProfile:
     def with_values(self, values) -> "RadialProfile":
         return RadialProfile(self.grid, values)
 
-    def _interpolator(self):
+    def _interpolator(self) -> CubicSpline:
+        """One real spline, on the (re, im) columns for a complex profile."""
         if self._spline is None:
-            r = self.grid.nodes
+            values = self.values
             if self.is_complex:
-                re = CubicSpline(r, self.values.real)
-                im = CubicSpline(r, self.values.imag)
-                fn = lambda x: re(x) + 1j * im(x)
-            else:
-                fn = CubicSpline(r, self.values)
-            object.__setattr__(self, "_spline", fn)
+                values = np.column_stack([values.real, values.imag])
+            object.__setattr__(self, "_spline",
+                               CubicSpline(self.grid.nodes, values))
         return self._spline
 
     def __call__(self, radii):
@@ -279,7 +277,10 @@ class RadialProfile:
         r = self.grid.nodes
         if np.any(radii < r[0] - 1e-12) or np.any(radii > r[-1] + 1e-12):
             raise ParameterError("interpolation outside the profile grid")
-        return self._interpolator()(np.clip(radii, r[0], r[-1]))
+        out = self._interpolator()(np.clip(radii, r[0], r[-1]))
+        if self.is_complex:
+            return out[..., 0] + 1j * out[..., 1]
+        return out
 
     def derivative(self, order: int = 1, left_parity: str | None = None) -> np.ndarray:
         return derivative_uniform(self.values, self.grid.dr, order,

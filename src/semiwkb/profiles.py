@@ -355,6 +355,14 @@ class InitialData:
                 G[origin] = np.abs(self.lam) * rho[origin] / ((self.n - 2) * slope)
         return v, F, G
 
+    @cached_property
+    def _node_rates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``rates_at`` on the grid nodes, read-only: they do not depend on t."""
+        rates = self.rates_at(self.grid.nodes)
+        for a in rates:
+            a.setflags(write=False)
+        return rates
+
     def content_hash(self) -> str:
         h = hashlib.sha256()
         meta = {"n": self.n, "lam": self.lam, "kappa": self.kappa,

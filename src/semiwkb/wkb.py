@@ -156,7 +156,7 @@ def _potential_tail(data: InitialData, t: float) -> float:
 def _potential_term_nodes(data: InitialData, t: float) -> np.ndarray:
     """P(t, R) at the data-grid nodes (cumulative from the top plus tail)."""
     r = data.grid.nodes
-    v0, F, G = data.rates_at(r)
+    v0, F, G = data._node_rates
     w = over_r(v0 ** 2, r, 0.0) * _I_kernel(data.n, t, F, G)
     Wc = cumulative_radial(w, r)
     tail = _potential_tail(data, t)
@@ -266,17 +266,19 @@ def limit_system_residual(fields: WkbFields, data: InitialData,
 # first corrector
 # ---------------------------------------------------------------------------
 
-def _background(data: InitialData, grid: RadialGrid, t: float) -> dict:
+def _background(data: InitialData, grid: RadialGrid, t: float,
+                t_old: float) -> dict:
     """Eulerian leading-order coefficients on the nodes at time t, with the
-    labels R they come from."""
+    feet X(t_old, R) of the characteristics through the nodes, all from one
+    flow evaluation at the labels R."""
     R = invert_flow_map(data, t, grid.nodes)
-    st = explicit_characteristics(data, t, R)
-    a0 = data.amplitude_at(R) / np.sqrt(st.J)
+    st = explicit_characteristics(data, np.array([[t], [t_old]]), R)
+    a0 = data.amplitude_at(R) / np.sqrt(st.J[0])
     da0 = derivative_uniform(a0, grid.dr, 1, left_parity="even",
                              origin_on_grid=grid.include_origin)
-    return {"R": R, "a0": a0, "da0": da0,
+    return {"feet": st.X[1], "a0": a0, "da0": da0,
             "lap_a0": _radial_laplacian(a0, grid, data.n, "even"),
-            "lap_phi0": _radial_divergence(st.Xdot, grid, data.n, "odd")}
+            "lap_phi0": _radial_divergence(st.Xdot[0], grid, data.n, "odd")}
 
 
 def first_corrector(data: InitialData, t_end: float,
@@ -292,11 +294,16 @@ def first_corrector(data: InitialData, t_end: float,
     """
     if t_end <= 0:
         raise ParameterError("t_end must be positive")
+    if sample_times is None:
+        sample_times = [t_end]
+    sample_times = sorted(float(s) for s in sample_times)
+    if not all(0.0 <= s <= t_end for s in sample_times):
+        raise ParameterError("sample times must lie in [0, t_end]")
     if grid is None:
         grid = RadialGrid(data.r_max, 2049)
     r, h = grid.nodes, grid.dr
     n, lam = data.n, data.lam
-    c_old = _background(data, grid, 0.0)
+    c_old = _background(data, grid, 0.0, 0.0)
 
     vmax = float(np.max(np.abs(data.v0_at(r))))
     dt_cfl = 0.5 * h / vmax if vmax > 0 else np.inf
@@ -310,9 +317,6 @@ def first_corrector(data: InitialData, t_end: float,
     a1 = np.zeros(grid.points, dtype=complex)
     p1 = np.zeros(grid.points)
 
-    if sample_times is None:
-        sample_times = [t_end]
-    sample_times = sorted(float(s) for s in sample_times)
     out_t, out_a1, out_p1 = [], [], []
 
     def record(tv):
@@ -342,14 +346,12 @@ def first_corrector(data: InitialData, t_end: float,
         if sample_times and sample_times[0] < t + step - eps_t:
             step = max(sample_times[0] - t, eps_t)
         t_new = t + step
-        c_new = _background(data, grid, t_new)
+        c_new = _background(data, grid, t_new, t_new - step)
 
         rhs_a_old, rhs_p_old = reaction(c_old, a1, p1)
         qa = a1 + 0.5 * step * rhs_a_old
         qp = p1 + 0.5 * step * rhs_p_old
-        # feet at the old time of the characteristics through the nodes
-        X = explicit_characteristics(data, t_new - step, c_new["R"]).X
-        dep = np.clip(X, r[0], r[-1])
+        dep = np.clip(c_new["feet"], r[0], r[-1])
         qa = RadialProfile(grid, qa)(dep)
         qp = RadialProfile(grid, qp)(dep)
 

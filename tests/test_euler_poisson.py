@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.interpolate import PchipInterpolator
 
 import semiwkb.euler_poisson as ep
 from semiwkb import (ContractError, ConvergenceError, ParameterError,
@@ -245,6 +246,49 @@ def test_invert_flow_map_fails_closed(smooth, monkeypatch):
     monkeypatch.setattr(ep, "explicit_characteristics", overshooting)
     with pytest.raises(ConvergenceError):
         invert_flow_map(smooth, 5.0, np.linspace(0.0, 30.0, 701))
+
+
+def test_invert_flow_map_stops_at_gate(smooth, monkeypatch):
+    # the warm start is arithmetic on tabulated rates and Newton leaves at
+    # its gate: the second step from the warm start is already at round-off
+    calls = []
+    exact = ep.explicit_characteristics
+
+    def counting(data, t, R):
+        calls.append(len(R))
+        return exact(data, t, R)
+
+    monkeypatch.setattr(ep, "explicit_characteristics", counting)
+    top = exact(smooth, 0.5, smooth.grid.nodes[-1:]).X[0]
+    invert_flow_map(smooth, 0.5, np.linspace(0.0, top, 2049))
+    assert 1 <= len(calls) <= 3
+
+
+def _six_newton_steps(data, t, radii):
+    """The inversion with every one of its six Newton steps taken."""
+    labels = data.grid.nodes
+    Xs = np.concatenate([[0.0], explicit_characteristics(data, t, labels[1:]).X])
+    R = PchipInterpolator(Xs, labels)(np.clip(radii, 0.0, Xs[-1]))
+    pos = radii > 0
+    for _ in range(6):
+        state = explicit_characteristics(data, t, R[pos])
+        R[pos] = np.clip(R[pos] - (state.X - radii[pos]) / state.B,
+                         0.0, labels[-1])
+    R[~pos] = 0.0
+    return R
+
+
+@settings(max_examples=15, deadline=None)
+@given(t=st.floats(min_value=0.0, max_value=1e4),
+       fractions=st.lists(st.floats(min_value=0.0, max_value=1.0),
+                          min_size=1, max_size=16))
+def test_newton_early_stop_loses_nothing(smooth_small, ball, t, fractions):
+    for data in (smooth_small, ball):
+        top = explicit_characteristics(data, t, data.grid.nodes[-1:]).X[0]
+        radii = top * np.array(fractions)
+        R = invert_flow_map(data, t, radii)
+        ref = _six_newton_steps(data, t, radii)
+        assert np.all(np.abs(R - ref) <= 1e-13 * np.maximum(ref, 1.0))
 
 
 @settings(max_examples=15, deadline=None)

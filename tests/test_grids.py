@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson
+from scipy.interpolate import CubicSpline
 
 from semiwkb import ParameterError, RadialGrid, RadialProfile
 from semiwkb.errors import DomainError
@@ -97,6 +98,19 @@ def test_profile_validation_and_interpolation():
         RadialProfile(g, bad)
     with pytest.raises(ParameterError):
         p(7.0)   # outside the grid
+
+
+def test_complex_profile_interpolates_like_a_spline_pair():
+    g = RadialGrid(5.0, 64)
+    r = g.nodes
+    vals = np.exp(-r ** 2) * (np.cos(3.0 * r) + 1j * np.sin(2.0 * r))
+    p = RadialProfile(g, vals)
+    off_node = np.linspace(0.0, 5.0, 301) + 0.01 * np.sin(7.0 * np.arange(301))
+    x = np.concatenate([np.clip(off_node, 0.0, 5.0), r])
+    ref = CubicSpline(r, vals.real)(x) + 1j * CubicSpline(r, vals.imag)(x)
+    got = p(x)
+    assert got.dtype == complex
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 def test_profile_immutable():

@@ -248,6 +248,46 @@ def test_corrector_inverts_flow_map_once_per_step(smooth_small, monkeypatch):
     assert len(step_times) == len(set(step_times)) == 4
 
 
+def test_corrector_flow_evaluations_per_step(smooth_small, monkeypatch):
+    # per step: Newton's evaluations plus one for the state and the feet
+    calls = [0]
+    rates_at = InitialData.rates_at
+
+    def counting_rates(self, R):
+        calls[0] += 1
+        return rates_at(self, R)
+
+    marks = []
+    invert = wkb.invert_flow_map
+
+    def marking(data, t, *args, **kwargs):
+        if t > 0.0:
+            marks.append(calls[0])
+        return invert(data, t, *args, **kwargs)
+
+    monkeypatch.setattr(InitialData, "rates_at", counting_rates)
+    monkeypatch.setattr(wkb, "invert_flow_map", marking)
+    first_corrector(smooth_small, 0.02, grid=RadialGrid(40.0, 513), dt=0.005)
+    per_step = np.diff(marks + calls)
+    assert len(per_step) == 4
+    assert np.all(per_step <= 4)
+
+
+def test_corrector_rejects_sample_times_outside_horizon(smooth_small,
+                                                        monkeypatch):
+    inversions = []
+    monkeypatch.setattr(wkb, "invert_flow_map",
+                        lambda *args, **kwargs: inversions.append(args))
+    grid = RadialGrid(40.0, 513)
+    with pytest.raises(ParameterError):
+        first_corrector(smooth_small, 0.02, grid=grid, dt=0.005,
+                        sample_times=[-1.0, 0.01])
+    with pytest.raises(ParameterError):
+        first_corrector(smooth_small, 0.02, grid=grid, dt=0.005,
+                        sample_times=[0.01, 0.5])
+    assert inversions == []
+
+
 def test_corrector_real_data_purely_imaginary(smooth_small):
     cs = first_corrector(smooth_small, 0.5, grid=RadialGrid(40.0, 1025))
     assert np.max(np.abs(cs.a1[-1].values.real)) <= 1e-10
