@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.fft import dst, next_fast_len
+from scipy.fft import dst as _scipy_dst, fft2, next_fast_len
 
 from .errors import (ContractError, ParameterError, ResolutionError,
                      UnsupportedConfigurationError)
@@ -124,6 +124,59 @@ def _poisson_on_wavegrid(density: np.ndarray, grid: RadialGrid) -> np.ndarray:
     return hartree_potential(rho, r, 3)[1:-1]
 
 
+def _fast_length(M: int) -> bool:
+    """Whether the DST-I on M nodes, an FFT of length 2(M+1), has a fast
+    (5-smooth) length; this picks the branch of ``dst``."""
+    n = 2 * (M + 1)
+    return next_fast_len(n, real=True) == n
+
+
+@lru_cache(maxsize=8)
+def _prime_factor_maps(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Good-Thomas index maps: a length-N DFT is the 2-D DFT of the (N1, N2)
+    array ``z[gather]``, with coprime N1*N2 = N and no twiddle factors, and
+    frequency k sits at flat position ``order[k]`` of that 2-D spectrum.
+    N2 is N's largest prime-power factor, so only the length-N2 rows pay for
+    Bluestein, on buffers a fraction of the size of a length-N Bluestein's."""
+    n, p, powers = N, 2, []
+    while p * p <= n:
+        q = 1
+        while n % p == 0:
+            n, q = n // p, q * p
+        powers.append(q)
+        p += 1
+    N2 = max(powers + [n])
+    N1 = N // N2
+    i1, i2 = np.arange(N1)[:, None], np.arange(N2)
+    gather = (N2 * i1 + N1 * i2) % N
+    freq = (N2 * pow(N2, -1, N1) * i1 + N1 * pow(N1, -1, N2) * i2) % N
+    order = np.argsort(freq.ravel())
+    for a in (gather, order):
+        a.setflags(write=False)
+    return gather, order
+
+
+def dst(x: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I of the complex samples x on M nodes; its own inverse.
+
+    At a fast length this is scipy's transform, which runs one real transform
+    for the real part and one for the imaginary part.  At other lengths
+    pocketfft can run each of those as a complex Bluestein FFT of length
+    2(M+1) (at M = 8192 it does), so one complex FFT of the odd extension
+    [0, x, 0, -x[::-1]], taken through the prime-factor maps, does the work
+    of both.
+    """
+    M = len(x)
+    if _fast_length(M):
+        return _scipy_dst(x, type=1, norm="ortho")
+    ext = np.zeros(2 * (M + 1), dtype=complex)
+    ext[1:M + 1] = x
+    ext[M + 2:] = -x[::-1]
+    gather, order = _prime_factor_maps(len(ext))
+    spectrum = fft2(ext[gather], overwrite_x=True).ravel()[order[1:M + 1]]
+    return (0.5j * math.sqrt(2.0 / (M + 1))) * spectrum
+
+
 @lru_cache(maxsize=8)
 def _kinetic_phases(eps: float, L: float, M: int, dt: float) -> np.ndarray:
     k = np.arange(1, M + 1)
@@ -151,9 +204,9 @@ def strang_step(u: WaveField, dt: float) -> WaveField:
         return u
     r = u.r
     vals = u.values if u.lam == 0.0 else _potential_phase(u, 0.5 * dt)
-    what = dst(r * vals, type=1, norm="ortho")
+    what = dst(r * vals)
     what *= _kinetic_phases(u.eps, u.grid.r_max, u.grid.points, dt)
-    mid = replace(u, values=dst(what, type=1, norm="ortho") / r, t=u.t + dt)
+    mid = replace(u, values=dst(what) / r, t=u.t + dt)
     if u.lam == 0.0:
         return mid
     out = replace(mid, values=_potential_phase(mid, 0.5 * dt))
@@ -266,10 +319,10 @@ def run(data: InitialData, eps: float, t_end: float,
     if trunc:
         warnings.warn(f"boundary mass exceeded {BOUNDARY_TOL:g} of the total "
                       f"at t = {trunc[0]['t']:.6g}", RuntimeWarning)
-    n_fft = 2 * (grid.points + 1)       # DST-I length as an FFT
     header = {"eps": eps, "dt": dt, "t_end": t_end,
               "grid": grid.descriptor(), "data_hash": data.content_hash(),
-              "lam": data.lam, "ppw": ppw, "transform_len": n_fft,
-              "transform_len_fast": next_fast_len(n_fft, real=True) == n_fft}
+              "lam": data.lam, "ppw": ppw,
+              "transform_len": 2 * (grid.points + 1),   # DST-I length as an FFT
+              "transform_len_fast": _fast_length(grid.points)}
     return RunResult(observables=observables, snapshots=snapshots,
                      truncation_warnings=trunc, header=header)

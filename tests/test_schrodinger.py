@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import dst as scipy_dst
 from scipy.special import erf
 
 from semiwkb import schrodinger
@@ -110,22 +111,76 @@ def test_dt_self_convergence_second_order(smooth_chirped):
     assert 1.9 <= order <= 2.1
 
 
-@settings(max_examples=10, deadline=None)
-@given(eps=st.floats(min_value=1.0 / 64.0, max_value=0.5),
-       dt=st.floats(min_value=1e-4, max_value=1e-3),   # run's default cap
-       chirp=st.floats(min_value=0.0, max_value=1.5))
-def test_strang_step_unitary_with_carried_potential(eps, dt, chirp):
+@pytest.mark.parametrize("M", [1023, 1024, 4096, 8192])
+def test_kinetic_dst_matches_scipy_and_is_its_own_inverse(M):
+    # 2(M+1) is a fast length only at M = 1023; 2050, 8194 and 16386 take
+    # the odd-extension FFT
+    rng = np.random.default_rng(M)
+    x = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+    ref = scipy_dst(x, type=1, norm="ortho")
+    y = schrodinger.dst(x)
+    assert np.max(np.abs(y - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert np.max(np.abs(schrodinger.dst(y) - x)) <= 1e-14 * np.max(np.abs(x))
+
+
+def test_kinetic_dst_branch_is_the_one_the_header_names(monkeypatch):
+    calls, transform = [], schrodinger._scipy_dst
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return transform(*args, **kwargs)
+
+    monkeypatch.setattr(schrodinger, "_scipy_dst", counting)
+    d = gaussian_data()
+    for M in (1023, 1024):
+        calls.clear()
+        h = run(d, 0.5, 2e-3, dt=1e-3, grid=wave_grid(M, 20.0)).header
+        assert calls == ([M] * 4 if h["transform_len_fast"] else [])
+
+
+def _carried_vs_fresh(M, eps, dt, chirp):
+    """Relative mass drift of 50 steps carrying the potential, and their
+    largest distance to steps that solve for it afresh."""
     d = smooth_ball_data(chirp=chirp, grid=RadialGrid(20.0, 2048))
-    carried = fresh = initial_wavefield(d, eps, wave_grid(4095, 20.0))
+    carried = fresh = initial_wavefield(d, eps, wave_grid(M, 20.0))
     m0 = discrete_mass(carried)
     for _ in range(50):
         carried = strang_step(carried, dt)
         # a field rebuilt from bare values solves for its own potential
         fresh = strang_step(WaveField(fresh.eps, fresh.grid, fresh.values,
                                       fresh.lam, fresh.t), dt)
-    assert abs(discrete_mass(carried) - m0) / m0 <= 1e-12
     scale = np.max(np.abs(fresh.values))
-    assert np.max(np.abs(carried.values - fresh.values)) <= 1e-12 * scale
+    return (abs(discrete_mass(carried) - m0) / m0,
+            np.max(np.abs(carried.values - fresh.values)) / scale)
+
+
+@settings(max_examples=10, deadline=None)
+@given(eps=st.floats(min_value=1.0 / 64.0, max_value=0.5),
+       dt=st.floats(min_value=1e-4, max_value=1e-3),   # run's default cap
+       chirp=st.floats(min_value=0.0, max_value=1.5))
+def test_strang_step_unitary_with_carried_potential(eps, dt, chirp):
+    drift, gap = _carried_vs_fresh(4095, eps, dt, chirp)
+    assert drift <= 1e-12
+    assert gap <= 1e-12
+
+
+def test_strang_step_unitary_at_non_fast_length():
+    # 2(M+1) = 8194 = 2*17*241: the kinetic substep takes the odd-extension FFT
+    drift, gap = _carried_vs_fresh(4096, 1.0 / 16.0, 1e-3, 1.0)
+    assert drift <= 1e-12
+    assert gap <= 1e-12
+
+
+def test_run_makes_two_kinetic_transforms_per_step(monkeypatch, smooth_chirped):
+    calls, transform = [], schrodinger.dst
+
+    def counting(x):
+        calls.append(len(x))
+        return transform(x)
+
+    monkeypatch.setattr(schrodinger, "dst", counting)
+    run(smooth_chirped, 0.5, 0.02, dt=1e-3, grid=wave_grid(512))
+    assert calls == [512] * 40
 
 
 def test_run_solves_poisson_once_per_step(monkeypatch, smooth_chirped):
