@@ -36,6 +36,7 @@ DEFORMATION_VANISHES = "DeformationVanishes"
 X_FLOOR_FRACTION = 1e-8    # collapse declared at X < 1e-8 * R
 NEWTON_TOL = 1e-10         # largest final flow-map Newton step, relative to R
 T_MAX_WITNESS = 2000.0     # horizon for integrating a blowup witness
+SIGN_TOL = 1e-9            # classify's sign checks, relative to profile scale
 
 
 @dataclass(frozen=True)
@@ -81,15 +82,15 @@ def _violation(name, r, value):
     return f"{name} = {value:.6g} < 0 at r = {r:.6g}"
 
 
-def classify(data: InitialData, tol: float = 1e-9, *,
-             witness: bool = False) -> Verdict:
+def classify(data: InitialData, *, witness: bool = False) -> Verdict:
     """Decide global existence vs finite-time blowup from the initial profiles.
 
     lam<0, n<=2: global iff the density vanishes and the velocity is outgoing
     and non-compressive.  lam<0, n>=3: global iff v0 >= 0, C >= 0, C' >= 0
     everywhere on the grid.  lam>0, n>=3: only the necessary condition C' >= 0
     is decidable.  lam=0 is free streaming.  Sign checks carry a tolerance
-    relative to the profile scale; conditions are verified on the sampled grid.
+    (``SIGN_TOL``) relative to the profile scale; conditions are verified on
+    the sampled grid.
 
     With ``witness=True`` a blowup verdict also integrates the certificate
     label up to ``T_MAX_WITNESS`` to attach the witnessed event time.
@@ -110,20 +111,20 @@ def classify(data: InitialData, tol: float = 1e-9, *,
                 t_c, mech = hit
         return Verdict(kind, t_c, mech, certificate)
 
-    if lam == 0.0 or (lam < 0 and n <= 2 and rho_scale <= tol):
+    if lam == 0.0 or (lam < 0 and n <= 2 and rho_scale <= SIGN_TOL):
         vp = data.v0_prime_at(r)
         i = int(np.argmin(v))
-        if v[i] < -tol * v_scale:
+        if v[i] < -SIGN_TOL * v_scale:
             return _finish(FINITE_TIME_BLOWUP, _violation("v0", r[i], v[i]), r[i])
         j = int(np.argmin(vp))
-        if vp[j] < -tol * max(np.max(np.abs(vp)), 1e-30):
+        if vp[j] < -SIGN_TOL * max(np.max(np.abs(vp)), 1e-30):
             return _finish(FINITE_TIME_BLOWUP, _violation("v0'", r[j], vp[j]),
                            max(r[j], r[1]))
         return Verdict(GLOBAL, certificate="free streaming: v0 >= 0 and v0' >= 0")
 
     if lam < 0 and n <= 2:
         # mass present in an attractive low dimension always collapses
-        i = int(np.argmax(data.m0_at(r) > tol * data.m_infinity))
+        i = int(np.argmax(data.m0_at(r) > SIGN_TOL * data.m_infinity))
         label = max(r[i], r[1])
         return _finish(FINITE_TIME_BLOWUP,
                        f"rho0 not identically zero with n = {n} <= 2", label)
@@ -140,21 +141,21 @@ def classify(data: InitialData, tol: float = 1e-9, *,
 
     if lam < 0:
         i = int(np.argmin(v))
-        if v[i] < -tol * v_scale:
+        if v[i] < -SIGN_TOL * v_scale:
             return _finish(FINITE_TIME_BLOWUP, _violation("v0", r[i], v[i]), r[i])
         i = int(np.argmin(C))
-        if C[i] < -tol * C_scale:
+        if C[i] < -SIGN_TOL * C_scale:
             return _finish(FINITE_TIME_BLOWUP, _violation("C", r[i], C[i]),
                            max(r[i], r[1]))
         i = int(np.argmin(Cp))
-        if Cp[i] < -tol * C_scale:
+        if Cp[i] < -SIGN_TOL * C_scale:
             return _finish(FINITE_TIME_BLOWUP, _violation("C'", r[i], Cp[i]),
                            max(r[i], r[1]))
         return Verdict(GLOBAL, certificate="v0 >= 0, C >= 0, C' >= 0 on the grid")
 
     # lam > 0: only a necessary condition is available
     i = int(np.argmin(Cp))
-    if Cp[i] < -tol * C_scale:
+    if Cp[i] < -SIGN_TOL * C_scale:
         return _finish(NECESSARY_CONDITION_VIOLATED, _violation("C'", r[i], Cp[i]))
     return Verdict(UNDETERMINED,
                    certificate="necessary condition C' >= 0 holds; no sufficient test")

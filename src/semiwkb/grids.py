@@ -17,7 +17,6 @@ __all__ = [
     "derivative_uniform",
     "over_r",
     "cumulative_radial",
-    "trapezoid_weights",
 ]
 
 
@@ -209,14 +208,6 @@ def cumulative_radial(y: np.ndarray, r: np.ndarray,
         out = out + (first - out[1])
         out[0] = 0.0
     return out
-
-
-def trapezoid_weights(r: np.ndarray) -> np.ndarray:
-    w = np.zeros_like(r)
-    dr = np.diff(r)
-    w[:-1] += 0.5 * dr
-    w[1:] += 0.5 * dr
-    return w
 
 
 # ---------------------------------------------------------------------------

@@ -151,7 +151,15 @@ class ExperimentConfig:
                     "amplitude_scales", "t_tail"):
             if key in payload:
                 payload[key] = tuple(payload[key])
-        return cls(scenario=scenario, data=DataConfig(**data_payload), **payload)
+        config = cls(scenario=scenario, data=DataConfig(**data_payload),
+                     **payload)
+        # the default times, shared with wkb-eval and evolve-ep, pass the
+        # default t_end and the run drops those; named times must not
+        if (scenario == "schrodinger-run" and "times" in payload
+                and any(t > config.t_end for t in config.times)):
+            raise ConfigError(f"times {config.times} pass t_end = "
+                              f"{config.t_end}")
+        return config
 
     def hash(self) -> str:
         payload = dataclasses.asdict(self)
@@ -359,7 +367,8 @@ def _log_times(spec: tuple) -> np.ndarray:
 
 def velocity_lp_lagrangian(data: InitialData, t, p: float,
                            label_top: float):
-    """||v(t)||_{L^p} by change of variables to labels, with the vacuum tail.
+    """||v(t)||_{L^p} by change of variables to labels, integrating
+    |Xdot|^p X^(n-1) B of the compatible flow, with the vacuum tail.
 
     ``t`` is a time or a 1-D array of times; the times share one evaluation
     of the labels' rates and a list comes back for an array."""
@@ -367,14 +376,12 @@ def velocity_lp_lagrangian(data: InitialData, t, p: float,
     labels = np.concatenate([data.grid.nodes,
                              np.geomspace(data.r_max, label_top, 2000)[1:]])
     labels = labels[labels > 0]
-    v0, F, G = data.rates_at(labels)
+    rates = data.rates_at(labels)
     norms = []
     for s in np.atleast_1d(t):
-        one_Ft = 1.0 + F * s
-        integrand = (np.abs(v0) ** p * one_Ft ** (p * (2.0 / n - 1.0))
-                     * labels ** (n - 1) * one_Ft ** (2.0 * (n - 1.0) / n)
-                     * one_Ft ** (2.0 / n - 1.0) * (1.0 + G * s))
-        val = np.trapezoid(integrand, labels)
+        st = _closed_form(n, labels, s, *rates)
+        val = np.trapezoid(np.abs(st.Xdot) ** p * st.X ** (n - 1) * st.B,
+                           labels)
         norms.append(float((sphere_area(n) * val) ** (1.0 / p)))
     return norms if np.ndim(t) else norms[0]
 

@@ -7,9 +7,9 @@ a(r) is
     Y(a) = ||a||_{L^2} + ||grad a||_{L^2} + ||grad^2 a||_{L^2},
 
 with |grad a| = |a'| and the Hessian magnitude |grad^2 a|^2 = |a''|^2 +
-(n-1) |a'/r|^2.  In dimension 3 the L^2 norms of the two Hessian terms are
-taken by Plancherel on the type-I sine transform of r times the term (the
-exact 3D radial Fourier representation).
+(n-1) |a'/r|^2.  All three terms are L^2 norms taken by ``lp_norm``, the
+trapezoid rule in r with the weight r^(n-1), and the derivatives are the
+profile's 4th-order stencils with the even parity of a radial field.
 """
 
 from __future__ import annotations
@@ -18,10 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dst
 
-from .errors import DomainError, ParameterError, ResolutionError
-from .grids import RadialProfile, derivative_uniform, over_r, trapezoid_weights
+from .errors import DomainError, ParameterError
+from .grids import RadialProfile, over_r
 
 __all__ = ["NormReport", "DecayFit", "sphere_area", "lp_norm",
            "norm_diagnostics", "decay_fit"]
@@ -53,51 +52,23 @@ def lp_norm(values: np.ndarray, r: np.ndarray, n: int, p: float) -> float:
         return float(np.max(mag))
     if p < 1:
         raise ParameterError("p must be in [1, inf]")
-    w = trapezoid_weights(r)
+    dr = np.diff(r)
+    w = np.zeros_like(r)
+    w[:-1] += 0.5 * dr
+    w[1:] += 0.5 * dr
     return float((sphere_area(n) * np.sum(mag ** p * r ** (n - 1) * w)) ** (1.0 / p))
-
-
-def _l2(values: np.ndarray, r: np.ndarray, n: int) -> float:
-    """||g||_{L^2(R^n)} of a real radial function; in n = 3 by Plancherel on
-    the type-I sine transform of r*g, otherwise by ``lp_norm``."""
-    if n != 3:
-        return float(np.sqrt(lp_norm(values, r, n, 2) ** 2))
-    if len(r) < 64:
-        raise ResolutionError("need at least 64 nodes for the spectral norm")
-    dr = r[1] - r[0]
-    h = r * values
-    if r[0] == 0.0:
-        h = h[1:]
-    # Dirichlet box [0, L] with L one cell past the last node
-    L = r[-1] + dr
-    y = dst(h, type=1)                      # 2 * sum h_j sin(pi m j/(M+1))
-    # ||g||^2 = 8 int S(k)^2 dk, S(k_m) ~ (dr/2) y_m, dk = pi/L
-    return float(np.sqrt(2.0 * np.pi * dr * dr / L * np.sum(np.abs(y) ** 2)))
-
-
-def _parts(values: np.ndarray) -> tuple:
-    return (values.real, values.imag) if np.iscomplexobj(values) else (values,)
 
 
 def norm_diagnostics(profile: RadialProfile, n: int,
                      t: float | None = None) -> NormReport:
     """||a||_{L^2} and the slow-decay norm Y(a) of a radial scalar profile,
-    real or complex (real and imaginary parts are differentiated apart)."""
+    real or complex."""
     r = profile.grid.nodes
-    vals = profile.values
-    dr, origin = r[1] - r[0], r[0] == 0.0
-
-    def derivative(order):
-        d = [derivative_uniform(v, dr, order, left_parity="even",
-                                origin_on_grid=origin) for v in _parts(vals)]
-        return d[0] + 1j * d[1] if len(d) == 2 else d[0]
-
-    f1, f2 = derivative(1), derivative(2)
-    h2 = 0.0
-    for comp, weight in ((f2, 1.0), (over_r(f1, r, f2[0]), n - 1.0)):
-        h2 += weight * sum(_l2(c, r, n) ** 2 for c in _parts(comp))
-    l2 = lp_norm(vals, r, n, 2)
-    y = l2 + lp_norm(f1, r, n, 2) + float(np.sqrt(h2))
+    f1, f2 = (profile.derivative(k, left_parity="even") for k in (1, 2))
+    hess = np.sqrt(lp_norm(f2, r, n, 2) ** 2
+                   + (n - 1.0) * lp_norm(over_r(f1, r, f2[0]), r, n, 2) ** 2)
+    l2 = lp_norm(profile.values, r, n, 2)
+    y = l2 + lp_norm(f1, r, n, 2) + float(hess)
     return NormReport(t=t, l2=l2, y_norm=y)
 
 

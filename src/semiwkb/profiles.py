@@ -149,14 +149,13 @@ def _threshold_values(mass: np.ndarray, v: np.ndarray, lam: float, n: int,
 
 
 def critical_threshold(rho0: RadialProfile, v0: RadialProfile, lam: float,
-                       n: int, origin_exponent: float | None = None) -> RadialProfile:
+                       n: int) -> RadialProfile:
     """C(r) = v0^2 + 2 lam m0(r) / ((n-2) r^(n-2)); sign decides global existence."""
     if n < 3:
         raise UnsupportedConfigurationError("the threshold C is defined for n >= 3 only")
     if rho0.grid is not v0.grid and not np.array_equal(rho0.grid.nodes, v0.grid.nodes):
         raise ParameterError("rho0 and v0 must share a grid")
-    exp_rho = None if origin_exponent is None else 2.0 * origin_exponent
-    m = cumulative_mass(rho0, n, origin_exponent=exp_rho)
+    m = cumulative_mass(rho0, n)
     return RadialProfile(rho0.grid, _threshold_values(
         m.values, v0.values, lam, n, rho0.grid.nodes))
 
@@ -245,65 +244,47 @@ class InitialData:
     def r_max(self) -> float:
         return float(self.grid.nodes[-1])
 
-    def rho0_at(self, R):
+    def _continued(self, R, name, on_grid, beyond=None, closed=True,
+                   dtype=float):
+        """Field ``name`` at the labels R: the ``exact`` oracle when the data
+        has one for it, else ``on_grid`` up to r_max (short of it unless
+        ``closed``) and ``beyond`` past it (zero when None)."""
         R = np.atleast_1d(np.asarray(R, dtype=float))
-        if self.exact is not None:
-            return self.exact.rho0(R)
-        inside = R <= self.r_max
-        out = np.zeros_like(R)
-        if np.any(inside):
-            out[inside] = np.abs(self.amplitude(R[inside])) ** 2
-        return out
-
-    def m0_at(self, R):
-        R = np.atleast_1d(np.asarray(R, dtype=float))
-        if self.exact is not None:
-            return self.exact.m0(R)
-        out = np.full_like(R, self.m_infinity)
-        inside = R <= self.r_max
-        if np.any(inside):
-            # clip spline undershoot: the true mass is nonnegative
-            out[inside] = np.clip(np.real(self.mass(R[inside])), 0.0, None)
-        return out
-
-    def v0_at(self, R):
-        R = np.atleast_1d(np.asarray(R, dtype=float))
-        if self.exact is not None:
-            return self.exact.v0(R)
-        out = np.zeros_like(R)
-        inside = R <= self.r_max
-        if np.any(inside):
-            out[inside] = np.real(self.velocity(R[inside]))
-        outside = ~inside
-        if np.any(outside) and self.tail_coeff != 0.0:
-            out[outside] = self.tail_coeff * R[outside] ** (1.0 - self.n / 2.0)
-        return out
-
-    def phi0_at(self, R):
-        R = np.atleast_1d(np.asarray(R, dtype=float))
-        if self.exact is not None:
-            return self.exact.phi0(R)
-        out = np.zeros_like(R)
-        # the tail branch is exact at r_max, where a spline's last cell rounds
-        inside = R < self.r_max
-        if np.any(inside):
-            out[inside] = np.real(self.phase(R[inside]))
-        outside = ~inside
-        if np.any(outside):
-            out[outside] = np.real(self.phase.values[-1]) + _tail_phase(
-                self.tail_coeff, self.n, self.r_max, R[outside])
-        return out
-
-    def amplitude_at(self, R):
-        R = np.atleast_1d(np.asarray(R, dtype=float))
-        if self.exact is not None and self.exact.amplitude is not None:
-            return self.exact.amplitude(R)
-        inside = R <= self.r_max
-        dtype = complex if self.amplitude.is_complex else float
+        oracle = getattr(self.exact, name, None)
+        if oracle is not None:
+            return oracle(R)
+        inside = R <= self.r_max if closed else R < self.r_max
         out = np.zeros_like(R, dtype=dtype)
         if np.any(inside):
-            out[inside] = self.amplitude(R[inside])
+            out[inside] = on_grid(R[inside])
+        if beyond is not None and not np.all(inside):
+            out[~inside] = beyond(R[~inside])
         return out
+
+    def rho0_at(self, R):
+        return self._continued(R, "rho0", lambda x: np.abs(self.amplitude(x)) ** 2)
+
+    def m0_at(self, R):
+        # clip spline undershoot: the true mass is nonnegative
+        return self._continued(
+            R, "m0", lambda x: np.clip(np.real(self.mass(x)), 0.0, None),
+            lambda x: self.m_infinity)
+
+    def v0_at(self, R):
+        c, n = self.tail_coeff, self.n
+        return self._continued(R, "v0", lambda x: np.real(self.velocity(x)),
+                               (lambda x: c * x ** (1.0 - n / 2.0)) if c else None)
+
+    def phi0_at(self, R):
+        # the tail branch is exact at r_max, where a spline's last cell rounds
+        return self._continued(
+            R, "phi0", lambda x: np.real(self.phase(x)),
+            lambda x: np.real(self.phase.values[-1]) + _tail_phase(
+                self.tail_coeff, self.n, self.r_max, x), closed=False)
+
+    def amplitude_at(self, R):
+        return self._continued(R, "amplitude", self.amplitude,
+                               dtype=self.amplitude.values.dtype)
 
     @cached_property
     def explicit_flow(self) -> bool:
@@ -318,18 +299,10 @@ class InitialData:
         return RadialProfile(self.grid, self.velocity.derivative(1).real)
 
     def v0_prime_at(self, R):
-        R = np.atleast_1d(np.asarray(R, dtype=float))
-        if self.exact is not None:
-            return self.exact.v0_prime(R)
-        out = np.zeros_like(R)
-        inside = R <= self.r_max
-        if np.any(inside):
-            out[inside] = self._v0_prime(R[inside])
-        outside = ~inside
-        if np.any(outside) and self.tail_coeff != 0.0:
-            out[outside] = self.tail_coeff * (1.0 - self.n / 2.0) \
-                * R[outside] ** (-self.n / 2.0)
-        return out
+        c, n = self.tail_coeff, self.n
+        return self._continued(
+            R, "v0_prime", self._v0_prime,
+            (lambda x: c * (1.0 - n / 2.0) * x ** (-n / 2.0)) if c else None)
 
     def rates_at(self, R):
         """(v0, F, G) at the labels R from one evaluation of v0 and rho0.

@@ -28,7 +28,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, ParameterError, StepRejectionError
 from .euler_poisson import explicit_characteristics, invert_flow_map
@@ -186,10 +185,9 @@ def leading_order(data: InitialData, t: float,
     v0, F, G = data.rates_at(R)
     a0 = data.amplitude_at(R) / np.sqrt((1.0 + F * t) * (1.0 + G * t))
 
-    phi_nodes = _potential_term_nodes(data, t)
-    P_spline = CubicSpline(data.grid.nodes, phi_nodes)
+    P = RadialProfile(data.grid, _potential_term_nodes(data, t))
     kinetic = 0.5 * v0 ** 2 * _Q((4.0 - data.n) / data.n, F, t)
-    phi0 = data.phi0_at(R) + kinetic + P_spline(R)
+    phi0 = data.phi0_at(R) + kinetic + P(R)
 
     a0_profile = RadialProfile(grid, a0)
     rho_now = RadialProfile(grid, np.abs(a0) ** 2)

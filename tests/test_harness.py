@@ -306,7 +306,11 @@ def test_cli_exit_codes(tmp_path):
             ("schrodinger-run", {"data": {"points": 1024, "r_max": 20.0},
                                  "eps_ladder": [0.25], "t_end": 0.1,
                                  "solver_points": 1024,
-                                 "times": [-1.0, 0.02]})):
+                                 "times": [-1.0, 0.02]}),
+            ("schrodinger-run", {"data": {"points": 1024, "r_max": 20.0},
+                                 "eps_ladder": [0.25], "t_end": 0.1,
+                                 "solver_points": 1024,
+                                 "times": [0.05, 0.2]})):
         ranged = tmp_path / "ranged.json"
         ranged.write_text(json.dumps(payload))
         out_dir = tmp_path / "ranged_out"

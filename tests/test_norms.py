@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from semiwkb import (DomainError, ParameterError, RadialGrid, RadialProfile,
                      decay_fit, leading_order, lp_norm, norm_diagnostics)
-from semiwkb.norms import _l2, sphere_area
+from semiwkb.norms import sphere_area
 
 
 def test_sphere_area_values():
@@ -38,25 +38,19 @@ def test_all_norms_vanish_for_zero():
         assert rep.t == 1.0 and rep.l2 == 0.0 and rep.y_norm == 0.0
 
 
-def test_sobolev_spectral_matches_l2_at_order_zero():
-    g = RadialGrid(30.0, 4096)
-    r = g.nodes
-    f = np.exp(-r ** 2 / 2)
-    spectral = _l2(f, r, 3)
-    direct = lp_norm(f, r, 3, 2)
-    assert abs(spectral - direct) / direct < 1e-6
-
-
 def test_y_norm_gaussian_closed_form():
-    # a = exp(-r^2/2) in R^3: ||a||^2 = pi^(3/2), ||grad a||^2 = (3/2) pi^(3/2),
-    # ||grad^2 a||^2 = (15/4) pi^(3/2); real and complex-phase samples agree
+    # a = exp(-r^2/2) in R^n: ||a||^2 = pi^(n/2), ||grad a||^2 = (n/2) pi^(n/2),
+    # ||grad^2 a||^2 = n(n+2)/4 pi^(n/2); real and complex-phase samples agree
     g = RadialGrid(30.0, 4096)
     a = np.exp(-g.nodes ** 2 / 2)
-    exact = np.pi ** 0.75 * (1.0 + np.sqrt(1.5) + np.sqrt(3.75))
-    for vals in (a, np.exp(0.3j) * a):
-        rep = norm_diagnostics(RadialProfile(g, vals), 3)
-        assert abs(rep.y_norm - exact) / exact <= 1e-9
-        assert abs(rep.l2 - np.pi ** 0.75) / np.pi ** 0.75 <= 1e-12
+    for n in (1, 3, 4):
+        l2 = np.pi ** (n / 4)
+        exact = l2 * (1.0 + np.sqrt(n / 2) + np.sqrt(n * (n + 2) / 4))
+        for vals in (a, np.exp(0.3j) * a):
+            rep = norm_diagnostics(RadialProfile(g, vals), n)
+            assert abs(rep.y_norm - exact) / exact <= 1e-9
+            if n % 2:   # the trapezoid rule is spectral on an even integrand
+                assert abs(rep.l2 - l2) / l2 <= 1e-12
 
 
 @settings(max_examples=25, deadline=None)

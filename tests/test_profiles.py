@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from semiwkb import (DivisionGuardError, DomainError, ParameterError,
                      build_initial_data, compatible_phase, critical_threshold,
                      cumulative_mass, sample_amplitude, sample_data,
                      smooth_ball_data, v0_identity_residual)
-from semiwkb.profiles import smooth_cutoff
+from semiwkb.profiles import ExactFields, smooth_cutoff
 
 
 # -- cutoff and amplitude family ------------------------------------------
@@ -243,6 +245,50 @@ def test_evaluators_extend_beyond_grid(ball):
     assert np.allclose(ball.m0_at(R), 1.0 / 3.0)
     assert np.allclose(ball.v0_at(R), np.sqrt(2.0 / 3.0) * R ** -0.5)
     assert np.all(ball.rho0_at(R) == 0.0)
+
+
+def test_evaluators_on_grid_data(smooth_small):
+    # no oracle: the grid profile inside r_max, the vacuum tail beyond it
+    d = smooth_small
+    n, c, r_max = d.n, d.tail_coeff, d.r_max
+    inner = np.array([0.0, 0.7, 1.3, 25.0])
+    assert np.allclose(d.rho0_at(inner), np.abs(d.amplitude(inner)) ** 2,
+                       rtol=1e-14, atol=0.0)
+    assert np.allclose(d.m0_at(inner), np.clip(d.mass(inner), 0.0, None),
+                       rtol=1e-14, atol=0.0)
+    assert np.allclose(d.v0_at(inner), d.velocity(inner), rtol=1e-14, atol=0.0)
+    assert np.allclose(d.phi0_at(inner), d.phase(inner), rtol=1e-14, atol=0.0)
+    assert np.allclose(d.amplitude_at(inner), d.amplitude(inner),
+                       rtol=1e-14, atol=0.0)
+    vp = RadialProfile(d.grid, d.velocity.derivative(1))
+    assert np.allclose(d.v0_prime_at(inner), vp(inner), rtol=1e-14, atol=0.0)
+
+    # at r_max only the phase takes the tail, which is exact there
+    edge = np.array([r_max])
+    assert d.phi0_at(edge)[0] == d.phase.values[-1]
+    assert np.isclose(d.v0_at(edge)[0], d.velocity.values[-1], rtol=1e-14)
+    assert np.isclose(d.m0_at(edge)[0], d.m_infinity, rtol=1e-14)
+
+    R = np.array([50.0, 80.0])
+    assert np.allclose(d.v0_at(R), c * R ** (1.0 - n / 2.0), rtol=1e-15)
+    assert np.allclose(d.v0_prime_at(R), c * (1.0 - n / 2.0) * R ** (-n / 2.0),
+                       rtol=1e-15)
+    assert np.all(d.m0_at(R) == d.m_infinity)
+    assert np.all(d.rho0_at(R) == 0.0)
+    amp = d.amplitude_at(R)
+    assert amp.dtype == float and np.all(amp == 0.0)
+    assert np.allclose(d.phi0_at(R), d.phase.values[-1] + 2.0 * c * (
+        R ** 0.5 - r_max ** 0.5), rtol=1e-14)
+
+    # an oracle without an amplitude leaves the amplitude to the grid
+    exact = ExactFields(rho0=lambda x: 0.0 * x + 2.0, m0=d.m0_at,
+                        v0=d.v0_at, v0_prime=d.v0_prime_at, phi0=d.phi0_at)
+    e = dataclasses.replace(d, exact=exact)
+    assert np.all(e.rho0_at(inner) == 2.0)
+    assert np.array_equal(e.amplitude_at(inner), d.amplitude_at(inner))
+    assert np.array_equal(e.amplitude_at(R), np.zeros(2))
+    chirped = smooth_ball_data(chirp=1.0, grid=d.grid)
+    assert chirped.amplitude_at(R).dtype == complex
 
 
 def test_content_hash_distinguishes_data():
