@@ -7,9 +7,9 @@ a(r) is
     Y(a) = ||a||_{L^2} + ||grad a||_{L^2} + ||grad^2 a||_{L^2},
 
 with |grad a| = |a'| and the Hessian magnitude |grad^2 a|^2 = |a''|^2 +
-(n-1) |a'/r|^2.  All three terms are L^2 norms taken by ``lp_norm``, the
-trapezoid rule in r with the weight r^(n-1), and the derivatives are the
-profile's 4th-order stencils with the even parity of a radial field.
+(n-1) |a'/r|^2.  All three terms are L^2 norms taken by ``lp_norm`` (the
+trapezoid rule in r with weight r^(n-1), plus the origin end term in n = 2)
+with the profile's 4th-order stencils and the even parity of a radial field.
 """
 
 from __future__ import annotations
@@ -56,7 +56,10 @@ def lp_norm(values: np.ndarray, r: np.ndarray, n: int, p: float) -> float:
     w = np.zeros_like(r)
     w[:-1] += 0.5 * dr
     w[1:] += 0.5 * dr
-    return float((sphere_area(n) * np.sum(mag ** p * r ** (n - 1) * w)) ** (1.0 / p))
+    total = np.sum(mag ** p * r ** (n - 1) * w)
+    if n == 2 and r[0] == 0.0:     # Euler-Maclaurin end term of r |f|^p at 0
+        total += dr[0] ** 2 / 12.0 * mag[0] ** p
+    return float((sphere_area(n) * total) ** (1.0 / p))
 
 
 def norm_diagnostics(profile: RadialProfile, n: int,

@@ -18,7 +18,8 @@ transport:
     I(t,s) = (G/F) Q_{(4-n)/n} + (1 - G/F) Q_{(4-2n)/n}.
 
 Q_0 is the log branch (dimension 4).  P(t, 0) is the spatial constant often
-written as a standalone function of time.
+written as a standalone function of time.  The first corrector is marched on
+the labels R along the same closed-form flow.
 """
 
 from __future__ import annotations
@@ -28,9 +29,11 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
-from .errors import DomainError, ParameterError, StepRejectionError
-from .euler_poisson import explicit_characteristics, invert_flow_map
+from .errors import (ContractError, DomainError, ParameterError,
+                     StepRejectionError)
+from .euler_poisson import _closed_form, invert_flow_map
 from .grids import (RadialGrid, RadialProfile, cumulative_radial,
                     derivative_uniform, over_r)
 from .profiles import InitialData
@@ -42,9 +45,9 @@ __all__ = [
 ]
 
 N_PICARD = 3        # fixed-point sweeps per corrector step
-# Largest change of the last sweep, relative to the state.  Measured worst over
-# the test and benchmark configurations: 3.0e-7 at dt = 1e-3, 2.8e-6 at
-# dt = 5e-3; a single sweep moves the state by about half its size.
+# Largest change of the last sweep, relative to the state.  Measured worst for
+# chirp 1 on 2049 labels: 2.9e-7 at dt = 1e-3, 7.2e-6 at 5e-3, 2.8e-5 at 1e-2
+# and 6.7e-3 at 0.5; a single sweep moves the state by half its size.
 PICARD_TOL = 1e-3
 
 
@@ -77,20 +80,23 @@ class CorrectorSeries:
 # radial Poisson field
 # ---------------------------------------------------------------------------
 
-def hartree_potential(source: np.ndarray, r: np.ndarray, n: int) -> np.ndarray:
-    """Solve -(r^(n-1) V')' = r^(n-1) * source radially (signed source allowed).
+def hartree_potential(source: np.ndarray, r: np.ndarray, n: int,
+                      X: np.ndarray | None = None, B=1.0) -> np.ndarray:
+    """Solve -(x^(n-1) V')' = x^(n-1) * source radially (signed source allowed).
 
+    Samples sit at x = X(r), dX/dr = B (default r and 1), integrated in r.
     n >= 3: the tail is closed analytically with the captured charge and V
     vanishes at infinity.  n <= 2, where no decaying solution exists: V(0) = 0.
     """
-    area = r ** (n - 1)
-    m = cumulative_radial(source * area, r)
+    X = r if X is None else X
+    area = X ** (n - 1)
+    m = cumulative_radial(source * area * B, r)
     with np.errstate(divide="ignore", invalid="ignore"):
-        h = np.where(r > 0, m / area, 0.0)
-    H = cumulative_radial(h, r)
+        h = np.where(X > 0, m / area, 0.0)
+    H = cumulative_radial(h * B, r)
     if n <= 2:
         return H[0] - H
-    tail = m[-1] * r[-1] ** (2 - n) / (n - 2)
+    tail = m[-1] * X[-1] ** (2 - n) / (n - 2)
     return (H[-1] - H) + tail
 
 
@@ -208,15 +214,6 @@ def _radial_divergence(values: np.ndarray, grid: RadialGrid, n: int,
     return fp + (n - 1) * over_r(values, grid.nodes, fp[0])
 
 
-def _radial_laplacian(values: np.ndarray, grid: RadialGrid, n: int,
-                      parity: str) -> np.ndarray:
-    """f'' + (n-1) f' / r with origin limit."""
-    fp, fpp = (derivative_uniform(values, grid.dr, k, left_parity=parity,
-                                  origin_on_grid=grid.include_origin)
-               for k in (1, 2))
-    return fpp + (n - 1) * over_r(fp, grid.nodes, fpp[0])
-
-
 def limit_system_residual(fields: WkbFields, data: InitialData,
                           dt: float = 1e-4
                           ) -> tuple[RadialProfile, RadialProfile, RadialProfile]:
@@ -264,79 +261,82 @@ def limit_system_residual(fields: WkbFields, data: InitialData,
 # first corrector
 # ---------------------------------------------------------------------------
 
-def _background(data: InitialData, grid: RadialGrid, t: float,
-                t_old: float) -> dict:
-    """Eulerian leading-order coefficients on the nodes at time t, with the
-    feet X(t_old, R) of the characteristics through the nodes, all from one
-    flow evaluation at the labels R."""
-    R = invert_flow_map(data, t, grid.nodes)
-    st = explicit_characteristics(data, np.array([[t], [t_old]]), R)
-    a0 = data.amplitude_at(R) / np.sqrt(st.J[0])
-    da0 = derivative_uniform(a0, grid.dr, 1, left_parity="even",
-                             origin_on_grid=grid.include_origin)
-    return {"feet": st.X[1], "a0": a0, "da0": da0,
-            "lap_a0": _radial_laplacian(a0, grid, data.n, "even"),
-            "lap_phi0": _radial_divergence(st.Xdot[0], grid, data.n, "odd")}
+def _label_derivatives(values: np.ndarray, st, grid: RadialGrid,
+                       n: int) -> tuple[np.ndarray, np.ndarray]:
+    """d/dX = (1/B) d/dR and Lap_X of an even field sampled on the labels."""
+    def d_dX(f, parity):
+        return derivative_uniform(f, grid.dr, 1, left_parity=parity,
+                                  origin_on_grid=grid.include_origin) / st.B
+
+    fx = d_dX(values, "even")
+    fxx = d_dX(fx, "odd")
+    return fx, fxx + (n - 1) * over_r(fx, st.X, fxx[0])
 
 
 def first_corrector(data: InitialData, t_end: float,
                     grid: RadialGrid | None = None,
-                    dt: float | None = None,
+                    dt: float = 1e-3,
                     sample_times=None) -> CorrectorSeries:
-    """March the first linearized pair (a1, phi1) to t_end.
+    """March the first linearized pair (a1, phi1) from zero to t_end.
 
-    Semi-Lagrangian Crank-Nicolson: both fields ride the leading-order
-    characteristics exactly, and the reaction terms (amplitude-phase coupling,
-    the dispersive source  i/2 * Lap a0, and the Hartree feedback) are treated
-    by trapezoidal fixed-point iteration.  a1(0) = 0, phi1(0) = 0.
+    The state lives on the labels R = grid.nodes, which ride the closed-form
+    characteristics, so no transport term is left.  The reaction terms
+    (amplitude-phase coupling, the dispersive source i/2 * Lap a0, and the
+    Hartree feedback) take Crank-Nicolson steps of N_PICARD fixed-point
+    sweeps, and a step whose last sweep still moves the state by more than
+    PICARD_TOL of its size raises StepRejectionError.  d/dX = (1/B) d/dR, and
+    Lap phi0 = F/(1+Ft) + G/(1+Gt) is exact.  At each sample time one
+    flow-map inversion pulls the state back to the nodes of ``grid``.
     """
-    if t_end <= 0:
-        raise ParameterError("t_end must be positive")
+    if t_end <= 0 or dt <= 0:
+        raise ParameterError("t_end and dt must be positive")
     if sample_times is None:
         sample_times = [t_end]
     sample_times = sorted(float(s) for s in sample_times)
     if not all(0.0 <= s <= t_end for s in sample_times):
         raise ParameterError("sample times must lie in [0, t_end]")
+    if not data.explicit_flow:
+        raise ContractError("the first corrector needs the closed-form flow "
+                            "of compatible or static data")
     if grid is None:
         grid = RadialGrid(data.r_max, 2049)
-    r, h = grid.nodes, grid.dr
+    R = grid.nodes
     n, lam = data.n, data.lam
-    c_old = _background(data, grid, 0.0, 0.0)
+    v0, F, G = data.rates_at(R)
+    A0 = data.amplitude_at(R)
 
-    vmax = float(np.max(np.abs(data.v0_at(r))))
-    dt_cfl = 0.5 * h / vmax if vmax > 0 else np.inf
-    if dt is None:
-        dt = min(1e-3, dt_cfl)
-    elif vmax > 0 and dt > dt_cfl * (1 + 1e-12):
-        raise StepRejectionError(
-            f"dt = {dt:.3e} exceeds the transport step rule "
-            f"0.5*dr/max|v0| = {dt_cfl:.3e}")
+    def background(t):
+        st = _closed_form(n, R, t, v0, F, G)
+        a0 = A0 / np.sqrt(st.J)
+        da0, lap_a0 = _label_derivatives(a0, st, grid, n)
+        return {"st": st, "a0": a0, "da0": da0, "lap_a0": lap_a0,
+                "lap_phi0": F / (1.0 + F * t) + G / (1.0 + G * t)}
+
+    def reaction(c, a1v, p1v):
+        dp1, lap_p1 = _label_derivatives(p1v, c["st"], grid, n)
+        rhs_a = (-dp1 * c["da0"]
+                 - 0.5 * (c["a0"] * lap_p1 + a1v * c["lap_phi0"])
+                 + 0.5j * c["lap_a0"])
+        src = np.real(c["a0"] * np.conj(a1v))
+        rhs_p = -2.0 * lam * hartree_potential(src, R, n, c["st"].X, c["st"].B)
+        return rhs_a, rhs_p
 
     a1 = np.zeros(grid.points, dtype=complex)
     p1 = np.zeros(grid.points)
-
     out_t, out_a1, out_p1 = [], [], []
 
     def record(tv):
+        labels = invert_flow_map(data, tv, R)
+        state = CubicSpline(R, np.column_stack([a1.real, a1.imag, p1]))(labels)
         out_t.append(tv)
-        out_a1.append(RadialProfile(grid, a1.copy()))
-        out_p1.append(RadialProfile(grid, p1.copy()))
+        out_a1.append(RadialProfile(grid, state[:, 0] + 1j * state[:, 1]))
+        out_p1.append(RadialProfile(grid, state[:, 2]))
 
     if sample_times and sample_times[0] == 0.0:
         record(0.0)
         sample_times = sample_times[1:]
 
-    def reaction(c, a1v, p1v):
-        dp1 = derivative_uniform(p1v, h, 1, left_parity="even",
-                                 origin_on_grid=grid.include_origin)
-        lap_p1 = _radial_laplacian(p1v, grid, n, "even")
-        rhs_a = (-dp1 * c["da0"]
-                 - 0.5 * (c["a0"] * lap_p1 + a1v * c["lap_phi0"])
-                 + 0.5j * c["lap_a0"])
-        src = np.real(c["a0"] * np.conj(a1v))
-        rhs_p = -2.0 * lam * hartree_potential(src, r, n)
-        return rhs_a, rhs_p
-
+    c_old = background(0.0)
     t = 0.0
     eps_t = 1e-12 * max(t_end, 1.0)
     while t < t_end - eps_t:
@@ -344,21 +344,17 @@ def first_corrector(data: InitialData, t_end: float,
         if sample_times and sample_times[0] < t + step - eps_t:
             step = max(sample_times[0] - t, eps_t)
         t_new = t + step
-        c_new = _background(data, grid, t_new, t_new - step)
+        c_new = background(t_new)
 
         rhs_a_old, rhs_p_old = reaction(c_old, a1, p1)
         qa = a1 + 0.5 * step * rhs_a_old
         qp = p1 + 0.5 * step * rhs_p_old
-        dep = np.clip(c_new["feet"], r[0], r[-1])
-        qa = RadialProfile(grid, qa)(dep)
-        qp = RadialProfile(grid, qp)(dep)
 
-        a1_new, p1_new = qa.copy(), qp.copy()
+        a1_new, p1_new = qa, qp
         for _ in range(N_PICARD):
-            rhs_a_new, rhs_p_new = reaction(c_new, a1_new, p1_new)
             a1_last, p1_last = a1_new, p1_new
-            a1_new = qa + 0.5 * step * rhs_a_new
-            p1_new = qp + 0.5 * step * rhs_p_new
+            rhs_a, rhs_p = reaction(c_new, a1_last, p1_last)
+            a1_new, p1_new = qa + 0.5 * step * rhs_a, qp + 0.5 * step * rhs_p
         change = max(np.max(np.abs(a1_new - a1_last)),
                      np.max(np.abs(p1_new - p1_last)))
         scale = max(np.max(np.abs(a1_new)), np.max(np.abs(p1_new)))
@@ -368,7 +364,7 @@ def first_corrector(data: InitialData, t_end: float,
                 f"the last of {N_PICARD} sweeps moved the state by "
                 f"{change / scale:.3e} of its size")
 
-        a1, p1, t, c_old = a1_new, np.real(p1_new), t_new, c_new
+        a1, p1, t, c_old = a1_new, p1_new, t_new, c_new
         if sample_times and t >= sample_times[0] - eps_t:
             record(t)
             sample_times = sample_times[1:]

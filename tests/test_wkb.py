@@ -11,6 +11,7 @@ from semiwkb import (ContractError, DomainError, ParameterError, RadialGrid,
                      build_initial_data, first_corrector, leading_order,
                      limit_system_residual, phase_time_constant,
                      poisson_radial, smooth_ball_data)
+from semiwkb.euler_poisson import explicit_characteristics
 from semiwkb.grids import derivative_uniform
 from semiwkb.norms import lp_norm
 from semiwkb.profiles import InitialData, gaussian_free_data
@@ -99,6 +100,25 @@ def test_poisson_low_dimension_normalizations():
         assert err[n, 1025] / err[n, 2049] > 12.0     # measured 16.0, 14.1
     with pytest.raises(DomainError):
         poisson_radial(RadialProfile(g, np.full(points, -1.0)), 3)
+
+
+def test_hartree_potential_on_flow_labels(smooth):
+    # rho = exp(-x^2) sampled at the positions X(0.5, R) of the compatible
+    # flow: V = sqrt(pi) erf(x) / (4x), whatever the labels
+    err = []
+    for points in (1025, 2049):
+        R = RadialGrid(40.0, points).nodes
+        st = explicit_characteristics(smooth, 0.5, R)
+        V = wkb.hartree_potential(np.exp(-st.X ** 2), R, 3, st.X, st.B)
+        exact = np.full_like(V, 0.5)          # the limit at x = 0
+        exact[1:] = np.sqrt(np.pi) * erf(st.X[1:]) / (4.0 * st.X[1:])
+        err.append(np.max(np.abs(V - exact)))
+    assert err[1] <= 2e-6                      # measured 1.2e-6
+    assert err[0] / err[1] > 10.0              # measured 13.3
+    r = RadialGrid(20.0, 1025).nodes
+    rho = np.exp(-r ** 2)
+    assert np.array_equal(wkb.hartree_potential(rho, r, 3),
+                          wkb.hartree_potential(rho, r, 3, X=r, B=1.0))
 
 
 # -- leading order -------------------------------------------------------------
@@ -234,7 +254,8 @@ def test_corrector_static_gaussian_taylor_oracle():
         assert np.max(np.abs(cs.phi1[-1].values)) == 0.0
 
 
-def test_corrector_inverts_flow_map_once_per_step(smooth_small, monkeypatch):
+def test_corrector_inverts_flow_map_only_at_sample_times(smooth_small,
+                                                          monkeypatch):
     times = []
     invert = wkb.invert_flow_map
 
@@ -243,13 +264,16 @@ def test_corrector_inverts_flow_map_once_per_step(smooth_small, monkeypatch):
         return invert(data, t, *args, **kwargs)
 
     monkeypatch.setattr(wkb, "invert_flow_map", counting)
-    first_corrector(smooth_small, 0.02, grid=RadialGrid(40.0, 513), dt=0.005)
-    step_times = [t for t in times if t > 0.0]   # t = 0 sets up the first step
-    assert len(step_times) == len(set(step_times)) == 4
+    cs = first_corrector(smooth_small, 0.02, grid=RadialGrid(40.0, 513),
+                         dt=0.0025, sample_times=[0.0, 0.0075, 0.02])
+    assert times == list(cs.times) and len(times) == 3
 
 
-def test_corrector_flow_evaluations_per_step(smooth_small, monkeypatch):
-    # per step: Newton's evaluations plus one for the state and the feet
+def test_corrector_flow_evaluations_independent_of_dt(smooth_small,
+                                                      monkeypatch):
+    # the flow is closed-form in the labels: its rates are taken once per
+    # call, and halving dt adds steps but no flow evaluation
+    smooth_small._node_rates        # the inversion's table, built once per data
     calls = [0]
     rates_at = InitialData.rates_at
 
@@ -257,20 +281,14 @@ def test_corrector_flow_evaluations_per_step(smooth_small, monkeypatch):
         calls[0] += 1
         return rates_at(self, R)
 
-    marks = []
-    invert = wkb.invert_flow_map
-
-    def marking(data, t, *args, **kwargs):
-        if t > 0.0:
-            marks.append(calls[0])
-        return invert(data, t, *args, **kwargs)
-
     monkeypatch.setattr(InitialData, "rates_at", counting_rates)
-    monkeypatch.setattr(wkb, "invert_flow_map", marking)
-    first_corrector(smooth_small, 0.02, grid=RadialGrid(40.0, 513), dt=0.005)
-    per_step = np.diff(marks + calls)
-    assert len(per_step) == 4
-    assert np.all(per_step <= 4)
+    counts = []
+    for dt in (0.005, 0.0025):
+        calls[0] = 0
+        first_corrector(smooth_small, 0.02, grid=RadialGrid(40.0, 513), dt=dt,
+                        sample_times=[0.01, 0.02])
+        counts.append(calls[0])
+    assert counts[0] == counts[1]
 
 
 def test_corrector_rejects_sample_times_outside_horizon(smooth_small,
@@ -330,3 +348,26 @@ def test_corrector_sample_times(smooth_small):
                          sample_times=[0.0, 0.2, 0.4])
     assert np.allclose(cs.times, [0.0, 0.2, 0.4], atol=1e-9)
     assert len(cs.a1) == 3
+
+
+# The first corrector of the chirped smooth ball (chirp 1) at T = 0.5 from an
+# independent scheme: the Eulerian semi-Lagrangian march (nodes fixed in r,
+# feet traced back along the flow) on 4097 nodes.  (r, a1, phi1) at radii
+# that are nodes of both that grid and the 2049-node label grid.
+EULERIAN_ANCHOR = (
+    (0.0, -0.683271749982 - 0.030709965449j, -0.0455069997281),
+    (0.625, -0.419282292928 - 0.231194091613j, -0.0308074303703),
+    (1.25, 0.486018912979 - 0.590395292580j, -0.00521563543062),
+    (1.875, -0.241261178490 + 0.261315228277j, 2.45554120318e-05),
+    (2.5, -0.00893451009276 + 0.0132347577205j, 2.30976310018e-10),
+    (3.75, -6.84694801368e-09 + 1.72286783694e-07j, -5.05075249165e-09),
+)
+
+
+def test_corrector_matches_converged_eulerian_march(smooth_chirped):
+    grid = RadialGrid(40.0, 2049)
+    a1, phi1 = first_corrector(smooth_chirped, 0.5, grid=grid).at_final()
+    for r, a1_ref, phi1_ref in EULERIAN_ANCHOR:
+        i = round(r / grid.dr)
+        assert abs(phi1.values[i] - phi1_ref) <= 1e-6     # measured 3.3e-7
+        assert abs(a1.values[i] - a1_ref) <= 1e-4         # measured 4.0e-5
