@@ -20,9 +20,10 @@ from .profiles import InitialData
 __all__ = [
     "GLOBAL", "FINITE_TIME_BLOWUP", "NECESSARY_CONDITION_VIOLATED", "UNDETERMINED",
     "POSITION_VANISHES", "DEFORMATION_VANISHES",
-    "Verdict", "CharacteristicState", "CharacteristicTrajectory",
-    "classify", "explicit_characteristics", "integrate_characteristics",
-    "blowup_time", "eulerian_fields", "invert_flow_map",
+    "Verdict", "CharacteristicState", "CharacteristicTrajectory", "LabelFlow",
+    "classify", "label_flow", "explicit_characteristics",
+    "integrate_characteristics", "blowup_time", "eulerian_fields",
+    "invert_flow_map",
 ]
 
 GLOBAL = "Global"
@@ -165,32 +166,47 @@ def classify(data: InitialData, *, witness: bool = False) -> Verdict:
 # explicit characteristics (compatible or static data)
 # ---------------------------------------------------------------------------
 
-def explicit_characteristics(data: InitialData, t, R) -> CharacteristicState:
-    """Closed-form characteristic state for compatible or static (X = R) data.
+@dataclass(frozen=True)
+class LabelFlow:
+    """The closed-form flow on fixed labels R with rates (v0, F, G):
 
     X = R (1 + F t)^(2/n), Xdot = v0 (1 + F t)^(2/n - 1),
     B = (1 + F t)^(2/n - 1) (1 + G t), J = (1 + F t)(1 + G t), with
     F = n v0/(2R) and G = |lam| rho0 R / ((n-2) v0) = v0' + (n-2) v0 / (2R)
     from ``InitialData.rates_at``.
     """
+    n: int
+    R: np.ndarray
+    v0: np.ndarray
+    F: np.ndarray
+    G: np.ndarray
+
+    def at(self, t) -> CharacteristicState:
+        """The state at time t, which broadcasts against the labels."""
+        one_Ft, one_Gt = 1.0 + self.F * t, 1.0 + self.G * t
+        shrink = one_Ft ** (2.0 / self.n - 1.0)
+        return CharacteristicState(R=self.R, t=t,
+                                   X=self.R * one_Ft ** (2.0 / self.n),
+                                   Xdot=self.v0 * shrink, B=shrink * one_Gt,
+                                   J=one_Ft * one_Gt)
+
+
+def label_flow(data: InitialData, R) -> LabelFlow:
+    """The closed-form flow of compatible or static (X = R) data at labels R,
+    from one evaluation of the rates."""
     if not data.explicit_flow:
-        raise ContractError("explicit characteristics require compatible "
+        raise ContractError("the closed-form flow requires compatible "
                             "or static data")
-    t = np.asarray(t, dtype=float)
     R = np.atleast_1d(np.asarray(R, dtype=float))
+    return LabelFlow(data.n, R, *data.rates_at(R))
+
+
+def explicit_characteristics(data: InitialData, t, R) -> CharacteristicState:
+    """``label_flow(data, R).at(t)`` for a nonnegative time or time column."""
+    t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ParameterError("time must be nonnegative")
-    return _closed_form(data.n, R, t, *data.rates_at(R))
-
-
-def _closed_form(n, R, t, v0, F, G) -> CharacteristicState:
-    """The compatible flow at labels R with rates (v0, F, G); t broadcasts."""
-    one_Ft = 1.0 + F * t
-    X = R * one_Ft ** (2.0 / n)
-    Xdot = v0 * one_Ft ** (2.0 / n - 1.0)
-    B = one_Ft ** (2.0 / n - 1.0) * (1.0 + G * t)
-    return CharacteristicState(R=R, t=t, X=X, Xdot=Xdot, B=B,
-                               J=one_Ft * (1.0 + G * t))
+    return label_flow(data, R).at(t)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +255,7 @@ def integrate_characteristics(data: InitialData, R: float, t_end: float,
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sol = solve_ivp(_char_rhs(n, lam, m0R, mpR), (0.0, t_end), y0,
                         method="RK45", rtol=tol, atol=tol * 1e-2,
-                        dense_output=True, t_eval=t_eval,
+                        t_eval=t_eval,
                         events=[position_floor, deformation_zero])
 
     event_time = event_mech = None
@@ -275,14 +291,15 @@ def blowup_time(data: InitialData, R: float, t_max: float
 # Eulerian reconstruction
 # ---------------------------------------------------------------------------
 
-def invert_flow_map(data: InitialData, t: float, radii: np.ndarray,
-                    label_top: float | None = None) -> np.ndarray:
+def invert_flow_map(data: InitialData, t: float,
+                    radii: np.ndarray) -> np.ndarray:
     """Solve X(t, R) = r for R on the closed-form flow (X strictly increasing).
 
     Warm start by monotone interpolation through grid labels, whose rates are
-    tabulated once per data, then Newton steps R <- R - (X - r)/B until the
-    gate holds, at most six; raises ConvergenceError unless every final step
-    is within 1e-10 R.
+    tabulated once per data (``node_rates``), then Newton steps
+    R <- R - (X - r)/B until the gate holds, at most six; raises
+    ConvergenceError unless every final step is within 1e-10 R, and
+    ParameterError for radii past the image of the data grid.
     """
     if not data.explicit_flow:
         raise ContractError("flow-map inversion requires compatible or "
@@ -291,16 +308,12 @@ def invert_flow_map(data: InitialData, t: float, radii: np.ndarray,
         raise ParameterError("time must be nonnegative")
     radii = np.asarray(radii, dtype=float)
     labels = data.grid.nodes
-    table = _closed_form(data.n, labels[1:], t,
-                         *(a[1:] for a in data._node_rates)).X
-    if label_top is not None and label_top > labels[-1]:
-        ext = np.geomspace(labels[-1], label_top, 200)[1:]
-        labels = np.concatenate([labels, ext])
-        table = np.concatenate([table, explicit_characteristics(data, t, ext).X])
+    table = LabelFlow(data.n, labels[1:],
+                      *(a[1:] for a in data.node_rates)).at(t).X
     Xs = np.concatenate([[0.0], table])
     if np.any(radii > Xs[-1] * (1 + 1e-12)):
-        raise ParameterError("requested radius beyond the characteristic image; "
-                             "pass a larger label_top")
+        raise ParameterError("requested radius beyond the characteristic "
+                             "image of the data grid")
     R = PchipInterpolator(Xs, labels)(np.clip(radii, 0.0, Xs[-1]))
     pos = radii > 0
     for _ in range(6):
@@ -323,10 +336,9 @@ def eulerian_fields(data: InitialData, t: float,
                     ) -> tuple[RadialProfile, RadialProfile]:
     """Density and velocity at time t on an Eulerian grid.
 
-    Vacuum data streams freely; compatible and static data use the flow map.
-    The default output grid spans the image [0, X(t, R_top)] of the data grid.
-    The flow-map path extends labels analytically (vacuum velocity tail)
-    when the requested grid reaches beyond the image of the data grid.
+    Vacuum data streams freely (vacuum past the image of the data grid);
+    compatible and static data use the flow map, which refuses radii past
+    that image.  The default output grid spans the image [0, X(t, R_top)].
     """
     if t < 0:
         raise ParameterError("time must be nonnegative")
@@ -361,16 +373,7 @@ def eulerian_fields(data: InitialData, t: float,
         v_out[radii > Xs[-1]] = 0.0
         return (RadialProfile(grid, rho_out), RadialProfile(grid, v_out))
 
-    label_top = None
-    if radii[-1] > X_top * (1 + 1e-12):
-        # requested radii beyond the data image: continue labels into vacuum
-        warnings.warn("output grid extends beyond the data-grid image; "
-                      "labels continued analytically", RuntimeWarning)
-        hi = labels[-1]
-        while float(explicit_characteristics(data, t, np.array([hi])).X[0]) < radii[-1]:
-            hi *= 2.0
-        label_top = hi
-    R = invert_flow_map(data, t, radii, label_top=label_top)
+    R = invert_flow_map(data, t, radii)
     st = explicit_characteristics(data, t, R)
     return (RadialProfile(grid, data.rho0_at(R) / st.J),
             RadialProfile(grid, st.Xdot))

@@ -14,9 +14,8 @@ import numpy as np
 
 from . import io as sio
 from .errors import ConfigError
-from .euler_poisson import (GLOBAL, _closed_form, classify,
-                            explicit_characteristics, eulerian_fields,
-                            integrate_characteristics)
+from .euler_poisson import (GLOBAL, classify, eulerian_fields,
+                            integrate_characteristics, label_flow)
 from .grids import RadialGrid, RadialProfile
 from .norms import decay_fit, lp_norm, norm_diagnostics, sphere_area
 from .profiles import (InitialData, ball_data, gaussian_free_data,
@@ -61,7 +60,7 @@ def _validate_payload(cls, payload: dict, where: str):
 
 @dataclass(frozen=True)
 class DataConfig:
-    family: str = "smooth_ball"       # smooth_ball | sample | ball
+    family: str = "smooth_ball"  # smooth_ball | sample | ball | gaussian_free
     n: int = 3
     lam: float = -1.0
     amplitude_scale: float = 1.0
@@ -147,10 +146,9 @@ class ExperimentConfig:
         data_payload = payload.pop("data", {})
         _validate_payload(DataConfig, data_payload, "data")
         _validate_payload(cls, {"scenario": scenario, **payload}, "config")
-        for key in ("eps_ladder", "times", "labels", "velocity_scales",
-                    "amplitude_scales", "t_tail"):
-            if key in payload:
-                payload[key] = tuple(payload[key])
+        for f in dataclasses.fields(cls):
+            if f.type == "tuple" and f.name in payload:
+                payload[f.name] = tuple(payload[f.name])
         config = cls(scenario=scenario, data=DataConfig(**data_payload),
                      **payload)
         # the default times, shared with wkb-eval and evolve-ep, pass the
@@ -365,35 +363,25 @@ def _log_times(spec: tuple) -> np.ndarray:
     return np.geomspace(float(t0), float(t1), int(count))
 
 
-def velocity_lp_lagrangian(data: InitialData, t, p: float,
-                           label_top: float):
-    """||v(t)||_{L^p} by change of variables to labels, integrating
-    |Xdot|^p X^(n-1) B of the compatible flow, with the vacuum tail.
+def velocity_norms(data: InitialData, times, p: float,
+                   label_top: float) -> tuple[list, list]:
+    """sup |v(t)| and ||v(t)||_{L^p} at each of ``times``, on the labels of
+    the data grid past the origin and the vacuum tail up to ``label_top``.
 
-    ``t`` is a time or a 1-D array of times; the times share one evaluation
-    of the labels' rates and a list comes back for an array."""
+    The L^p norm changes variables to labels, integrating |Xdot|^p X^(n-1) B
+    of the compatible flow; the times share one evaluation of the rates."""
     n = data.n
-    labels = np.concatenate([data.grid.nodes,
-                             np.geomspace(data.r_max, label_top, 2000)[1:]])
-    labels = labels[labels > 0]
-    rates = data.rates_at(labels)
-    norms = []
-    for s in np.atleast_1d(t):
-        st = _closed_form(n, labels, s, *rates)
-        val = np.trapezoid(np.abs(st.Xdot) ** p * st.X ** (n - 1) * st.B,
-                           labels)
-        norms.append(float((sphere_area(n) * val) ** (1.0 / p)))
-    return norms if np.ndim(t) else norms[0]
-
-
-def velocity_sup(data: InitialData, times, label_top: float) -> list:
-    """sup |v(t)| over the labels, with the vacuum tail, at each of ``times``;
-    the times share one evaluation of the labels' rates."""
     labels = np.concatenate([data.grid.nodes[1:],
-                             np.geomspace(data.r_max, label_top, 4000)[1:]])
-    rates = data.rates_at(labels)
-    return [float(np.max(np.abs(_closed_form(data.n, labels, t, *rates).Xdot)))
-            for t in times]
+                             np.geomspace(data.r_max, label_top, 2000)[1:]])
+    flow = label_flow(data, labels)
+    sup, lp = [], []
+    for t in times:
+        st = flow.at(t)
+        speed = np.abs(st.Xdot)
+        sup.append(float(np.max(speed)))
+        val = np.trapezoid(speed ** p * st.X ** (n - 1) * st.B, labels)
+        lp.append(float((sphere_area(n) * val) ** (1.0 / p)))
+    return sup, lp
 
 
 def decay_study(config: ExperimentConfig) -> dict:
@@ -410,19 +398,18 @@ def decay_study(config: ExperimentConfig) -> dict:
 
     series = {name: [] for name in
               ("l2_a0", "sup_v", "X_at_1", "grad_phi0_lp", "grad_a0_l2")}
+    edge_and_one = label_flow(data, [data.r_max, 1.0])
     for t in times:
-        top = float(explicit_characteristics(data, t, np.array([data.r_max])).X[0])
+        top, X_at_1 = (float(x) for x in edge_and_one.at(t).X)
         grid_t = RadialGrid(top, 8192)
         f = leading_order(data, t, grid_t)
         series["l2_a0"].append(lp_norm(f.a0.values, grid_t.nodes, data.n, 2))
-        series["X_at_1"].append(
-            float(explicit_characteristics(data, t, np.array([1.0])).X[0]))
+        series["X_at_1"].append(X_at_1)
         da0 = f.a0.derivative(1, left_parity="even")
         series["grad_a0_l2"].append(lp_norm(da0, grid_t.nodes, data.n, 2))
 
-    series["sup_v"] = velocity_sup(data, times, label_top)
-    series["grad_phi0_lp"] = velocity_lp_lagrangian(data, times, config.norm_p,
-                                                    label_top)
+    series["sup_v"], series["grad_phi0_lp"] = velocity_norms(
+        data, times, config.norm_p, label_top)
     fits = {}
     for name, vals in series.items():
         fit = decay_fit(times, np.array(vals))

@@ -309,7 +309,8 @@ class InitialData:
 
         F = n v0/(2R) is the expansion rate and G = |lam| rho0 R/((n-2) v0)
         the compression rate of the compatible flow; both continue to R = 0
-        by their limits through v0'(0), and G = 0 where v0 vanishes.
+        by their limits through v0'(0), clamped at 0 (v0 >= 0 = v0(0) on the
+        flow's data), and G = 0 where v0 vanishes.
         """
         R = np.atleast_1d(np.asarray(R, dtype=float))
         v = self.v0_at(R)
@@ -321,7 +322,7 @@ class InitialData:
         ok = v > 0
         G[ok] = np.abs(self.lam) * rho[ok] * R[ok] / ((self.n - 2) * v[ok])
         if not np.all(pos):
-            slope = self.v0_prime_at(np.zeros(1))[0]
+            slope = max(self.v0_prime_at(np.zeros(1))[0], 0.0)
             F[~pos] = 0.5 * self.n * slope
             origin = (R == 0) & (rho > 0)
             if slope > 0:
@@ -329,7 +330,7 @@ class InitialData:
         return v, F, G
 
     @cached_property
-    def _node_rates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def node_rates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``rates_at`` on the grid nodes, read-only: they do not depend on t."""
         rates = self.rates_at(self.grid.nodes)
         for a in rates:

@@ -31,9 +31,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
-from .errors import (ContractError, DomainError, ParameterError,
-                     StepRejectionError)
-from .euler_poisson import _closed_form, invert_flow_map
+from .errors import DomainError, ParameterError, StepRejectionError
+from .euler_poisson import invert_flow_map, label_flow
 from .grids import (RadialGrid, RadialProfile, cumulative_radial,
                     derivative_uniform, over_r)
 from .profiles import InitialData
@@ -161,7 +160,7 @@ def _potential_tail(data: InitialData, t: float) -> float:
 def _potential_term_nodes(data: InitialData, t: float) -> np.ndarray:
     """P(t, R) at the data-grid nodes (cumulative from the top plus tail)."""
     r = data.grid.nodes
-    v0, F, G = data._node_rates
+    v0, F, G = data.node_rates
     w = over_r(v0 ** 2, r, 0.0) * _I_kernel(data.n, t, F, G)
     Wc = cumulative_radial(w, r)
     tail = _potential_tail(data, t)
@@ -188,11 +187,11 @@ def leading_order(data: InitialData, t: float,
     if grid is None:
         grid = data.grid
     R = invert_flow_map(data, t, grid.nodes)
-    v0, F, G = data.rates_at(R)
-    a0 = data.amplitude_at(R) / np.sqrt((1.0 + F * t) * (1.0 + G * t))
+    flow = label_flow(data, R)
+    a0 = data.amplitude_at(R) / np.sqrt(flow.at(t).J)
 
     P = RadialProfile(data.grid, _potential_term_nodes(data, t))
-    kinetic = 0.5 * v0 ** 2 * _Q((4.0 - data.n) / data.n, F, t)
+    kinetic = 0.5 * flow.v0 ** 2 * _Q((4.0 - data.n) / data.n, flow.F, t)
     phi0 = data.phi0_at(R) + kinetic + P(R)
 
     a0_profile = RadialProfile(grid, a0)
@@ -295,18 +294,16 @@ def first_corrector(data: InitialData, t_end: float,
     sample_times = sorted(float(s) for s in sample_times)
     if not all(0.0 <= s <= t_end for s in sample_times):
         raise ParameterError("sample times must lie in [0, t_end]")
-    if not data.explicit_flow:
-        raise ContractError("the first corrector needs the closed-form flow "
-                            "of compatible or static data")
     if grid is None:
         grid = RadialGrid(data.r_max, 2049)
     R = grid.nodes
     n, lam = data.n, data.lam
-    v0, F, G = data.rates_at(R)
+    flow = label_flow(data, R)
+    F, G = flow.F, flow.G
     A0 = data.amplitude_at(R)
 
     def background(t):
-        st = _closed_form(n, R, t, v0, F, G)
+        st = flow.at(t)
         a0 = A0 / np.sqrt(st.J)
         da0, lap_a0 = _label_derivatives(a0, st, grid, n)
         return {"st": st, "a0": a0, "da0": da0, "lap_a0": lap_a0,

@@ -15,9 +15,9 @@ from semiwkb import (ContractError, ConvergenceError, ParameterError,
 from semiwkb.euler_poisson import (DEFORMATION_VANISHES, FINITE_TIME_BLOWUP,
                                    GLOBAL, NECESSARY_CONDITION_VIOLATED,
                                    POSITION_VANISHES, UNDETERMINED,
-                                   invert_flow_map)
+                                   invert_flow_map, label_flow)
 from semiwkb.grids import cumulative_radial
-from semiwkb.profiles import gaussian_free_data
+from semiwkb.profiles import InitialData, gaussian_free_data
 
 
 def rk_oracle(data, R, times, tol=1e-12):
@@ -108,9 +108,33 @@ def test_explicit_characteristics_long_time_exponent(ball):
     assert abs(slope - 2.0 / 3.0) < 1e-3
 
 
+def test_label_flow_is_explicit_characteristics(smooth_small, ball,
+                                                monkeypatch):
+    # one object holds the closed form: its rates are taken once, and every
+    # time it is asked for gives the explicit state bit for bit
+    R = np.concatenate([[0.0], np.geomspace(1e-3, 80.0, 37)])
+    times = (0.0, 0.5, 7.0, 1e4, np.array([[0.25], [3.0]]))
+    for data in (smooth_small, ball):
+        flow = label_flow(data, R)
+        for t in times:
+            a, b = flow.at(t), explicit_characteristics(data, t, R)
+            for name in ("R", "X", "Xdot", "B", "J"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+    calls = []
+    rates_at = InitialData.rates_at
+    monkeypatch.setattr(InitialData, "rates_at",
+                        lambda self, R: calls.append(1) or rates_at(self, R))
+    flow = label_flow(smooth_small, R)
+    for t in np.linspace(0.0, 10.0, 11):
+        flow.at(t)
+    assert len(calls) == 1
+
+
 def test_explicit_characteristics_requires_compatible(ball_zero_velocity):
     with pytest.raises(ContractError):
         explicit_characteristics(ball_zero_velocity, 1.0, np.array([1.0]))
+    with pytest.raises(ContractError):
+        label_flow(ball_zero_velocity, np.array([1.0]))
 
 
 # -- ODE integration -----------------------------------------------------------
@@ -353,6 +377,17 @@ def test_eulerian_vacuum_free_streaming():
     beyond = v.grid.nodes > top
     assert beyond.any() and np.all(v.values[beyond] == 0.0)
     assert np.all(rho.values == 0.0)
+
+
+def test_eulerian_rejects_radii_past_the_image(smooth_small):
+    # compatible labels are not continued past the data grid: the radii
+    # beyond its image are refused, not filled in
+    for t in (0.0, 2.0):
+        top = explicit_characteristics(smooth_small, t,
+                                       smooth_small.grid.nodes[-1:]).X[0]
+        eulerian_fields(smooth_small, t, RadialGrid(top, 512))
+        with pytest.raises(ParameterError):
+            eulerian_fields(smooth_small, t, RadialGrid(1.01 * top, 512))
 
 
 def test_eulerian_requires_global_data(ball_zero_velocity):

@@ -71,6 +71,20 @@ def test_on_disk_format_pinned():
                                           scenario=scenario).hash() == digest
 
 
+def test_config_list_keys_become_tuples():
+    # every tuple-annotated key is read from a JSON list into a tuple
+    lists = {"eps_ladder": [0.5, 0.25, 0.125], "times": [0.1],
+             "labels": [1.0], "velocity_scales": [1.0],
+             "amplitude_scales": [2.0], "t_tail": [10.0, 1000.0, 5]}
+    cfg = ExperimentConfig.from_json(lists, scenario="decay-study")
+    for key, value in lists.items():
+        assert getattr(cfg, key) == tuple(value)
+    tuples = {k: tuple(v) for k, v in lists.items()}
+    assert cfg == ExperimentConfig(scenario="decay-study", **tuples)
+    assert cfg.hash() == ExperimentConfig(scenario="decay-study",
+                                          **tuples).hash()
+
+
 def test_config_hash_stable():
     a = small_converge_config()
     b = small_converge_config()
@@ -202,6 +216,21 @@ def test_decay_study_fits(tmp_path):
     assert abs(rep["fits"]["sup_v"]["exponent"] + 1.0 / 3.0) < 0.02
     assert rep["grad_phi0_lp_strictly_decreasing"]
     assert (tmp_path / "decay_study.json").exists()
+
+
+def test_decay_study_sample_family(tmp_path):
+    # the paper's kappa/delta family: its spline reads v0'(0) slightly below
+    # zero, which must not send 1 + F t through zero by t = 1e4
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"data": {"family": "sample",
+                                             "points": 4096},
+                                    "t_tail": [100, 10000, 9]}))
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning, match="truncates"):
+        assert cli_main(["decay-study", "--config", str(cfg_path),
+                         "--out", str(out)]) == 0
+    rep = json.loads((out / "decay_study.json").read_text())
+    assert all(np.isfinite(v).all() for v in rep["series"].values())
 
 
 def test_evolve_ep_outputs(tmp_path):

@@ -273,7 +273,7 @@ def test_corrector_flow_evaluations_independent_of_dt(smooth_small,
                                                       monkeypatch):
     # the flow is closed-form in the labels: its rates are taken once per
     # call, and halving dt adds steps but no flow evaluation
-    smooth_small._node_rates        # the inversion's table, built once per data
+    smooth_small.node_rates         # the inversion's table, built once per data
     calls = [0]
     rates_at = InitialData.rates_at
 
