@@ -77,7 +77,6 @@ def _summarize(scenario: str, result) -> str:
         last = result["observables"][-1]
         return (f"schrodinger-run: t={last['t']:g} mass={last['mass']:.9f} "
                 f"energy={last['energy']:.9f}")
-    return str(result)
 
 
 if __name__ == "__main__":

@@ -104,7 +104,7 @@ def classify(data: InitialData, *, witness: bool = False) -> Verdict:
     v_scale = max(np.max(np.abs(v)), 1e-30)
     rho_scale = max(np.max(rho), 1e-30)
 
-    def _finish(kind, certificate, label=None, mechanism_hint=None):
+    def _finish(kind, certificate, label=None):
         t_c = mech = None
         if kind == FINITE_TIME_BLOWUP and witness and label is not None:
             hit = blowup_time(data, label, T_MAX_WITNESS)

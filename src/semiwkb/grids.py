@@ -117,16 +117,15 @@ def _uniform_stencils(order: int):
     return interior, edge
 
 
-def derivative_uniform(values: np.ndarray, dr: float, order: int = 1,
-                       left_parity: str | None = None,
-                       origin_on_grid: bool = True) -> np.ndarray:
-    """4th-order derivative of samples on a uniform grid.
+def derivative_uniform(values: np.ndarray, grid: RadialGrid, order: int = 1,
+                       left_parity: str | None = None) -> np.ndarray:
+    """4th-order derivative of samples on the nodes of ``grid``.
 
     Interior nodes use 5-point centered stencils; the two nodes at each end use
     6-point one-sided stencils.  ``left_parity`` ('even'|'odd') instead mirrors
     ghost nodes across r=0 at the left edge, for radial fields with known
-    parity.  ``origin_on_grid`` states whether the first sample sits at r=0
-    (mirror about node 0) or at r=dr (mirror about the off-grid origin).
+    parity: about node 0 on the origin layout, about the off-grid origin on
+    the Dirichlet layout.
     """
     values = np.asarray(values)
     n = values.shape[0]
@@ -144,7 +143,7 @@ def derivative_uniform(values: np.ndarray, dr: float, order: int = 1,
         if left_parity not in ("even", "odd"):
             raise ParameterError(f"unknown parity {left_parity!r}")
         sign = 1.0 if left_parity == "even" else -1.0
-        if origin_on_grid:
+        if grid.include_origin:
             # nodes 0, dr, 2dr...: ghosts at -2dr, -dr mirror nodes 2, 1
             ghosts = np.array([sign * values[2], sign * values[1]])
         else:
@@ -160,7 +159,7 @@ def derivative_uniform(values: np.ndarray, dr: float, order: int = 1,
 
     for i in range(2):
         out[n - 1 - i] = ((-1) ** order) * (edge[i] @ values[::-1][:6])
-    return out / dr ** order
+    return out / grid.dr ** order
 
 
 def over_r(values: np.ndarray, r: np.ndarray, limit) -> np.ndarray:
@@ -274,9 +273,7 @@ class RadialProfile:
         return out
 
     def derivative(self, order: int = 1, left_parity: str | None = None) -> np.ndarray:
-        return derivative_uniform(self.values, self.grid.dr, order,
-                                  left_parity=left_parity,
-                                  origin_on_grid=self.grid.include_origin)
+        return derivative_uniform(self.values, self.grid, order, left_parity)
 
     def __repr__(self):
         kind = "complex" if self.is_complex else "real"

@@ -290,7 +290,7 @@ def converge(config: ExperimentConfig) -> ConvergenceReport:
     corr = first_corrector(data, T,
                            grid=RadialGrid(config.data.r_max,
                                            config.corrector_points))
-    a1T, p1T = corr.at_final()
+    _, p1T = corr.at_final()
     phi1 = p1T(wgrid.nodes)
     beta0 = a0T * np.exp(1j * phi1)
     r, dr = wgrid.nodes, wgrid.dr
@@ -464,7 +464,10 @@ def evolve_ep(config: ExperimentConfig) -> dict:
 
 
 def wkb_eval(config: ExperimentConfig) -> list:
-    """Evaluate WKB fields (with the first corrector) at the configured times."""
+    """Evaluate WKB fields (with the first corrector) at the configured times.
+
+    Every field and norm is computed before the first file is written, so a
+    run that fails leaves no partial output behind."""
     data = build_data(config.data)
     grid = RadialGrid(config.data.r_max, config.data.points)
     times = sorted(set(float(t) for t in config.times))
@@ -475,23 +478,23 @@ def wkb_eval(config: ExperimentConfig) -> list:
     outputs = []
     norm_records = []
     for i, t in enumerate(times):
-        f = leading_order(data, float(t), grid)
+        f = leading_order(data, t, grid)
         a1 = RadialProfile(grid, corr.a1[i](grid.nodes))
         p1 = RadialProfile(grid, np.real(corr.phi1[i](grid.nodes)))
-        f = WkbFields(t=f.t, a0=f.a0, phi0=f.phi0, V_P=f.V_P, a1=a1, phi1=p1)
-        outputs.append(f)
-        rep = norm_diagnostics(f.a0, data.n, t=float(t))
-        norm_records.append({"t": float(t), "l2_a0": rep.l2,
+        outputs.append(WkbFields(t=f.t, a0=f.a0, phi0=f.phi0, V_P=f.V_P,
+                                 a1=a1, phi1=p1))
+        rep = norm_diagnostics(f.a0, data.n, t=t)
+        norm_records.append({"t": t, "l2_a0": rep.l2,
                              "y_norm_a0": rep.y_norm})
-        if config.out_dir:
-            a0 = f.a0.values
+    if config.out_dir:
+        for t, f in zip(times, outputs):
+            a0, a1 = f.a0.values, f.a1.values
             _write(config, f"fields_t{t:g}.csv",
                    zip(grid.nodes, np.real(a0), np.imag(a0), f.phi0.values,
-                       f.V_P.values, np.real(a1.values), np.imag(a1.values),
-                       p1.values),
+                       f.V_P.values, np.real(a1), np.imag(a1),
+                       f.phi1.values),
                    columns=["r", "a0_re", "a0_im", "phi0", "V_P", "a1_re",
                             "a1_im", "phi1"], t=t)
-    if config.out_dir:
         _write(config, "norms.jsonl", norm_records)
     return outputs
 

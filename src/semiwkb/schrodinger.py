@@ -61,7 +61,7 @@ class WaveField:
     def potential(self) -> np.ndarray:
         """Hartree potential of |u|^2 at the nodes, solved once per field;
         ``strang_step`` fills it from its trailing substep."""
-        return _poisson_on_wavegrid(np.abs(self.values) ** 2, self.grid)
+        return hartree_potential(np.abs(self.values) ** 2, self.r, 3)
 
 
 @dataclass(frozen=True)
@@ -111,17 +111,6 @@ def initial_wavefield(data: InitialData, eps: float, grid: RadialGrid,
     r = grid.nodes
     u = data.amplitude_at(r).astype(complex) * np.exp(1j * data.phi0_at(r) / eps)
     return WaveField(eps=eps, grid=grid, values=u, lam=data.lam, t=0.0)
-
-
-def _poisson_on_wavegrid(density: np.ndarray, grid: RadialGrid) -> np.ndarray:
-    """Radial Poisson potential at the interior nodes.  With its origin sample
-    (an even parabolic extrapolation) and its far-end Dirichlet zero the
-    density lives on the uniform origin grid of M+2 nodes j*dr, j = 0..M+1."""
-    rho = np.zeros(grid.points + 2)
-    rho[1:-1] = density
-    rho[0] = max((4.0 * density[0] - density[1]) / 3.0, 0.0)
-    r = RadialGrid(grid.r_max, grid.points + 2).nodes
-    return hartree_potential(rho, r, 3)[1:-1]
 
 
 def _fast_length(M: int) -> bool:
@@ -307,7 +296,7 @@ def run(data: InitialData, eps: float, t_end: float,
     nsteps = int(round(t_end / dt))
     if abs(nsteps * dt - t_end) > 1e-9 * t_end:
         nsteps = int(math.ceil(t_end / dt))
-    for k in range(1, nsteps + 1):
+    for _ in range(nsteps):
         step = min(dt, t_end - u.t)
         if step <= 0:
             break

@@ -86,7 +86,19 @@ def hartree_potential(source: np.ndarray, r: np.ndarray, n: int,
     Samples sit at x = X(r), dX/dr = B (default r and 1), integrated in r.
     n >= 3: the tail is closed analytically with the captured charge and V
     vanishes at infinity.  n <= 2, where no decaying solution exists: V(0) = 0.
+    On the Dirichlet layout (r[0] > 0, nodes j*dr, j = 1..M) the source is a
+    density: its origin sample (an even parabolic extrapolation, floored at
+    zero) and its far-end Dirichlet zero put it on the origin grid of M+2
+    nodes, and V is returned at the M nodes.  X and B are for the origin
+    layout only; the corrector passes its labels, which are on that layout.
     """
+    dirichlet = r[0] > 0
+    if dirichlet:
+        M = len(r)
+        rho = np.zeros(M + 2)
+        rho[1:-1] = source
+        rho[0] = max((4.0 * source[0] - source[1]) / 3.0, 0.0)
+        source, r = rho, RadialGrid(r[0] * (M + 1), M + 2).nodes
     X = r if X is None else X
     area = X ** (n - 1)
     m = cumulative_radial(source * area * B, r)
@@ -94,9 +106,10 @@ def hartree_potential(source: np.ndarray, r: np.ndarray, n: int,
         h = np.where(X > 0, m / area, 0.0)
     H = cumulative_radial(h * B, r)
     if n <= 2:
-        return H[0] - H
-    tail = m[-1] * X[-1] ** (2 - n) / (n - 2)
-    return (H[-1] - H) + tail
+        V = H[0] - H
+    else:
+        V = (H[-1] - H) + m[-1] * X[-1] ** (2 - n) / (n - 2)
+    return V[1:-1] if dirichlet else V
 
 
 def poisson_radial(rho: RadialProfile, n: int) -> RadialProfile:
@@ -208,8 +221,7 @@ def leading_order(data: InitialData, t: float,
 def _radial_divergence(values: np.ndarray, grid: RadialGrid, n: int,
                        parity: str) -> np.ndarray:
     """(1/r^(n-1)) d/dr (r^(n-1) f) = f' + (n-1) f / r with origin limit."""
-    fp = derivative_uniform(values, grid.dr, 1, left_parity=parity,
-                            origin_on_grid=grid.include_origin)
+    fp = derivative_uniform(values, grid, 1, parity)
     return fp + (n - 1) * over_r(values, grid.nodes, fp[0])
 
 
@@ -224,7 +236,6 @@ def limit_system_residual(fields: WkbFields, data: InitialData,
     """
     grid = fields.grid
     r = grid.nodes
-    h = grid.dr
     t = fields.t
     lo = leading_order(data, max(t - dt, 0.0), grid)
     hi = leading_order(data, t + dt, grid)
@@ -235,20 +246,17 @@ def limit_system_residual(fields: WkbFields, data: InitialData,
 
     a0 = fields.a0.values
     phi0 = fields.phi0.values
-    origin = grid.include_origin
-    v = derivative_uniform(phi0, h, 1, left_parity="even", origin_on_grid=origin)
-    da0 = derivative_uniform(a0, h, 1, left_parity="even", origin_on_grid=origin)
+    v = derivative_uniform(phi0, grid, 1, "even")
+    da0 = derivative_uniform(a0, grid, 1, "even")
     div_v = _radial_divergence(v, grid, data.n, "odd")
 
     transport = da0_dt + v * da0 + 0.5 * a0 * div_v
     hjb = dphi0_dt + 0.5 * v ** 2 + data.lam * fields.V_P.values
 
-    Vp = derivative_uniform(fields.V_P.values, h, 1, left_parity="even",
-                            origin_on_grid=origin)
+    Vp = derivative_uniform(fields.V_P.values, grid, 1, "even")
     flux = r ** (data.n - 1) * Vp       # parity (-1)^n across the origin
-    poisson = -derivative_uniform(flux, h, 1,
-                                  left_parity="odd" if data.n % 2 else "even",
-                                  origin_on_grid=origin) \
+    poisson = -derivative_uniform(flux, grid, 1,
+                                  "odd" if data.n % 2 else "even") \
         - r ** (data.n - 1) * np.abs(a0) ** 2
 
     return (RadialProfile(grid, transport),
@@ -264,8 +272,7 @@ def _label_derivatives(values: np.ndarray, st, grid: RadialGrid,
                        n: int) -> tuple[np.ndarray, np.ndarray]:
     """d/dX = (1/B) d/dR and Lap_X of an even field sampled on the labels."""
     def d_dX(f, parity):
-        return derivative_uniform(f, grid.dr, 1, left_parity=parity,
-                                  origin_on_grid=grid.include_origin) / st.B
+        return derivative_uniform(f, grid, 1, parity) / st.B
 
     fx = d_dX(values, "even")
     fxx = d_dX(fx, "odd")
@@ -285,7 +292,8 @@ def first_corrector(data: InitialData, t_end: float,
     sweeps, and a step whose last sweep still moves the state by more than
     PICARD_TOL of its size raises StepRejectionError.  d/dX = (1/B) d/dR, and
     Lap phi0 = F/(1+Ft) + G/(1+Gt) is exact.  At each sample time one
-    flow-map inversion pulls the state back to the nodes of ``grid``.
+    flow-map inversion pulls the state back to the nodes of ``grid``, which
+    must have the origin layout (the Hartree feedback is solved on them).
     """
     if t_end <= 0 or dt <= 0:
         raise ParameterError("t_end and dt must be positive")
@@ -297,6 +305,8 @@ def first_corrector(data: InitialData, t_end: float,
     if grid is None:
         grid = RadialGrid(data.r_max, 2049)
     R = grid.nodes
+    if R[0] > 0:
+        raise ParameterError("the corrector's labels must include the origin")
     n, lam = data.n, data.lam
     flow = label_flow(data, R)
     F, G = flow.F, flow.G

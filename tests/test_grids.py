@@ -35,7 +35,7 @@ def test_derivative_fourth_order_convergence(order):
     errs = []
     for pts in (101, 201, 401):   # stay above the eps/h^order round-off floor
         r = np.linspace(0.0, 3.0, pts)
-        d = derivative_uniform(np.sin(r), r[1], order)
+        d = derivative_uniform(np.sin(r), RadialGrid(3.0, pts), order)
         ref = np.cos(r) if order == 1 else -np.sin(r)
         errs.append(np.max(np.abs(d - ref)))
     rate = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
@@ -47,14 +47,15 @@ def test_parity_ghosts_match_smooth_extension():
     dr = 10.0 / (M + 1)
     r = dr * np.arange(1, M + 1)
     even = np.exp(-r ** 2 / 2)
-    d = derivative_uniform(even, dr, 1, left_parity="even", origin_on_grid=False)
+    g = RadialGrid(10.0, M, include_origin=False)
+    d = derivative_uniform(even, g, 1, left_parity="even")
     assert np.max(np.abs(d + r * even)) < 1e-6
     odd = r * np.exp(-r ** 2 / 2)
-    d = derivative_uniform(odd, dr, 1, left_parity="odd", origin_on_grid=False)
+    d = derivative_uniform(odd, g, 1, left_parity="odd")
     assert np.max(np.abs(d - (1 - r ** 2) * np.exp(-r ** 2 / 2))) < 1e-6
     r0 = np.linspace(0.0, 10.0, 401)
     f0 = np.exp(-r0 ** 2 / 2)
-    d2 = derivative_uniform(f0, r0[1], 2, left_parity="even", origin_on_grid=True)
+    d2 = derivative_uniform(f0, RadialGrid(10.0, 401), 2, left_parity="even")
     assert np.max(np.abs(d2 - (r0 ** 2 - 1) * f0)) < 1e-6
 
 

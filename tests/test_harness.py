@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from semiwkb import ConfigError, DataConfig, ExperimentConfig, RadialGrid
+from semiwkb import (ConfigError, ConvergenceError, DataConfig,
+                     ExperimentConfig, RadialGrid, harness)
 from semiwkb.cli import main as cli_main
 from semiwkb.harness import (build_data, classify_sweep, converge,
                              decay_study, evolve_ep, schrodinger_run,
@@ -261,6 +262,28 @@ def test_evolve_ep_failure_writes_nothing(tmp_path):
     out_dir = tmp_path / "out"
     assert cli_main(["evolve-ep", "--config", str(cfg_path),
                      "--out", str(out_dir)]) == 2
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+def test_wkb_eval_failure_writes_nothing(tmp_path, monkeypatch):
+    # the second time's leading order fails after the first one succeeded
+    solve, times = harness.leading_order, []
+
+    def failing(data, t, grid=None):
+        times.append(t)
+        if len(times) == 2:
+            raise ConvergenceError("injected failure")
+        return solve(data, t, grid)
+
+    monkeypatch.setattr(harness, "leading_order", failing)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "data": {"points": 1024, "r_max": 20.0, "chirp": 0.5},
+        "times": [0.2, 0.4], "corrector_points": 513}))
+    out_dir = tmp_path / "out"
+    assert cli_main(["wkb-eval", "--config", str(cfg_path),
+                     "--out", str(out_dir)]) == 1
+    assert times == [0.2, 0.4]
     assert not out_dir.exists() or not any(out_dir.iterdir())
 
 

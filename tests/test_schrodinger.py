@@ -11,7 +11,8 @@ from semiwkb import schrodinger
 from semiwkb import (ContractError, ParameterError, RadialGrid, RadialProfile,
                      ResolutionError, UnsupportedConfigurationError,
                      WaveField, initial_wavefield, lp_norm,
-                     madelung_observables, run, smooth_ball_data, strang_step)
+                     madelung_observables, poisson_radial, run,
+                     smooth_ball_data, strang_step)
 from semiwkb.profiles import InitialData
 from semiwkb.schrodinger import discrete_mass, required_points
 
@@ -192,8 +193,8 @@ def test_run_solves_poisson_once_per_step(monkeypatch, smooth_chirped):
 
     monkeypatch.setattr(schrodinger, "hartree_potential", counting)
     run(smooth_chirped, 0.5, 0.02, dt=1e-3, grid=wave_grid(512))
-    # the initial field's solve, then one per step on the M+2 origin grid
-    assert calls == [514] * 21
+    # the initial field's solve, then one per step on the wave nodes
+    assert calls == [512] * 21
 
 
 def test_gauge_covariance(smooth_chirped):
@@ -238,6 +239,9 @@ def test_wavegrid_potential_gaussian_fourth_order():
                       lam=-1.0)
         exact = 0.25 * math.sqrt(math.pi) * erf(g.nodes) / g.nodes
         errs.append(np.max(np.abs(u.potential - exact)))
+        # one kernel: the density's potential on this layout is the field's
+        rho = RadialProfile(g, np.abs(u.values) ** 2)
+        assert np.array_equal(poisson_radial(rho, 3).values, u.potential)
     ratios = errs[0] / errs[1], errs[1] / errs[2]
     assert all(13.0 <= q <= 17.0 for q in ratios)
 

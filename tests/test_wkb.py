@@ -67,10 +67,9 @@ def test_poisson_discrete_residual_invariant():
     r = g.nodes
     rho = np.exp(-r ** 2)
     V = poisson_radial(RadialProfile(g, rho), 3)
-    h = g.dr
-    Vp = derivative_uniform(V.values, h, 1, left_parity="even")
+    Vp = derivative_uniform(V.values, g, 1, left_parity="even")
     flux = r ** 2 * Vp
-    resid = -derivative_uniform(flux, h, 1, left_parity="odd") - r ** 2 * rho
+    resid = -derivative_uniform(flux, g, 1, left_parity="odd") - r ** 2 * rho
     assert np.max(np.abs(resid)) < 1e-6 * np.max(r ** 2 * rho)
 
 
@@ -160,6 +159,20 @@ def test_limit_system_residuals_small(smooth_chirped):
         assert np.max(np.abs(hj.values[w])) < 1e-5
         scale = np.max(r ** 2 * np.abs(f.a0.values) ** 2)
         assert np.max(np.abs(po.values[w])) < 1e-5 * scale
+    # the Dirichlet (wave-solver) layout: HJB and Poisson hold at every node,
+    # the first one included.  Measured at t = 0.5 and 1: HJB 2.5e-8 and
+    # Poisson 8.4e-8 and 1.0e-7 of scale; with the [0, dr] cell dropped from
+    # the Poisson solve they read 3.1e-6 and 6.3e-6 at r = dr.
+    g = RadialGrid(40.0, 8192, include_origin=False)
+    for t in (0.5, 1.0):
+        f = leading_order(d, t, g)
+        tr, hj, po = limit_system_residual(f, d)
+        r = g.nodes
+        w = (r >= 0.2) & (r <= 10.0)
+        assert np.max(np.abs(tr.values[w])) < 1e-5
+        assert np.max(np.abs(hj.values)) < 2.5e-7
+        scale = np.max(r ** 2 * np.abs(f.a0.values) ** 2)
+        assert np.max(np.abs(po.values)) < 5e-7 * scale
 
 
 def test_limit_system_residual_low_dimension_poisson():
@@ -304,6 +317,14 @@ def test_corrector_rejects_sample_times_outside_horizon(smooth_small,
         first_corrector(smooth_small, 0.02, grid=grid, dt=0.005,
                         sample_times=[0.01, 0.5])
     assert inversions == []
+
+
+def test_corrector_rejects_dirichlet_grid(smooth_small):
+    # its Hartree feedback is solved at the flow positions of the labels,
+    # which reach the origin only on the origin layout
+    with pytest.raises(ParameterError):
+        first_corrector(smooth_small, 0.01,
+                        grid=RadialGrid(40.0, 513, include_origin=False))
 
 
 def test_corrector_real_data_purely_imaginary(smooth_small):
