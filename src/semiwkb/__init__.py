@@ -8,7 +8,7 @@ from .errors import (ConfigError, ContractError, ConvergenceError,
 from .grids import RadialGrid, RadialProfile
 from .profiles import (InitialData, ball_data, build_initial_data,
                        compatible_phase, critical_threshold, cumulative_mass,
-                       default_grid, free_data, sample_amplitude, sample_data,
+                       free_data, sample_amplitude, sample_data,
                        smooth_ball_amplitude, smooth_ball_data,
                        v0_identity_residual)
 from .euler_poisson import (CharacteristicTrajectory, Verdict, blowup_time,

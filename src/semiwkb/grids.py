@@ -175,37 +175,31 @@ def over_r(values: np.ndarray, r: np.ndarray, limit) -> np.ndarray:
 # quadrature
 # ---------------------------------------------------------------------------
 
-def cumulative_radial(y: np.ndarray, r: np.ndarray,
-                      origin_exponent: float | None = None) -> np.ndarray:
-    """Cumulative integral of y over [r[0], r] node by node.
+def cumulative_radial(y: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Cumulative integral of y over [r[0], r] node by node, exact for cubics.
 
-    Composite Simpson on the uniform spacing h of r, laid out as
-    ``scipy.integrate.cumulative_simpson`` lays it out: the nodes
-    (2k, 2k+1, 2k+2) give their two intervals h/12*(5, 8, -1) and
-    h/12*(-1, 8, 5), and the last interval always takes the second formula
-    on the last three nodes.  When ``origin_exponent`` p is given and the
-    grid starts at r=0, the first cell is integrated with the local model
-    y ~ c*r^p (exact for power-law integrands, which are steep there for
-    large p).
+    On the uniform spacing h of r, the even nodes take composite Simpson as
+    ``scipy.integrate.cumulative_simpson`` lays it out.  Odd node 2k+1 adds
+    h/24*(9, 19, -5, 1) on nodes 2k..2k+3 to node 2k.  The last odd node,
+    which cannot reach four nodes, takes that panel mirrored onto the last
+    four nodes: back from node N-1 when N is odd, forward from node N-2 when
+    it is node N-1 itself.
     """
     y = np.asarray(y)
     r = np.asarray(r, dtype=float)
-    h = (r[-1] - r[0]) / (len(r) - 1)
-    y0, y1, y2 = y[:-2:2], 8.0 * y[1:-1:2], y[2::2]
-    sub = np.empty(len(y) - 1, dtype=np.result_type(y, float))
-    sub[:2 * len(y0):2] = 5.0 * y0 + y1 - y2
-    sub[1:2 * len(y0):2] = 5.0 * y2 + y1 - y0
-    sub[-1] = 5.0 * y[-1] + 8.0 * y[-2] - y[-3]
-    out = np.zeros(len(y), dtype=sub.dtype)
-    np.cumsum(sub, out=out[1:])
-    out *= h / 12.0
-    if origin_exponent is not None and r[0] == 0.0 and len(r) > 2:
-        p = float(origin_exponent)
-        if p <= -1:
-            raise ParameterError("origin exponent must exceed -1 for integrability")
-        first = y[1] * r[1] / (p + 1.0)
-        out = out + (first - out[1])
-        out[0] = 0.0
+    N = len(y)
+    h = (r[-1] - r[0]) / (N - 1)
+    out = np.zeros(N, dtype=np.result_type(y, float))
+    np.cumsum(y[:-2:2] + 4.0 * y[1:-1:2] + y[2::2], out=out[2::2])
+    out *= h / 3.0
+    k = 2 * ((N - 2) // 2)
+    out[1:k:2] = out[0:k:2] + h / 24.0 * (
+        9.0 * y[0:k:2] + 19.0 * y[1:k:2] - 5.0 * y[2:k + 1:2] + y[3:k + 2:2])
+    last = h / 24.0 * (y[-4] - 5.0 * y[-3] + 19.0 * y[-2] + 9.0 * y[-1])
+    if N % 2:
+        out[-2] = out[-1] - last
+    else:
+        out[-1] = out[-2] + last
     return out
 
 

@@ -31,14 +31,9 @@ __all__ = [
     "smooth_ball_data",
     "sample_data",
     "free_data",
-    "default_grid",
 ]
 
 COMPATIBLE_TOL = 1e-8
-
-
-def default_grid(r_max: float = 40.0, points: int = 8192) -> RadialGrid:
-    return RadialGrid(r_max=r_max, points=points)
 
 
 def smooth_cutoff(r):
@@ -90,13 +85,8 @@ def smooth_ball_amplitude(grid: RadialGrid, radius: float = 1.0,
     return RadialProfile(grid, vals)
 
 
-def cumulative_mass(rho0: RadialProfile, n: int,
-                    origin_exponent: float | None = None) -> RadialProfile:
-    """m0(r) = integral_0^r rho0(s) s^(n-1) ds on the profile's grid.
-
-    ``origin_exponent`` is the vanishing order of rho0 at r=0, used to close
-    the first cell with a local power model.
-    """
+def cumulative_mass(rho0: RadialProfile, n: int) -> RadialProfile:
+    """m0(r) = integral_0^r rho0(s) s^(n-1) ds on the profile's grid."""
     rho = np.real_if_close(rho0.values)
     if np.iscomplexobj(rho):
         raise DomainError("density must be real")
@@ -104,17 +94,16 @@ def cumulative_mass(rho0: RadialProfile, n: int,
         raise DomainError("density has negative samples")
     r = rho0.grid.nodes
     integrand = np.clip(rho, 0.0, None) * r ** (n - 1)
-    exp0 = None if origin_exponent is None else origin_exponent + n - 1
-    m = cumulative_radial(integrand, r, origin_exponent=exp0)
-    # the true mass is nondecreasing; project out sub-round-off Simpson
-    # oscillations that appear where the integrand spans many orders per cell
+    m = cumulative_radial(integrand, r)
+    # the true mass is nondecreasing; project out the small negative steps
+    # the quadrature's negative weights give where the integrand spans many
+    # orders per cell
     m = np.maximum.accumulate(np.clip(m, 0.0, None))
     return RadialProfile(rho0.grid, m)
 
 
-def compatible_phase(A0: RadialProfile, lam: float, n: int,
-                     origin_exponent: float | None = None
-                     ) -> tuple[RadialProfile, RadialProfile]:
+def compatible_phase(A0: RadialProfile, lam: float,
+                     n: int) -> tuple[RadialProfile, RadialProfile]:
     """The unique phase whose velocity balances the attractive force exactly.
 
     v0(r) = sqrt(2|lam| m0(r) / ((n-2) r^(n-2))), Phi0(r) = int_0^r v0, with the
@@ -128,15 +117,13 @@ def compatible_phase(A0: RadialProfile, lam: float, n: int,
             "the compatible phase requires dimension n >= 3")
     rho = np.abs(A0.values) ** 2
     rho_profile = RadialProfile(A0.grid, rho)
-    exp_rho = None if origin_exponent is None else 2.0 * origin_exponent
-    m = cumulative_mass(rho_profile, n, origin_exponent=exp_rho)
+    m = cumulative_mass(rho_profile, n)
     r = A0.grid.nodes
     with np.errstate(divide="ignore", invalid="ignore"):
         v = np.sqrt(2.0 * abs(lam) * m.values / ((n - 2) * r ** (n - 2)))
     v = np.where(r > 0, v, 0.0)
     v = np.nan_to_num(v, nan=0.0)
-    exp_v = None if origin_exponent is None else origin_exponent + 1
-    phi = cumulative_radial(v, r, origin_exponent=exp_v)
+    phi = cumulative_radial(v, r)
     return RadialProfile(A0.grid, phi), RadialProfile(A0.grid, v)
 
 
@@ -360,7 +347,6 @@ def _tail_phase(coeff: float, n: int, r0: float, R: np.ndarray) -> np.ndarray:
 
 def build_initial_data(amplitude: RadialProfile, lam: float, n: int, *,
                        velocity_scale: float = 1.0,
-                       origin_exponent: float | None = None,
                        kappa: float | None = None,
                        delta: float | None = None,
                        exact: ExactFields | None = None) -> InitialData:
@@ -373,12 +359,10 @@ def build_initial_data(amplitude: RadialProfile, lam: float, n: int, *,
         raise ParameterError("dimension must be >= 1")
     grid = amplitude.grid
     rho = RadialProfile(grid, np.abs(amplitude.values) ** 2)
-    exp_rho = None if origin_exponent is None else 2.0 * origin_exponent
-    mass = cumulative_mass(rho, n, origin_exponent=exp_rho)
+    mass = cumulative_mass(rho, n)
     m_inf = float(mass.values[-1])
     if lam < 0 and n >= 3:
-        phase, velocity = compatible_phase(A0=amplitude, lam=lam, n=n,
-                                           origin_exponent=origin_exponent)
+        phase, velocity = compatible_phase(A0=amplitude, lam=lam, n=n)
         if velocity_scale != 1.0:
             phase = phase.with_values(velocity_scale * phase.values)
             velocity = velocity.with_values(velocity_scale * velocity.values)
@@ -420,11 +404,10 @@ def gaussian_free_data(grid: RadialGrid | None = None, scale: float = 1.0,
     """Uncoupled (lam = 0) Gaussian amplitude at rest: the limit fields are
     static, so the wave dynamics is pure free dispersion."""
     if grid is None:
-        grid = default_grid(20.0, 4096)
+        grid = RadialGrid(20.0, 4096)
     r = grid.nodes
     amp = RadialProfile(grid, scale * np.exp(-0.5 * r ** 2))
-    data = build_initial_data(amp, 0.0, n, origin_exponent=0.0)
-    return data
+    return build_initial_data(amp, 0.0, n)
 
 
 def ball_data(n: int = 3, lam: float = -1.0, grid: RadialGrid | None = None,
@@ -436,7 +419,7 @@ def ball_data(n: int = 3, lam: float = -1.0, grid: RadialGrid | None = None,
     at the density jump.  velocity='zero' gives the collapsing configuration.
     """
     if grid is None:
-        grid = default_grid()
+        grid = RadialGrid(40.0, 8192)
     if velocity not in ("compatible", "zero"):
         raise ParameterError("velocity must be 'compatible' or 'zero'")
     if velocity == "compatible" and (lam >= 0 or n < 3):
@@ -508,14 +491,13 @@ def smooth_ball_data(n: int = 3, lam: float = -1.0,
     corrector's amplitude-phase coupling nondegenerate.
     """
     if grid is None:
-        grid = default_grid()
+        grid = RadialGrid(40.0, 8192)
     amp = smooth_ball_amplitude(grid, radius=radius, width=width, height=scale)
     if chirp != 0.0:
         r = grid.nodes
         phase_factor = np.exp(1j * chirp * r ** 2 * np.exp(-0.5 * r ** 2))
         amp = RadialProfile(grid, amp.values * phase_factor)
-    return build_initial_data(amp, lam, n, velocity_scale=velocity_scale,
-                              origin_exponent=0.0)
+    return build_initial_data(amp, lam, n, velocity_scale=velocity_scale)
 
 
 def sample_data(kappa: float, delta: float, n: int = 3, lam: float = -1.0,
@@ -523,9 +505,9 @@ def sample_data(kappa: float, delta: float, n: int = 3, lam: float = -1.0,
                 velocity_scale: float = 1.0) -> InitialData:
     """Initial data built on the kappa/delta amplitude family."""
     if grid is None:
-        grid = default_grid()
+        grid = RadialGrid(40.0, 8192)
     amp = sample_amplitude(kappa, delta, n, grid)
     if scale != 1.0:
         amp = amp.with_values(scale * amp.values)
     return build_initial_data(amp, lam, n, velocity_scale=velocity_scale,
-                              origin_exponent=kappa, kappa=kappa, delta=delta)
+                              kappa=kappa, delta=delta)

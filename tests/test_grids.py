@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
@@ -67,23 +69,36 @@ def test_cumulative_simpson_beats_trapezoid_on_uniform():
 
 def test_cumulative_radial_matches_scipy_simpson():
     # both layouts, odd and even node counts; 8194 is the 8192-point wave
-    # grid with its origin and far-end samples (the last interval of an
-    # even count takes the second-half formula)
+    # grid with its origin and far-end samples.  The even nodes are composite
+    # Simpson; the odd ones take a cubic panel scipy does not use.
     for points in (17, 18, 1023, 1024, 8194):
         for include_origin in (True, False):
             r = RadialGrid(40.0, points, include_origin=include_origin).nodes
             y = r ** 2 * np.exp(-r ** 2 / 4.0) + np.sin(3.0 * r)
-            ref = cumulative_simpson(y, x=r, initial=0.0)
-            out = cumulative_radial(y, r)
+            ref = cumulative_simpson(y, x=r, initial=0.0)[::2]
+            out = cumulative_radial(y, r)[::2]
             assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_cumulative_origin_model_exact_for_powers():
-    r = np.linspace(0.0, 1.0, 101)
-    y = r ** 6
-    out = cumulative_radial(y, r, origin_exponent=6)
-    assert np.isclose(out[1], r[1] ** 7 / 7.0, rtol=1e-12)
-    assert out[0] == 0.0
+@settings(max_examples=40, deadline=None)
+@given(points=st.integers(min_value=16, max_value=300),
+       include_origin=st.booleans(),
+       coeffs=st.lists(st.floats(min_value=-10.0, max_value=10.0,
+                                 allow_subnormal=False),
+                       min_size=4, max_size=4),
+       r_max=st.floats(min_value=0.5, max_value=50.0))
+def test_cumulative_radial_exact_for_cubics(points, include_origin, coeffs,
+                                            r_max):
+    # every node, odd ones and the last mirrored panel included; the scale
+    # is the integral of the cubic's terms in absolute value, floored where
+    # tiny coefficients would leave the normal range
+    r = RadialGrid(r_max, points, include_origin=include_origin).nodes
+    c = np.polynomial.Polynomial(coeffs)
+    C = c.integ()
+    exact = C(r) - C(r[0])
+    out = cumulative_radial(c(r), r)
+    scale = np.polynomial.Polynomial(np.abs(coeffs)).integ()(r[-1])
+    assert np.max(np.abs(out - exact)) <= 1e-12 * max(scale, 1e-200)
 
 
 def test_profile_validation_and_interpolation():

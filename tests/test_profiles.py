@@ -134,6 +134,25 @@ def test_threshold_vanishes_for_compatible_phase():
     assert np.max(np.abs(data.threshold.values)) < 1e-8 * scale
 
 
+def test_threshold_uses_the_data_mass_rule():
+    # one mass rule: the threshold of the data's own density and velocity
+    # is the one the data carries
+    for data in (smooth_ball_data(n=3, grid=RadialGrid(40.0, 4096)),
+                 smooth_ball_data(n=4, grid=RadialGrid(20.0, 1024)),
+                 sample_data(3, 0.25, grid=RadialGrid(40.0, 4096))):
+        rho = RadialProfile(data.grid, np.abs(data.amplitude.values) ** 2)
+        C = critical_threshold(rho, data.velocity, data.lam, data.n)
+        assert np.array_equal(C.values, data.threshold.values)
+
+
+def test_compatible_rates_four_dimensions_at_origin():
+    # F = n v0 / (2R) is smooth through the origin; v0 at the first labels
+    # comes from the mass next to the origin
+    d = smooth_ball_data(n=4, grid=RadialGrid(20.0, 1024))
+    F = d.node_rates[1]
+    assert abs(F[0] / F[1] - 1.0) < 0.01                   # measured 0.15 %
+
+
 def test_threshold_vacuum_is_velocity_squared():
     grid = RadialGrid(10.0, 256)
     r = grid.nodes

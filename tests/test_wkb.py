@@ -101,6 +101,21 @@ def test_poisson_low_dimension_normalizations():
         poisson_radial(RadialProfile(g, np.full(points, -1.0)), 3)
 
 
+def test_poisson_four_dimensions_fourth_order_at_origin():
+    # rho = exp(-r^2) in n = 4 has V = (1 - exp(-r^2)) / (4 r^2); the mass
+    # integrand r^3 rho is a cubic at the origin, where the error sits
+    err = []
+    for points in (1025, 2049):
+        g = RadialGrid(8.0, points)
+        r = g.nodes
+        V = poisson_radial(RadialProfile(g, np.exp(-r ** 2)), 4).values
+        exact = np.full_like(r, 0.25)
+        exact[1:] = -np.expm1(-r[1:] ** 2) / (4.0 * r[1:] ** 2)
+        err.append(np.max(np.abs(V - exact)))
+    assert err[0] < 1e-7                       # measured 2.8e-8
+    assert err[0] / err[1] > 14.0              # measured 15.5
+
+
 def test_hartree_potential_on_flow_labels(smooth):
     # rho = exp(-x^2) sampled at the positions X(0.5, R) of the compatible
     # flow: V = sqrt(pi) erf(x) / (4x), whatever the labels
@@ -350,6 +365,14 @@ def test_corrector_spatial_self_convergence():
     e1 = np.max(np.abs(finals[0] - finals[1][::2]))
     e2 = np.max(np.abs(finals[1] - finals[2][::2]))
     assert np.log2(e1 / e2) >= 1.8
+
+
+def test_corrector_four_dimensions_origin_converges():
+    # the compatible velocity next to the origin sets a1(0) in n = 4
+    d = smooth_ball_data(n=4, grid=RadialGrid(20.0, 1024))
+    a1_origin = [abs(first_corrector(d, 0.4, grid=RadialGrid(20.0, pts))
+                     .a1[-1].values[0]) for pts in (513, 1025)]
+    assert abs(a1_origin[0] / a1_origin[1] - 1.0) < 0.05   # measured 0.4 %
 
 
 def test_corrector_step_rejection(smooth_small):
