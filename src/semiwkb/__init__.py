@@ -18,8 +18,9 @@ from .euler_poisson import (CharacteristicTrajectory, Verdict, blowup_time,
 from .wkb import (CorrectorSeries, WkbFields, first_corrector, leading_order,
                   limit_system_residual, phase_time_constant, poisson_radial)
 from .norms import DecayFit, NormReport, decay_fit, lp_norm, norm_diagnostics
-from .schrodinger import (Observables, WaveField, initial_wavefield,
-                          madelung_observables, run, strang_step)
+from .schrodinger import (Observables, WaveField, current_velocity,
+                          initial_wavefield, madelung_observables, run,
+                          strang_step)
 from .harness import (ConvergenceReport, DataConfig, ExperimentConfig,
                       build_data, classify_sweep, converge, decay_study,
                       run_scenario)

@@ -510,8 +510,7 @@ def schrodinger_run(config: ExperimentConfig) -> dict:
     res = run(data, eps, config.t_end, dt=config.dt, grid=wgrid,
               observable_times=obs_times, snapshot_times=[config.t_end],
               ppw=config.ppw)
-    records = [{"t": ob.t, "mass": ob.mass, "energy": ob.energy,
-                "boundary_mass": ob.boundary_mass} for ob in res.observables]
+    records = [dataclasses.asdict(ob) for ob in res.observables]
     header = dict(res.header)
     header["config_hash"] = config.hash()
     if config.out_dir:

@@ -1,6 +1,7 @@
 """Semiclassical Schrodinger-Poisson solver for radial data in three
 dimensions: Strang splitting with an exact sine-spectral kinetic substep on
-w = r*u (Dirichlet at 0 and r_max), and Madelung observable extraction."""
+w = r*u (Dirichlet at 0 and r_max), the monitored mass and energy, and the
+Madelung current velocity on demand."""
 
 from __future__ import annotations
 
@@ -14,12 +15,13 @@ from scipy.fft import dst as _scipy_dst, fft2, next_fast_len
 
 from .errors import (ContractError, ParameterError, ResolutionError,
                      UnsupportedConfigurationError)
-from .grids import RadialGrid, RadialProfile
+from .grids import RadialGrid, RadialProfile, derivative_uniform
 from .profiles import InitialData
 from .wkb import hartree_potential
 
 __all__ = ["WaveField", "Observables", "RunResult", "initial_wavefield",
-           "strang_step", "run", "madelung_observables", "required_points"]
+           "strang_step", "run", "madelung_observables", "current_velocity",
+           "required_points"]
 
 FOUR_PI = 4.0 * math.pi
 VELOCITY_FLOOR = 1e-8          # |u| mask threshold, relative to max|u|
@@ -66,12 +68,11 @@ class WaveField:
 
 @dataclass(frozen=True)
 class Observables:
+    """What ``run`` monitors at one observation time; ``schrodinger-run``
+    writes it as one ``observables.jsonl`` line."""
     t: float
     mass: float
     energy: float
-    amplitude: RadialProfile
-    current_velocity: RadialProfile
-    velocity_mask: np.ndarray
     boundary_mass: float
 
 
@@ -207,43 +208,35 @@ def discrete_mass(u: WaveField) -> float:
     return FOUR_PI * float(np.sum(np.abs(u.values) ** 2 * u.r ** 2) * u.dr)
 
 
-def _radial_derivative_2nd_order(vals: np.ndarray, dr: float) -> np.ndarray:
-    """Centered first derivative; even parabolic ghost at r=0, Dirichlet end."""
-    ghost0 = (4.0 * vals[0] - vals[1]) / 3.0
-    ext = np.concatenate([[ghost0], vals, [0.0]])
-    return (ext[2:] - ext[:-2]) / (2.0 * dr)
-
-
-def discrete_energy(u: WaveField) -> float:
-    """(eps^2/2)||D_r u||^2 + (lam/2) <V_P |u|^2> in the r^2 dr measure."""
-    du = _radial_derivative_2nd_order(u.values, u.dr)
-    kin = 0.5 * u.eps ** 2 * np.sum(np.abs(du) ** 2 * u.r ** 2) * u.dr
-    if u.lam != 0.0:
-        pot = 0.5 * u.lam * np.sum(u.potential * np.abs(u.values) ** 2
-                                   * u.r ** 2) * u.dr
-    else:
-        pot = 0.0
-    return FOUR_PI * float(kin + pot)
-
-
 def madelung_observables(u: WaveField) -> Observables:
-    """Amplitude |u|, gauge-invariant current velocity, mass and energy.
+    """Mass, energy and boundary mass of u at its time.
 
-    The velocity eps*Im(conj(u) du)/|u|^2 is evaluated where |u| exceeds
-    1e-8 of its max and masked (set to zero) elsewhere.
+    The energy (eps^2/2)||u'||^2 + (lam/2)<V_P |u|^2> in the r^2 dr measure
+    takes u' from the grid's fourth-order stencil, even about the origin.
+    The boundary mass is the mass on the outer 2% of the box.
+    """
+    dens = np.abs(u.values) ** 2 * u.r ** 2
+    du = derivative_uniform(u.values, u.grid, 1, "even")
+    energy = 0.5 * u.eps ** 2 * np.sum(np.abs(du) ** 2 * u.r ** 2)
+    if u.lam != 0.0:
+        energy += 0.5 * u.lam * np.sum(u.potential * dens)
+    edge = max(int(0.02 * u.grid.points), 4)
+    return Observables(t=u.t, mass=discrete_mass(u),
+                       energy=FOUR_PI * float(energy * u.dr),
+                       boundary_mass=FOUR_PI * float(np.sum(dens[-edge:]) * u.dr))
+
+
+def current_velocity(u: WaveField) -> RadialProfile:
+    """Gauge-invariant current velocity eps*Im(conj(u) u')/|u|^2.
+
+    Evaluated where |u| exceeds 1e-8 of its max and set to zero elsewhere.
     """
     mag = np.abs(u.values)
-    du = _radial_derivative_2nd_order(u.values, u.dr)
+    du = derivative_uniform(u.values, u.grid, 1, "even")
     mask = mag > VELOCITY_FLOOR * max(float(mag.max()), 1e-300)
     vel = np.zeros_like(mag)
     vel[mask] = u.eps * np.imag(np.conj(u.values[mask]) * du[mask]) / mag[mask] ** 2
-    M = u.grid.points
-    edge = max(int(0.02 * M), 4)
-    boundary = FOUR_PI * float(np.sum(mag[-edge:] ** 2 * u.r[-edge:] ** 2) * u.dr)
-    return Observables(t=u.t, mass=discrete_mass(u), energy=discrete_energy(u),
-                       amplitude=RadialProfile(u.grid, mag),
-                       current_velocity=RadialProfile(u.grid, vel),
-                       velocity_mask=mask, boundary_mass=boundary)
+    return RadialProfile(u.grid, vel)
 
 
 def run(data: InitialData, eps: float, t_end: float,

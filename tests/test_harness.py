@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from semiwkb import (ConfigError, ConvergenceError, DataConfig,
-                     ExperimentConfig, RadialGrid, harness)
+                     ExperimentConfig, RadialGrid, harness, run)
 from semiwkb.cli import main as cli_main
 from semiwkb.harness import (build_data, classify_sweep, converge,
                              decay_study, evolve_ep, schrodinger_run,
@@ -317,6 +318,16 @@ def test_schrodinger_run_outputs(tmp_path):
     assert header["config_hash"] == cfg.hash()
     assert (tmp_path / "observables.jsonl").exists()
     assert (tmp_path / "snapshot_t0.1.csv").exists()
+    # one line per observation, each exactly the run's record
+    lines = [json.loads(line) for line in
+             (tmp_path / "observables.jsonl").read_text().splitlines()]
+    res = run(build_data(cfg.data), 0.25, 0.1, dt=cfg.dt,
+              grid=RadialGrid(20.0, 1024, include_origin=False),
+              observable_times=[0.0, 0.05, 0.1], ppw=cfg.ppw)
+    assert len(lines) == len(res.observables)
+    for line, ob in zip(lines, res.observables):
+        assert set(line) == {"boundary_mass", "energy", "mass", "t"}
+        assert line == dataclasses.asdict(ob)
 
 
 # -- CLI ---------------------------------------------------------------------------

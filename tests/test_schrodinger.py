@@ -10,8 +10,8 @@ from scipy.special import erf
 from semiwkb import schrodinger
 from semiwkb import (ContractError, ParameterError, RadialGrid, RadialProfile,
                      ResolutionError, UnsupportedConfigurationError,
-                     WaveField, initial_wavefield, lp_norm,
-                     madelung_observables, poisson_radial, run,
+                     WaveField, current_velocity, initial_wavefield,
+                     lp_norm, madelung_observables, poisson_radial, run,
                      smooth_ball_data, strang_step)
 from semiwkb.profiles import InitialData
 from semiwkb.schrodinger import discrete_mass, required_points
@@ -251,17 +251,15 @@ def test_wavegrid_potential_gaussian_fourth_order():
 def test_current_velocity_vanishes_for_real_field():
     d = gaussian_data()
     u = initial_wavefield(d, 1.0, wave_grid(512, 20.0))
-    ob = madelung_observables(u)
-    assert np.max(np.abs(ob.current_velocity.values)) == 0.0
+    assert np.max(np.abs(current_velocity(u).values)) == 0.0
 
 
 def test_current_velocity_recovers_phase_gradient(smooth_chirped):
     eps = 1.0 / 32.0
     u = initial_wavefield(smooth_chirped, eps, wave_grid(8192))
-    ob = madelung_observables(u)
     r = u.r
     window = (r > 0.3) & (r < 1.2)
-    dev = np.max(np.abs(ob.current_velocity.values[window]
+    dev = np.max(np.abs(current_velocity(u).values[window]
                         - smooth_chirped.v0_at(r[window])))
     # O(eps) from the amplitude chirp plus stencil error
     assert dev < 3.0 * eps
@@ -277,12 +275,27 @@ def test_madelung_mass_matches_norms(smooth_chirped):
     assert abs(ob.mass - ref) / ref < 1e-12
 
 
+def test_energy_matches_spectral_energy(smooth_chirped):
+    # With u = 0 at both box ends, int |u'|^2 r^2 dr = int |(ru)'|^2 dr, and
+    # the sine series of w = ru differentiates exactly: the kinetic energy
+    # of the discrete field is eps^2/2 * 4 pi * dr * sum (k pi/r_max)^2 |w_k|^2.
+    eps = 1.0 / 64.0
+    g = RadialGrid(40.0, 8192, include_origin=False)
+    u = initial_wavefield(smooth_chirped, eps, g)
+    what = schrodinger.dst(u.r * u.values)
+    k = np.arange(1, g.points + 1) * np.pi / g.r_max
+    kin = 0.5 * eps ** 2 * 4.0 * np.pi * g.dr * np.sum(k ** 2 * np.abs(what) ** 2)
+    pot = 0.5 * u.lam * 4.0 * np.pi * g.dr * np.sum(
+        u.potential * np.abs(u.values) ** 2 * u.r ** 2)
+    spectral = kin + pot
+    energy = madelung_observables(u).energy
+    assert abs(energy - spectral) / abs(spectral) < 0.01
+
+
 def test_velocity_mask_outside_support(smooth):
     u = initial_wavefield(smooth, 0.5, wave_grid())
-    ob = madelung_observables(u)
     far = u.r > 10.0
-    assert not np.any(ob.velocity_mask[far])
-    assert np.all(ob.current_velocity.values[far] == 0.0)
+    assert np.all(current_velocity(u).values[far] == 0.0)
 
 
 def test_boundary_monitor_flags_truncation():
