@@ -328,7 +328,8 @@ def converge(config: ExperimentConfig) -> ConvergenceReport:
             "config_hash": report.config_hash,
             "rows": [{k: r[k] for k in cols} for r in rows],
             "fitted_order_modulus": om, "fitted_order_full": of,
-            "excluded_eps": report.excluded_eps})
+            "excluded_eps": report.excluded_eps,
+            "corrector_time_error": float(corr.time_error[-1])})
         _write(config, "timing.json",
                {"runtimes_s": {repr(r["eps"]): r["runtime_s"] for r in rows}})
     return report

@@ -116,15 +116,20 @@ def compatible_phase(A0: RadialProfile, lam: float,
         raise UnsupportedConfigurationError(
             "the compatible phase requires dimension n >= 3")
     rho = np.abs(A0.values) ** 2
-    rho_profile = RadialProfile(A0.grid, rho)
-    m = cumulative_mass(rho_profile, n)
-    r = A0.grid.nodes
+    return _compatible_phase(cumulative_mass(RadialProfile(A0.grid, rho), n),
+                             lam, n)
+
+
+def _compatible_phase(mass: RadialProfile, lam: float,
+                      n: int) -> tuple[RadialProfile, RadialProfile]:
+    """compatible_phase from the cumulative mass m0 it rests on."""
+    r = mass.grid.nodes
     with np.errstate(divide="ignore", invalid="ignore"):
-        v = np.sqrt(2.0 * abs(lam) * m.values / ((n - 2) * r ** (n - 2)))
+        v = np.sqrt(2.0 * abs(lam) * mass.values / ((n - 2) * r ** (n - 2)))
     v = np.where(r > 0, v, 0.0)
     v = np.nan_to_num(v, nan=0.0)
     phi = cumulative_radial(v, r)
-    return RadialProfile(A0.grid, phi), RadialProfile(A0.grid, v)
+    return RadialProfile(mass.grid, phi), RadialProfile(mass.grid, v)
 
 
 def _threshold_values(mass: np.ndarray, v: np.ndarray, lam: float, n: int,
@@ -362,7 +367,7 @@ def build_initial_data(amplitude: RadialProfile, lam: float, n: int, *,
     mass = cumulative_mass(rho, n)
     m_inf = float(mass.values[-1])
     if lam < 0 and n >= 3:
-        phase, velocity = compatible_phase(A0=amplitude, lam=lam, n=n)
+        phase, velocity = _compatible_phase(mass, lam, n)
         if velocity_scale != 1.0:
             phase = phase.with_values(velocity_scale * phase.values)
             velocity = velocity.with_values(velocity_scale * velocity.values)

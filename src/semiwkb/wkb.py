@@ -45,9 +45,15 @@ __all__ = [
 
 N_PICARD = 3        # fixed-point sweeps per corrector step
 # Largest change of the last sweep, relative to the state.  Measured worst for
-# chirp 1 on 2049 labels: 2.9e-7 at dt = 1e-3, 7.2e-6 at 5e-3, 2.8e-5 at 1e-2
-# and 6.7e-3 at 0.5; a single sweep moves the state by half its size.
+# chirp 1 on 2049 labels, from the explicit-Euler start: 1.6e-7 at a step of
+# 5e-3, 1.3e-6 at 1e-2, 1.9e-5 at 2.5e-2 and 5.4e-2 at 0.5.  A single sweep
+# leaves 1.6e-2 at 1e-2 (real data, 513 labels).
 PICARD_TOL = 1e-3
+# Coarse-fine time-error estimate max|y(dt/2) - y(dt)| / max|y(dt/2)|.
+# Measured for chirp 1 on 2049 labels at T = 0.5: 5.3e-5 at dt = 1e-2; on 513
+# labels at T = 0.4: 6.1e-5 at 1e-2, 3.8e-4 at 2.5e-2, 9.7e-4 at 4e-2 and
+# 1.5e-3 at 5e-2; 3.0e-5 for the n = 4 ball at 1e-2.
+TIME_ERROR_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -70,6 +76,7 @@ class CorrectorSeries:
     a1: list
     phi1: list
     grid: RadialGrid
+    time_error: np.ndarray      # coarse-fine estimate at each sample time
 
     def at_final(self) -> tuple[RadialProfile, RadialProfile]:
         return self.a1[-1], self.phi1[-1]
@@ -279,9 +286,38 @@ def _label_derivatives(values: np.ndarray, st, grid: RadialGrid,
     return fx, fxx + (n - 1) * over_r(fx, st.X, fxx[0])
 
 
+def _cn_step(reaction, c_old, c_new, a1, p1, step, t_new):
+    """One Crank-Nicolson step of N_PICARD fixed-point sweeps.
+
+    Each sweep multiplies the distance to the fixed point by O(step).  The
+    sweeps start from the explicit-Euler predictor a1 + step * rhs_old, an
+    O(step^2) guess, so three of them leave O(step^5) per step and the march
+    keeps the even-power error expansion Richardson extrapolation needs.
+    Started from qa, an O(step) guess, they leave an O(step^3) global term.
+    """
+    rhs_a_old, rhs_p_old = reaction(c_old, a1, p1)
+    qa = a1 + 0.5 * step * rhs_a_old
+    qp = p1 + 0.5 * step * rhs_p_old
+    a1_new = qa + 0.5 * step * rhs_a_old
+    p1_new = qp + 0.5 * step * rhs_p_old
+    for _ in range(N_PICARD):
+        a1_last, p1_last = a1_new, p1_new
+        rhs_a, rhs_p = reaction(c_new, a1_last, p1_last)
+        a1_new, p1_new = qa + 0.5 * step * rhs_a, qp + 0.5 * step * rhs_p
+    change = max(np.max(np.abs(a1_new - a1_last)),
+                 np.max(np.abs(p1_new - p1_last)))
+    scale = max(np.max(np.abs(a1_new)), np.max(np.abs(p1_new)))
+    if change > PICARD_TOL * scale:
+        raise StepRejectionError(
+            f"corrector fixed point did not settle at t = {t_new:.6g}: "
+            f"the last of {N_PICARD} sweeps moved the state by "
+            f"{change / scale:.3e} of its size")
+    return a1_new, p1_new
+
+
 def first_corrector(data: InitialData, t_end: float,
                     grid: RadialGrid | None = None,
-                    dt: float = 1e-3,
+                    dt: float = 1e-2,
                     sample_times=None) -> CorrectorSeries:
     """March the first linearized pair (a1, phi1) from zero to t_end.
 
@@ -291,9 +327,18 @@ def first_corrector(data: InitialData, t_end: float,
     Hartree feedback) take Crank-Nicolson steps of N_PICARD fixed-point
     sweeps, and a step whose last sweep still moves the state by more than
     PICARD_TOL of its size raises StepRejectionError.  d/dX = (1/B) d/dR, and
-    Lap phi0 = F/(1+Ft) + G/(1+Gt) is exact.  At each sample time one
-    flow-map inversion pulls the state back to the nodes of ``grid``, which
-    must have the origin layout (the Hartree feedback is solved on them).
+    Lap phi0 = F/(1+Ft) + G/(1+Gt) is exact.
+
+    Two marches run side by side: a coarse one with steps of dt, shortened to
+    land on each sample time, and a fine one that takes every coarse step as
+    two equal halves.  Crank-Nicolson is symmetric, so its error has only
+    even powers of the step, and the returned state (4 y_fine - y_coarse)/3
+    is fourth order in time.  At each sample time max|y_fine - y_coarse| /
+    max|y_fine| over (a1, phi1) is the time-error estimate (``time_error``);
+    above TIME_ERROR_TOL the call raises StepRejectionError.  One flow-map
+    inversion then pulls the combined state back to the nodes of ``grid``,
+    which must have the origin layout (the Hartree feedback is solved on
+    them).
     """
     if t_end <= 0 or dt <= 0:
         raise ParameterError("t_end and dt must be positive")
@@ -328,16 +373,25 @@ def first_corrector(data: InitialData, t_end: float,
         rhs_p = -2.0 * lam * hartree_potential(src, R, n, c["st"].X, c["st"].B)
         return rhs_a, rhs_p
 
-    a1 = np.zeros(grid.points, dtype=complex)
-    p1 = np.zeros(grid.points)
-    out_t, out_a1, out_p1 = [], [], []
+    coarse = fine = (np.zeros(grid.points, dtype=complex),
+                     np.zeros(grid.points))
+    out_t, out_a1, out_p1, out_err = [], [], [], []
 
     def record(tv):
+        diff = max(np.max(np.abs(f - c)) for f, c in zip(fine, coarse))
+        size = max(np.max(np.abs(f)) for f in fine)
+        err = diff / size if size > 0 else 0.0
+        if err > TIME_ERROR_TOL:
+            raise StepRejectionError(
+                f"corrector time-error estimate {err:.3e} at t = {tv:.6g} "
+                f"exceeds {TIME_ERROR_TOL:g}: take a smaller dt than {dt:g}")
+        a1, p1 = ((4.0 * f - c) / 3.0 for f, c in zip(fine, coarse))
         labels = invert_flow_map(data, tv, R)
         state = CubicSpline(R, np.column_stack([a1.real, a1.imag, p1]))(labels)
         out_t.append(tv)
         out_a1.append(RadialProfile(grid, state[:, 0] + 1j * state[:, 1]))
         out_p1.append(RadialProfile(grid, state[:, 2]))
+        out_err.append(err)
 
     if sample_times and sample_times[0] == 0.0:
         record(0.0)
@@ -350,28 +404,13 @@ def first_corrector(data: InitialData, t_end: float,
         step = min(dt, t_end - t)
         if sample_times and sample_times[0] < t + step - eps_t:
             step = max(sample_times[0] - t, eps_t)
-        t_new = t + step
-        c_new = background(t_new)
-
-        rhs_a_old, rhs_p_old = reaction(c_old, a1, p1)
-        qa = a1 + 0.5 * step * rhs_a_old
-        qp = p1 + 0.5 * step * rhs_p_old
-
-        a1_new, p1_new = qa, qp
-        for _ in range(N_PICARD):
-            a1_last, p1_last = a1_new, p1_new
-            rhs_a, rhs_p = reaction(c_new, a1_last, p1_last)
-            a1_new, p1_new = qa + 0.5 * step * rhs_a, qp + 0.5 * step * rhs_p
-        change = max(np.max(np.abs(a1_new - a1_last)),
-                     np.max(np.abs(p1_new - p1_last)))
-        scale = max(np.max(np.abs(a1_new)), np.max(np.abs(p1_new)))
-        if change > PICARD_TOL * scale:
-            raise StepRejectionError(
-                f"corrector fixed point did not settle at t = {t_new:.6g}: "
-                f"the last of {N_PICARD} sweeps moved the state by "
-                f"{change / scale:.3e} of its size")
-
-        a1, p1, t, c_old = a1_new, p1_new, t_new, c_new
+        half = 0.5 * step
+        t_mid, t_new = t + half, t + step
+        c_mid, c_new = background(t_mid), background(t_new)
+        coarse = _cn_step(reaction, c_old, c_new, *coarse, step, t_new)
+        fine = _cn_step(reaction, c_old, c_mid, *fine, half, t_mid)
+        fine = _cn_step(reaction, c_mid, c_new, *fine, half, t_new)
+        t, c_old = t_new, c_new
         if sample_times and t >= sample_times[0] - eps_t:
             record(t)
             sample_times = sample_times[1:]
@@ -379,4 +418,4 @@ def first_corrector(data: InitialData, t_end: float,
     if not out_t or out_t[-1] < t_end - eps_t:
         record(t)
     return CorrectorSeries(times=np.asarray(out_t), a1=out_a1, phi1=out_p1,
-                           grid=grid)
+                           grid=grid, time_error=np.asarray(out_err))

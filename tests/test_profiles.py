@@ -126,6 +126,25 @@ def test_compatible_phase_unsupported_configurations():
         compatible_phase(A, -1.0, 2)
 
 
+def test_compatible_data_takes_the_mass_once(monkeypatch):
+    # the compatible velocity reuses the data's own mass, and equals the
+    # public compatible_phase bit for bit
+    from semiwkb import profiles
+    calls = []
+    mass = profiles.cumulative_mass
+
+    def counting(rho0, n):
+        calls.append(n)
+        return mass(rho0, n)
+
+    monkeypatch.setattr(profiles, "cumulative_mass", counting)
+    data = smooth_ball_data(chirp=1.0, grid=RadialGrid(40.0, 1024))
+    assert calls == [3]
+    phi, v = compatible_phase(data.amplitude, data.lam, data.n)
+    assert np.array_equal(v.values, data.velocity.values)
+    assert np.array_equal(phi.values, data.phase.values)
+
+
 # -- critical threshold -----------------------------------------------------
 
 def test_threshold_vanishes_for_compatible_phase():

@@ -360,7 +360,7 @@ def test_corrector_spatial_self_convergence():
     d = smooth_ball_data(chirp=0.4, grid=RadialGrid(40.0, 2048))
     finals = []
     for pts in (513, 1025, 2049):
-        cs = first_corrector(d, 0.5, grid=RadialGrid(40.0, pts), dt=1e-3)
+        cs = first_corrector(d, 0.5, grid=RadialGrid(40.0, pts))
         finals.append(cs.a1[-1].values)
     e1 = np.max(np.abs(finals[0] - finals[1][::2]))
     e2 = np.max(np.abs(finals[1] - finals[2][::2]))
@@ -385,6 +385,55 @@ def test_corrector_picard_gate_fails_closed(smooth_small, monkeypatch):
     monkeypatch.setattr(wkb, "N_PICARD", 1)
     with pytest.raises(StepRejectionError, match="did not settle"):
         first_corrector(smooth_small, 0.01, grid=RadialGrid(40.0, 513))
+
+
+def chirped_small():
+    return smooth_ball_data(chirp=1.0, grid=RadialGrid(40.0, 2048))
+
+
+def test_corrector_fourth_order_in_time():
+    # Richardson on Crank-Nicolson: each halving of dt divides the successive
+    # differences by 16.  Measured ratios 15.5, 15.8 (a1) and 15.8, 15.9
+    # (phi1); from the Picard start qa instead of the Euler predictor they
+    # read 7.4.
+    d = chirped_small()
+    grid = RadialGrid(40.0, 513)
+    finals = [first_corrector(d, 0.4, grid=grid, dt=dt).at_final()
+              for dt in (4e-2, 2e-2, 1e-2, 5e-3)]
+    for k in (0, 1):
+        diffs = [np.max(np.abs(a[k].values - b[k].values))
+                 for a, b in zip(finals, finals[1:])]
+        assert diffs[0] / diffs[1] >= 12.0
+        assert diffs[1] / diffs[2] >= 12.0
+
+
+def test_corrector_shortened_steps_keep_fourth_order():
+    # dt = 0.005 shortens the steps that land on 0.0075 and 0.02; dt = 0.0025
+    # reaches both without shortening.  Measured relative differences: 4.2e-11
+    # (a1) and 3.3e-9 (phi1); with a fine march that re-runs the step rule at
+    # dt/2 instead of halving every coarse step they read 3.4e-6 and 1.4e-4.
+    d = chirped_small()
+    grid = RadialGrid(40.0, 513)
+    short, even = (first_corrector(d, 0.02, grid=grid, dt=dt,
+                                   sample_times=[0.0075, 0.02])
+                   for dt in (0.005, 0.0025))
+    for i in range(2):
+        for name, bound in (("a1", 1e-9), ("phi1", 1e-7)):
+            x = getattr(short, name)[i].values
+            y = getattr(even, name)[i].values
+            assert np.max(np.abs(x - y)) <= bound * np.max(np.abs(y))
+
+
+def test_corrector_time_error_gate_fails_closed():
+    # the coarse-fine estimate reads 6.1e-5 at dt = 1e-2, 9.7e-4 at 4e-2 and
+    # 1.5e-3 at 5e-2, past TIME_ERROR_TOL = 1e-3
+    d = chirped_small()
+    grid = RadialGrid(40.0, 513)
+    cs = first_corrector(d, 0.4, grid=grid, dt=1e-2, sample_times=[0.0, 0.4])
+    assert cs.time_error[0] == 0.0
+    assert 0.0 < cs.time_error[1] <= 1e-4
+    with pytest.raises(StepRejectionError, match="time-error estimate 1.5"):
+        first_corrector(d, 0.4, grid=grid, dt=5e-2)
 
 
 def test_corrector_sample_times(smooth_small):
