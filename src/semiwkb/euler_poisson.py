@@ -13,7 +13,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 
 from .errors import (ContractError, ConvergenceError, ParameterError,
-                     UnsupportedConfigurationError)
+                     ResolutionError, UnsupportedConfigurationError)
 from .grids import RadialGrid, RadialProfile
 from .profiles import InitialData
 
@@ -36,6 +36,7 @@ DEFORMATION_VANISHES = "DeformationVanishes"
 
 X_FLOOR_FRACTION = 1e-8    # collapse declared at X < 1e-8 * R
 NEWTON_TOL = 1e-10         # largest final flow-map Newton step, relative to R
+NEWTON_STEPS = 12          # Newton cap; the n = 6 ball takes 10 at t = 1e4
 T_MAX_WITNESS = 2000.0     # horizon for integrating a blowup witness
 SIGN_TOL = 1e-9            # classify's sign checks, relative to profile scale
 
@@ -172,8 +173,8 @@ class LabelFlow:
 
     X = R (1 + F t)^(2/n), Xdot = v0 (1 + F t)^(2/n - 1),
     B = (1 + F t)^(2/n - 1) (1 + G t), J = (1 + F t)(1 + G t), with
-    F = n v0/(2R) and G = |lam| rho0 R / ((n-2) v0) = v0' + (n-2) v0 / (2R)
-    from ``InitialData.rates_at``.
+    F = n v0/(2R) and G = v0' + (n-2) v0/(2R), v0 and v0' from one interpolant
+    (``InitialData.rates_at``), so B is exactly dX/dR.
     """
     n: int
     R: np.ndarray
@@ -291,15 +292,22 @@ def blowup_time(data: InitialData, R: float, t_max: float
 # Eulerian reconstruction
 # ---------------------------------------------------------------------------
 
+def _refuse_fold(labels, fold, t):
+    if np.any(fold):    # B <= 0: the interpolated v0 dips next to the origin
+        raise ResolutionError(
+            f"the interpolated flow folds (B <= 0) at label R = "
+            f"{float(labels[np.argmax(fold)]):.4g} by t = {float(t):g}")
+
+
 def invert_flow_map(data: InitialData, t: float,
                     radii: np.ndarray) -> np.ndarray:
     """Solve X(t, R) = r for R on the closed-form flow (X strictly increasing).
 
-    Warm start by monotone interpolation through grid labels, whose rates are
-    tabulated once per data (``node_rates``), then Newton steps
-    R <- R - (X - r)/B until the gate holds, at most six; raises
-    ConvergenceError unless every final step is within 1e-10 R, and
-    ParameterError for radii past the image of the data grid.
+    Warm start through the grid labels' tabulated rates (``node_rates``), then
+    Newton steps R <- R - (X - r)/B, at most ``NEWTON_STEPS``; raises
+    ConvergenceError unless every final step is within 1e-10 R,
+    ResolutionError where the flow folds (B <= 0 at a grid or returned
+    label), and ParameterError for radii past the image of the data grid.
     """
     if not data.explicit_flow:
         raise ContractError("flow-map inversion requires compatible or "
@@ -308,15 +316,15 @@ def invert_flow_map(data: InitialData, t: float,
         raise ParameterError("time must be nonnegative")
     radii = np.asarray(radii, dtype=float)
     labels = data.grid.nodes
-    table = LabelFlow(data.n, labels[1:],
-                      *(a[1:] for a in data.node_rates)).at(t).X
-    Xs = np.concatenate([[0.0], table])
+    table = LabelFlow(data.n, labels, *data.node_rates).at(t)
+    _refuse_fold(labels, table.B <= 0, t)
+    Xs = table.X
     if np.any(radii > Xs[-1] * (1 + 1e-12)):
         raise ParameterError("requested radius beyond the characteristic "
                              "image of the data grid")
     R = PchipInterpolator(Xs, labels)(np.clip(radii, 0.0, Xs[-1]))
     pos = radii > 0
-    for _ in range(6):
+    for _ in range(NEWTON_STEPS):
         stR = explicit_characteristics(data, t, R[pos])
         step = (stR.X - radii[pos]) / stR.B
         R[pos] = np.clip(R[pos] - step, 0.0, labels[-1])
@@ -327,6 +335,7 @@ def invert_flow_map(data: InitialData, t: float,
     else:
         raise ConvergenceError(
             f"flow-map inversion did not converge at t = {float(t):g}")
+    _refuse_fold(R[pos], stR.B <= 0, t)
     R[~pos] = 0.0
     return R
 

@@ -210,8 +210,8 @@ def cumulative_radial(y: np.ndarray, r: np.ndarray) -> np.ndarray:
 class RadialProfile:
     """A real- or complex-valued function of radius sampled on a RadialGrid.
 
-    Carries its grid, supports cubic-spline interpolation and 4th-order
-    node-wise differentiation.  Instances are treated as immutable values.
+    Carries its grid, supports cubic-spline interpolation (``profile(r, nu)``
+    is the spline's nu-th derivative) and 4th-order node-wise differentiation.  Instances are treated as immutable values.
     """
 
     __slots__ = ("grid", "values", "_spline")
@@ -256,12 +256,12 @@ class RadialProfile:
                                CubicSpline(self.grid.nodes, values))
         return self._spline
 
-    def __call__(self, radii):
+    def __call__(self, radii, nu: int = 0):
         radii = np.asarray(radii, dtype=float)
         r = self.grid.nodes
         if np.any(radii < r[0] - 1e-12) or np.any(radii > r[-1] + 1e-12):
             raise ParameterError("interpolation outside the profile grid")
-        out = self._interpolator()(np.clip(radii, r[0], r[-1]))
+        out = self._interpolator()(np.clip(radii, r[0], r[-1]), nu)
         if self.is_complex:
             return out[..., 0] + 1j * out[..., 1]
         return out

@@ -291,34 +291,30 @@ class InitialData:
         return RadialProfile(self.grid, self.velocity.derivative(1).real)
 
     def v0_prime_at(self, R):
+        # the spline of the stencil slopes: the velocity spline's not-a-knot
+        # slope reads v0'(0) = -1.3e-5 on vacuum-rising data, a false blowup
         c, n = self.tail_coeff, self.n
         return self._continued(
             R, "v0_prime", self._v0_prime,
             (lambda x: c * (1.0 - n / 2.0) * x ** (-n / 2.0)) if c else None)
 
     def rates_at(self, R):
-        """(v0, F, G) at the labels R from one evaluation of v0 and rho0.
-
-        F = n v0/(2R) is the expansion rate and G = |lam| rho0 R/((n-2) v0)
-        the compression rate of the compatible flow; both continue to R = 0
-        by their limits through v0'(0), clamped at 0 (v0 >= 0 = v0(0) on the
-        flow's data), and G = 0 where v0 vanishes.
+        """(v0, F, G) at the labels R: the expansion rate F = n v0/(2R) and
+        compression rate G = v0' + (n-2) v0/(2R) of the compatible flow, with
+        v0' the slope of the one interpolant that gives v0, so B is exactly
+        dX/dR.  At R = 0 both take their limit sqrt(n |lam| rho0(0)/(2(n-2))).
         """
         R = np.atleast_1d(np.asarray(R, dtype=float))
-        v = self.v0_at(R)
-        rho = self.rho0_at(R)
+        n, v = self.n, self.v0_at(R)
+        G = self._continued(R, "v0_prime", lambda x: self.velocity(x, 1),
+                            lambda x: (1.0 - n / 2.0) * self.v0_at(x) / x)
         pos = R > 0
         F = np.empty_like(R)
-        F[pos] = self.n * v[pos] / (2.0 * R[pos])
-        G = np.zeros_like(R)
-        ok = v > 0
-        G[ok] = np.abs(self.lam) * rho[ok] * R[ok] / ((self.n - 2) * v[ok])
+        F[pos] = n * v[pos] / (2.0 * R[pos])
+        G[pos] += 0.5 * (n - 2) * v[pos] / R[pos]
         if not np.all(pos):
-            slope = max(self.v0_prime_at(np.zeros(1))[0], 0.0)
-            F[~pos] = 0.5 * self.n * slope
-            origin = (R == 0) & (rho > 0)
-            if slope > 0:
-                G[origin] = np.abs(self.lam) * rho[origin] / ((self.n - 2) * slope)
+            F[~pos] = G[~pos] = np.sqrt(n * abs(self.lam) * self.rho0_at(0.0)[0]
+                                        / (2.0 * (n - 2))) if self.lam else 0.0
         return v, F, G
 
     @cached_property

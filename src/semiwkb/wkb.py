@@ -2,7 +2,7 @@
 linearized corrector, and residual gauges for the limit hydrodynamic system.
 
 The Eulerian leading-order pair is evaluated from its Lagrangian closed form:
-with F = n v0/(2R), G = |lam| rho0 R/((n-2) v0) and X = R(1+Ft)^(2/n),
+with F = n v0/(2R), G = v0' + (n-2) v0/(2R) and X = R(1+Ft)^(2/n),
 
     a0(t, X) = A0(R) (1+Ft)^(-1/2) (1+Gt)^(-1/2),
     phi0(t, X) = Phi0(R) + K(t,R) + P(t,R),

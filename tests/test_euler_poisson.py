@@ -9,15 +9,16 @@ from scipy.interpolate import PchipInterpolator
 
 import semiwkb.euler_poisson as ep
 from semiwkb import (ContractError, ConvergenceError, ParameterError,
-                     RadialGrid, RadialProfile, ball_data, blowup_time,
-                     classify, eulerian_fields, explicit_characteristics,
-                     free_data, integrate_characteristics, smooth_ball_data)
+                     RadialGrid, RadialProfile, ResolutionError, ball_data,
+                     blowup_time, classify, eulerian_fields,
+                     explicit_characteristics, free_data,
+                     integrate_characteristics, smooth_ball_data)
 from semiwkb.euler_poisson import (DEFORMATION_VANISHES, FINITE_TIME_BLOWUP,
                                    GLOBAL, NECESSARY_CONDITION_VIOLATED,
                                    POSITION_VANISHES, UNDETERMINED,
                                    invert_flow_map, label_flow)
 from semiwkb.grids import cumulative_radial
-from semiwkb.profiles import InitialData, gaussian_free_data
+from semiwkb.profiles import InitialData, gaussian_free_data, sample_data
 
 
 def rk_oracle(data, R, times, tol=1e-12):
@@ -336,6 +337,59 @@ def test_flow_map_round_trip(smooth_small, ball, t, fractions):
         assert np.array_equal(R, radii)
         assert np.array_equal(state.X, R)
         assert np.all(state.Xdot == 0.0) and np.all(state.J == 1.0)
+
+
+@pytest.fixture(scope="module")
+def smooth_n5():
+    return smooth_ball_data(n=5, grid=RadialGrid(20.0, 1024))
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_flow_map_round_trip_high_dimension(n):
+    # Newton's slope B is the exact dR-derivative of X, so the inversion
+    # settles in every dimension and at every time
+    data = smooth_ball_data(n=n, grid=RadialGrid(20.0, 1024))
+    for t in (0.5, 100.0, 1e4):
+        top = explicit_characteristics(data, t, data.grid.nodes[-1:]).X[0]
+        radii = np.linspace(0.0, top, 4097)
+        X = explicit_characteristics(data, t, invert_flow_map(data, t, radii)).X
+        assert np.all(np.abs(X - radii) <= 1e-12 * np.maximum(radii, 1.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(t=st.floats(min_value=0.0, max_value=1e4),
+       R=st.floats(min_value=1e-3, max_value=15.0))
+def test_flow_slope_is_derivative_of_position(smooth_small, smooth_n5, ball,
+                                              t, R):
+    delta = 1e-6 * max(R, 1e-3)
+    for data in (smooth_small, smooth_n5, ball):
+        if data is ball and abs(R - 1.0) < 2.0 * delta:
+            continue    # the ball's density jumps at R = 1, and B with it
+        X = label_flow(data, [R - delta, R + delta]).at(t).X
+        B = label_flow(data, R).at(t).B[0]
+        assert abs((X[1] - X[0]) / (2.0 * delta) - B) <= 1e-5 * abs(B)
+
+
+def test_invert_flow_map_refuses_fold(smooth_small, monkeypatch):
+    # on 1024 nodes the kappa/delta family's v0 spline dips next to the
+    # origin: B <= 0 at the first label by t = 2154
+    data = sample_data(3, 0.25, grid=RadialGrid(40.0, 1024))
+    radii = np.linspace(0.0, 1.0, 65)
+    invert_flow_map(data, 1e3, radii)
+    with pytest.raises(ResolutionError,
+                       match=r"folds .* R = 0\.0391 by t = 10000"):
+        invert_flow_map(data, 1e4, radii)
+    # a fold at a returned label is refused even where Newton's residual
+    # vanishes: at t = 0 the warm start is already the root
+    exact = ep.explicit_characteristics
+
+    def folded(data, t, R):
+        st = exact(data, t, R)
+        return dataclasses.replace(st, B=-st.B)
+
+    monkeypatch.setattr(ep, "explicit_characteristics", folded)
+    with pytest.raises(ResolutionError, match=r"R = 0\.5 by t = 0$"):
+        invert_flow_map(smooth_small, 0.0, np.array([0.0, 0.5, 1.0]))
 
 
 @settings(max_examples=10, deadline=None)

@@ -221,18 +221,35 @@ def test_decay_study_fits(tmp_path):
 
 
 def test_decay_study_sample_family(tmp_path):
-    # the paper's kappa/delta family: its spline reads v0'(0) slightly below
-    # zero, which must not send 1 + F t through zero by t = 1e4
+    # the paper's kappa/delta family.  On 2048 points the interpolated v0
+    # dips next to the origin and the flow folds between the first nodes by
+    # t = 1e4 (B <= 0 on R in [0.0228, 0.0263]); no returned label lies
+    # there, and the returned-label check would stop the run if one did
+    for points in (2048, 4096):
+        cfg_path = tmp_path / f"cfg{points}.json"
+        cfg_path.write_text(json.dumps({"data": {"family": "sample",
+                                                 "points": points},
+                                        "t_tail": [100, 10000, 9]}))
+        out = tmp_path / f"out{points}"
+        with pytest.warns(RuntimeWarning, match="truncates"):
+            assert cli_main(["decay-study", "--config", str(cfg_path),
+                             "--out", str(out)]) == 0
+        rep = json.loads((out / "decay_study.json").read_text())
+        assert all(np.isfinite(v).all() for v in rep["series"].values())
+
+
+def test_decay_study_sample_family_fold_fails_closed(tmp_path, capsys):
+    # on 1024 points the fold reaches the first label: exit 3, no output
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"data": {"family": "sample",
-                                             "points": 4096},
-                                    "t_tail": [100, 10000, 9]}))
+                                             "points": 1024}}))
     out = tmp_path / "out"
     with pytest.warns(RuntimeWarning, match="truncates"):
         assert cli_main(["decay-study", "--config", str(cfg_path),
-                         "--out", str(out)]) == 0
-    rep = json.loads((out / "decay_study.json").read_text())
-    assert all(np.isfinite(v).all() for v in rep["series"].values())
+                         "--out", str(out)]) == 3
+    assert "folds (B <= 0) at label R = 0.0391 by t = 2154.43" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evolve_ep_outputs(tmp_path):

@@ -229,17 +229,23 @@ def test_phase_constant_matches_time_integration(n):
     d = smooth_ball_data(n=n, grid=RadialGrid(40.0, 4096))
     t_end = 1.0
 
-    def potential_at_origin(s):
-        def integrand(R):
-            v0, F, G = (x[0] for x in d.rates_at(R))
-            return (v0 * v0 / R) * (1 + F * s) ** (4.0 / n - 3.0) * (1 + G * s)
+    def integrand(s, R, v0, F, G):
+        return (v0 * v0 / R) * (1 + F * s) ** (4.0 / n - 3.0) * (1 + G * s)
 
-        total = 0.0
-        for a, b in ((1e-9, 1.0), (1.0, 40.0), (40.0, np.inf)):
-            val, _ = quad(integrand, a, b, epsabs=1e-13, epsrel=1e-11,
-                          limit=300)
-            total += val
-        return 0.5 * (n - 2) * total
+    # the rates are only C^1 across the nodes, so [0, r_max] goes cell by
+    # cell with 8-point Gauss-Legendre and adaptive quad keeps the smooth tail
+    r = d.grid.nodes
+    xc, wc = leggauss(8)
+    h = np.diff(r)[:, None]
+    cell_R = (r[:-1, None] + 0.5 * h * (xc + 1.0)).ravel()
+    cell_w = (0.5 * h * wc).ravel()
+    cell_rates = d.rates_at(cell_R)
+
+    def potential_at_origin(s):
+        tail, _ = quad(lambda R: integrand(s, R, *(x[0] for x in d.rates_at(R))),
+                       d.r_max, np.inf, epsabs=1e-13, epsrel=1e-11, limit=300)
+        return 0.5 * (n - 2) * (cell_w @ integrand(s, cell_R, *cell_rates)
+                                + tail)
 
     xg, wg = leggauss(24)
     sg = 0.5 * t_end * (xg + 1.0)
