@@ -14,7 +14,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .errors import (ContractError, ConvergenceError, ParameterError,
                      ResolutionError, UnsupportedConfigurationError)
-from .grids import RadialGrid, RadialProfile
+from .grids import RadialGrid, RadialProfile, derivative_uniform
 from .profiles import InitialData
 
 __all__ = [
@@ -80,8 +80,16 @@ class CharacteristicTrajectory:
 # classification
 # ---------------------------------------------------------------------------
 
-def _violation(name, r, value):
-    return f"{name} = {value:.6g} < 0 at r = {r:.6g}"
+def _first_violation(r, checks):
+    """(certificate, witness label) of the first ``(name, values, scale)``
+    whose minimum on the nodes r is below ``-SIGN_TOL * scale``, else None;
+    the label is the offending node, moved off the origin to r[1]."""
+    for name, values, scale in checks:
+        i = int(np.argmin(values))
+        if values[i] < -SIGN_TOL * scale:
+            return (f"{name} = {values[i]:.6g} < 0 at r = {r[i]:.6g}",
+                    max(r[i], r[1]))
+    return None
 
 
 def classify(data: InitialData, *, witness: bool = False) -> Verdict:
@@ -92,75 +100,57 @@ def classify(data: InitialData, *, witness: bool = False) -> Verdict:
     everywhere on the grid.  lam>0, n>=3: only the necessary condition C' >= 0
     is decidable.  lam=0 is free streaming.  Sign checks carry a tolerance
     (``SIGN_TOL``) relative to the profile scale; conditions are verified on
-    the sampled grid.
+    the sampled grid, v0' and C' by the grid's differentiation stencil.
 
     With ``witness=True`` a blowup verdict also integrates the certificate
     label up to ``T_MAX_WITNESS`` to attach the witnessed event time.
     """
     r = data.grid.nodes
     v = data.v0_at(r)
-    rho = data.rho0_at(r)
     n, lam = data.n, data.lam
 
     v_scale = max(np.max(np.abs(v)), 1e-30)
-    rho_scale = max(np.max(rho), 1e-30)
+    rho_scale = max(np.max(data.rho0_at(r)), 1e-30)
 
-    def _finish(kind, certificate, label=None):
-        t_c = mech = None
-        if kind == FINITE_TIME_BLOWUP and witness and label is not None:
-            hit = blowup_time(data, label, T_MAX_WITNESS)
-            if hit is not None:
-                t_c, mech = hit
-        return Verdict(kind, t_c, mech, certificate)
+    def blowup(certificate, label):
+        hit = blowup_time(data, label, T_MAX_WITNESS) if witness else None
+        return Verdict(FINITE_TIME_BLOWUP, *(hit or (None, None)), certificate)
 
     if lam == 0.0 or (lam < 0 and n <= 2 and rho_scale <= SIGN_TOL):
-        vp = data.v0_prime_at(r)
-        i = int(np.argmin(v))
-        if v[i] < -SIGN_TOL * v_scale:
-            return _finish(FINITE_TIME_BLOWUP, _violation("v0", r[i], v[i]), r[i])
-        j = int(np.argmin(vp))
-        if vp[j] < -SIGN_TOL * max(np.max(np.abs(vp)), 1e-30):
-            return _finish(FINITE_TIME_BLOWUP, _violation("v0'", r[j], vp[j]),
-                           max(r[j], r[1]))
-        return Verdict(GLOBAL, certificate="free streaming: v0 >= 0 and v0' >= 0")
-
-    if lam < 0 and n <= 2:
+        vp = derivative_uniform(v, data.grid)
+        checks = [("v0", v, v_scale),
+                  ("v0'", vp, max(np.max(np.abs(vp)), 1e-30))]
+        held = Verdict(GLOBAL, certificate="free streaming: v0 >= 0 and v0' >= 0")
+    elif lam < 0 and n <= 2:
         # mass present in an attractive low dimension always collapses
         i = int(np.argmax(data.m0_at(r) > SIGN_TOL * data.m_infinity))
-        label = max(r[i], r[1])
-        return _finish(FINITE_TIME_BLOWUP,
-                       f"rho0 not identically zero with n = {n} <= 2", label)
-
-    if data.threshold is None:
+        return blowup(f"rho0 not identically zero with n = {n} <= 2",
+                      max(r[i], r[1]))
+    elif data.threshold is None:
         raise UnsupportedConfigurationError("classification needs the threshold for n >= 3")
-    C = data.threshold.values
-    # C is an even radial function; the parity stencil is exact at the origin
-    Cp = data.threshold.derivative(1, left_parity="even")
-    # physical threshold scale (velocity/potential balance), not the possibly
-    # vanishing profile's own magnitude: C == 0 at round-off must pass
-    C_scale = max(v_scale ** 2,
-                  2.0 * abs(lam) * data.m_infinity / max(n - 2, 1), 1e-30)
+    else:
+        # C is an even radial function; the parity stencil is exact at the origin
+        Cp = data.threshold.derivative(1, left_parity="even")
+        # physical threshold scale (velocity/potential balance), not the possibly
+        # vanishing profile's own magnitude: C == 0 at round-off must pass
+        C_scale = max(v_scale ** 2,
+                      2.0 * abs(lam) * data.m_infinity / max(n - 2, 1), 1e-30)
+        if lam < 0:
+            checks = [("v0", v, v_scale), ("C", data.threshold.values, C_scale),
+                      ("C'", Cp, C_scale)]
+            held = Verdict(GLOBAL, certificate="v0 >= 0, C >= 0, C' >= 0 on the grid")
+        else:
+            # lam > 0: only a necessary condition is available
+            checks = [("C'", Cp, C_scale)]
+            held = Verdict(UNDETERMINED, certificate="necessary condition "
+                           "C' >= 0 holds; no sufficient test")
 
-    if lam < 0:
-        i = int(np.argmin(v))
-        if v[i] < -SIGN_TOL * v_scale:
-            return _finish(FINITE_TIME_BLOWUP, _violation("v0", r[i], v[i]), r[i])
-        i = int(np.argmin(C))
-        if C[i] < -SIGN_TOL * C_scale:
-            return _finish(FINITE_TIME_BLOWUP, _violation("C", r[i], C[i]),
-                           max(r[i], r[1]))
-        i = int(np.argmin(Cp))
-        if Cp[i] < -SIGN_TOL * C_scale:
-            return _finish(FINITE_TIME_BLOWUP, _violation("C'", r[i], Cp[i]),
-                           max(r[i], r[1]))
-        return Verdict(GLOBAL, certificate="v0 >= 0, C >= 0, C' >= 0 on the grid")
-
-    # lam > 0: only a necessary condition is available
-    i = int(np.argmin(Cp))
-    if Cp[i] < -SIGN_TOL * C_scale:
-        return _finish(NECESSARY_CONDITION_VIOLATED, _violation("C'", r[i], Cp[i]))
-    return Verdict(UNDETERMINED,
-                   certificate="necessary condition C' >= 0 holds; no sufficient test")
+    hit = _first_violation(r, checks)
+    if hit is None:
+        return held
+    if lam > 0:
+        return Verdict(NECESSARY_CONDITION_VIOLATED, certificate=hit[0])
+    return blowup(*hit)
 
 
 # ---------------------------------------------------------------------------

@@ -369,19 +369,17 @@ def velocity_norms(data: InitialData, times, p: float,
     """sup |v(t)| and ||v(t)||_{L^p} at each of ``times``, on the labels of
     the data grid past the origin and the vacuum tail up to ``label_top``.
 
-    The L^p norm changes variables to labels, integrating |Xdot|^p X^(n-1) B
-    of the compatible flow; the times share one evaluation of the rates."""
-    n = data.n
+    The L^p norm changes variables to labels: it is ``lp_norm`` in R of
+    Xdot J^(1/p), with J = X^(n-1) B / R^(n-1) the volume factor of the
+    compatible flow; the times share one evaluation of the rates."""
     labels = np.concatenate([data.grid.nodes[1:],
                              np.geomspace(data.r_max, label_top, 2000)[1:]])
     flow = label_flow(data, labels)
     sup, lp = [], []
     for t in times:
         st = flow.at(t)
-        speed = np.abs(st.Xdot)
-        sup.append(float(np.max(speed)))
-        val = np.trapezoid(speed ** p * st.X ** (n - 1) * st.B, labels)
-        lp.append(float((sphere_area(n) * val) ** (1.0 / p)))
+        sup.append(float(np.max(np.abs(st.Xdot))))
+        lp.append(lp_norm(st.Xdot * st.J ** (1.0 / p), labels, data.n, p))
     return sup, lp
 
 
@@ -395,7 +393,9 @@ def decay_study(config: ExperimentConfig) -> dict:
     data = build_data(config.data)
     times = _log_times(config.t_tail)
     tail_c = max(data.tail_coeff, 1e-6)
-    label_top = 20.0 * (0.5 * data.n * tail_c * times[-1]) ** (2.0 / data.n)
+    # the vacuum tail runs outward from r_max, however early the last time
+    label_top = max(20.0 * (0.5 * data.n * tail_c * times[-1]) ** (2.0 / data.n),
+                    100.0 * data.r_max)
 
     series = {name: [] for name in
               ("l2_a0", "sup_v", "X_at_1", "grad_phi0_lp", "grad_a0_l2")}

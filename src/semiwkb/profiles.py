@@ -286,28 +286,22 @@ class InitialData:
             self.lam == 0.0
             and float(np.max(np.abs(self.v0_at(self.grid.nodes)))) == 0.0)
 
-    @cached_property
-    def _v0_prime(self) -> RadialProfile:
-        return RadialProfile(self.grid, self.velocity.derivative(1).real)
-
     def v0_prime_at(self, R):
-        # the spline of the stencil slopes: the velocity spline's not-a-knot
-        # slope reads v0'(0) = -1.3e-5 on vacuum-rising data, a false blowup
+        """The slope of the interpolant ``v0_at`` evaluates."""
         c, n = self.tail_coeff, self.n
         return self._continued(
-            R, "v0_prime", self._v0_prime,
+            R, "v0_prime", lambda x: np.real(self.velocity(x, 1)),
             (lambda x: c * (1.0 - n / 2.0) * x ** (-n / 2.0)) if c else None)
 
     def rates_at(self, R):
         """(v0, F, G) at the labels R: the expansion rate F = n v0/(2R) and
         compression rate G = v0' + (n-2) v0/(2R) of the compatible flow, with
-        v0' the slope of the one interpolant that gives v0, so B is exactly
-        dX/dR.  At R = 0 both take their limit sqrt(n |lam| rho0(0)/(2(n-2))).
+        v0' from ``v0_prime_at``, so B is exactly dX/dR.  At R = 0 both take
+        their limit sqrt(n |lam| rho0(0)/(2(n-2))).
         """
         R = np.atleast_1d(np.asarray(R, dtype=float))
         n, v = self.n, self.v0_at(R)
-        G = self._continued(R, "v0_prime", lambda x: self.velocity(x, 1),
-                            lambda x: (1.0 - n / 2.0) * self.v0_at(x) / x)
+        G = self.v0_prime_at(R)
         pos = R > 0
         F = np.empty_like(R)
         F[pos] = n * v[pos] / (2.0 * R[pos])

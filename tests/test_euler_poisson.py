@@ -18,7 +18,8 @@ from semiwkb.euler_poisson import (DEFORMATION_VANISHES, FINITE_TIME_BLOWUP,
                                    POSITION_VANISHES, UNDETERMINED,
                                    invert_flow_map, label_flow)
 from semiwkb.grids import cumulative_radial
-from semiwkb.profiles import InitialData, gaussian_free_data, sample_data
+from semiwkb.profiles import (InitialData, build_initial_data,
+                              gaussian_free_data, sample_data)
 
 
 def rk_oracle(data, R, times, tol=1e-12):
@@ -63,7 +64,6 @@ def test_classify_zero_velocity_ball_certificate(ball_zero_velocity):
 def test_classify_repulsive_cases():
     d = smooth_ball_data(grid=RadialGrid(30.0, 1024))
     # flip the coupling sign but keep the (now mismatched) velocity
-    from semiwkb.profiles import build_initial_data
     rep = build_initial_data(d.amplitude, 1.0, 3)      # lam > 0, v0 = 0
     assert classify(rep).kind == NECESSARY_CONDITION_VIOLATED
     # vacuum with rising velocity: C' >= 0, undetermined for lam > 0
@@ -79,6 +79,95 @@ def test_classify_free_streaming():
     assert classify(free_data(rising, 3, lam=0.0)).kind == GLOBAL
     humped = RadialProfile(g, g.nodes * np.exp(-g.nodes ** 2 / 2))
     assert classify(free_data(humped, 3, lam=0.0)).kind == FINITE_TIME_BLOWUP
+
+
+G512 = RadialGrid(20.0, 512)
+R512 = G512.nodes
+
+
+def _humped(n, lam):
+    return free_data(RadialProfile(G512, R512 * np.exp(-R512 ** 2 / 2)), n,
+                     lam=lam)
+
+
+# regime: (data, verdict kind, certificate, node of the witness label or None)
+CLASSIFY_REGIMES = {
+    "free_v0_at_origin": (
+        lambda: free_data(RadialProfile(G512, -0.5 + 0.1 * R512), 3),
+        FINITE_TIME_BLOWUP, "v0 = -0.5 < 0 at r = 0", 1),
+    "free_v0_prime": (
+        lambda: _humped(3, 0.0),
+        FINITE_TIME_BLOWUP, "v0' = -0.446194 < 0 at r = 1.72211", 44),
+    "vacuum_low_dimension_v0_prime": (
+        lambda: _humped(2, -1.0),
+        FINITE_TIME_BLOWUP, "v0' = -0.446194 < 0 at r = 1.72211", 44),
+    "free_global": (
+        lambda: free_data(RadialProfile(G512, 1.0 - np.exp(-R512 ** 2)), 3),
+        GLOBAL, "free streaming: v0 >= 0 and v0' >= 0", None),
+    "low_dimension_mass": (
+        lambda: ball_data(n=2, lam=-1.0, velocity="zero", grid=G512),
+        FINITE_TIME_BLOWUP, "rho0 not identically zero with n = 2 <= 2", 1),
+    "attractive_v0": (
+        lambda: smooth_ball_data(grid=G512, velocity_scale=-0.5),
+        FINITE_TIME_BLOWUP, "v0 = -0.371839 < 0 at r = 1.21331", 31),
+    "attractive_C": (
+        lambda: ball_data(velocity="zero", grid=G512),
+        FINITE_TIME_BLOWUP, "C = -0.655128 < 0 at r = 1.01761", 26),
+    "attractive_C_prime": (
+        lambda: smooth_ball_data(grid=G512, velocity_scale=1.3),
+        FINITE_TIME_BLOWUP, "C' = -0.194729 < 0 at r = 1.48728", 38),
+    "attractive_global": (
+        lambda: smooth_ball_data(grid=G512),
+        GLOBAL, "v0 >= 0, C >= 0, C' >= 0 on the grid", None),
+    "repulsive_C_prime": (
+        lambda: build_initial_data(smooth_ball_data(grid=G512).amplitude,
+                                   1.0, 3),
+        NECESSARY_CONDITION_VIOLATED, "C' = -0.282216 < 0 at r = 1.48728",
+        None),
+    "repulsive_undetermined": (
+        lambda: free_data(RadialProfile(G512, 0.3 * R512 / (1.0 + R512)), 3,
+                          lam=1.0),
+        UNDETERMINED, "necessary condition C' >= 0 holds; no sufficient test",
+        None),
+}
+
+
+@pytest.mark.parametrize("regime", sorted(CLASSIFY_REGIMES))
+def test_classify_certificate_and_witness_label(regime, monkeypatch):
+    # one sign rule: the first violated check names the certificate, and the
+    # witness starts at its node, moved off the origin to r[1]
+    build, kind, certificate, node = CLASSIFY_REGIMES[regime]
+    labels = []
+    blowup = ep.blowup_time
+    monkeypatch.setattr(ep, "blowup_time", lambda data, R, t_max:
+                        labels.append(R) or blowup(data, R, t_max))
+    v = classify(build(), witness=True)
+    assert (v.kind, v.certificate) == (kind, certificate)
+    if node is None:
+        assert labels == [] and v.t_c is None
+    else:
+        assert labels == [R512[node]]
+        assert v.t_c is not None and v.t_c > 0
+
+
+def test_classify_witness_for_inflow_at_the_origin():
+    # v0(0) < 0: the witness runs from r[1], where X = R + v0(R) t reaches
+    # the collapse floor X_FLOOR_FRACTION * R
+    d = free_data(RadialProfile(G512, -0.5 + 0.1 * R512), 3)
+    v = classify(d, witness=True)
+    R = R512[1]
+    assert v.mechanism == POSITION_VANISHES
+    assert v.t_c == pytest.approx(
+        R * (1.0 - ep.X_FLOOR_FRACTION) / (0.5 - 0.1 * R), rel=1e-8)
+
+
+def test_classify_free_streaming_witness_time():
+    # B = 1 + v0'(R) t vanishes at t = -1/v0'(R) on the witness node
+    v = classify(_humped(3, 0.0), witness=True)
+    R = R512[44]
+    assert v.mechanism == DEFORMATION_VANISHES
+    assert v.t_c == pytest.approx(-1.0 / ((1.0 - R * R) * np.exp(-R * R / 2)),
+                                  rel=1e-6)
 
 
 # -- explicit characteristics -------------------------------------------------
@@ -158,6 +247,22 @@ def test_cross_validation_explicit_vs_ode(ball):
         state = explicit_characteristics(ball, times, np.array([R]))
         assert np.max(np.abs(traj.X - state.X) / np.abs(state.X)) < 1e-8
         assert np.max(np.abs(traj.B - state.B) / np.abs(state.B)) < 1e-8
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_ode_starts_on_the_closed_form_flow(n):
+    # the ODE's B'(0) = v0'(R) is the slope of the interpolant that gives
+    # X'(0) = v0(R), as in the closed form, so the two flows leave every
+    # label together: 1.4e-8 apart over t <= 0.1 (the stencil-slope spline
+    # the ODE read before was 4.9e-7 apart)
+    d = smooth_ball_data(n, grid=RadialGrid(20.0, 1024))
+    times = np.linspace(0.0, 0.1, 11)
+    for R in np.linspace(0.3, 2.0, 18):
+        traj = integrate_characteristics(d, float(R), 0.1, tol=1e-12,
+                                         t_eval=times)
+        state = label_flow(d, [R]).at(times)
+        assert np.max(np.abs(traj.X - state.X) / state.X) < 5e-8
+        assert np.max(np.abs(traj.B - state.B) / state.B) < 5e-8
 
 
 def test_zero_velocity_ball_collapses_inward(ball_zero_velocity):

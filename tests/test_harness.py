@@ -64,7 +64,8 @@ def test_on_disk_format_pinned():
     configs = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
     committed = {"converge": "67bf6b77004b98e7",
                  "classify": "3c3f65a3637a7654",
-                 "decay-study": "8853f95825dc9a11"}
+                 "decay-study": "8853f95825dc9a11",
+                 "evolve-ep": "94279a22c6c8a23b"}
     assert sorted(os.listdir(configs)) == sorted(f"{s}.json" for s in committed)
     for scenario, digest in committed.items():
         with open(os.path.join(configs, f"{scenario}.json")) as f:
@@ -218,6 +219,20 @@ def test_decay_study_fits(tmp_path):
     assert abs(rep["fits"]["sup_v"]["exponent"] + 1.0 / 3.0) < 0.02
     assert rep["grad_phi0_lp_strictly_decreasing"]
     assert (tmp_path / "decay_study.json").exists()
+
+
+def test_decay_study_tail_runs_past_the_grid():
+    # at t = 1 the last-time label estimate is 23.8, inside r_max = 40; the
+    # vacuum-tail labels must still run outward, to the limit within 1e-4
+    cfg = ExperimentConfig(scenario="decay-study",
+                           data=DataConfig(family="smooth_ball", points=1024),
+                           t_tail=(0.01, 1.0, 8))
+    got = decay_study(cfg)["series"]["grad_phi0_lp"]
+    _, far = harness.velocity_norms(build_data(cfg.data), [0.01, 1.0], 8.0,
+                                    1e6)
+    assert got[0] == pytest.approx(far[0], rel=1e-4)
+    assert got[-1] == pytest.approx(far[1], rel=1e-4)
+    assert far == pytest.approx([1.16808, 1.10480], abs=1e-5)
 
 
 def test_decay_study_sample_family(tmp_path):
