@@ -88,7 +88,7 @@ class ExperimentConfig:
     eps_ladder: tuple = (0.125, 0.0625, 0.03125, 0.015625)
     t_end: float = 0.5
     dt: float | None = None
-    solver_points: int = 8192
+    solver_points: int = 8191
     corrector_points: int = 2049
     ppw: int = 16
     times: tuple = (0.5, 1.0, 5.0)

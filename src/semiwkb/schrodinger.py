@@ -35,6 +35,11 @@ class WaveField:
     The grid must be uniform with nodes r_j = j*dr, j = 1..M and
     dr = r_max/(M+1); u vanishes at both off-grid ends.  ``lam`` is the
     Hartree coupling the field evolves under.
+
+    A field made by ``strang_step`` also carries its trailing half-step's
+    potential phase factor, keyed by that half-step, so the next step of
+    the same length reuses it; a field built from bare values, by
+    ``replace`` or ``WaveField(...)``, carries none and computes its own.
     """
     eps: float
     grid: RadialGrid
@@ -176,7 +181,14 @@ def _kinetic_phases(eps: float, L: float, M: int, dt: float) -> np.ndarray:
 
 
 def _potential_phase(u: WaveField, half_dt: float) -> np.ndarray:
-    return u.values * np.exp((-1j * u.lam * half_dt / u.eps) * u.potential)
+    """exp(-i lam half_dt V/eps) at the nodes, written as cos + i sin of the
+    real angle into one complex array: the exponent is purely imaginary, so
+    np.exp's complex arithmetic buys nothing."""
+    theta = (-u.lam * half_dt / u.eps) * u.potential
+    factor = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=factor.real)
+    np.sin(theta, out=factor.imag)
+    return factor
 
 
 def strang_step(u: WaveField, dt: float) -> WaveField:
@@ -186,21 +198,27 @@ def strang_step(u: WaveField, dt: float) -> WaveField:
     The potential is frozen within each phase substep; since it depends only
     on |u|^2, which the phase multiplication preserves, both substeps are
     exactly unitary in the discrete L^2(r^2 dr) product, and the trailing
-    substep's potential is handed on as the next step's leading one.
+    substep's potential and phase factor are handed on as the next step's
+    leading ones.  The factor is reused only for the same half-step: a
+    shortened step builds its own.
     """
     if dt < 0:
         raise ParameterError("dt must be nonnegative")
     if dt == 0.0:
         return u
-    r = u.r
-    vals = u.values if u.lam == 0.0 else _potential_phase(u, 0.5 * dt)
+    r, half, vals = u.r, 0.5 * dt, u.values
+    if u.lam != 0.0:
+        key, factor = vars(u).get("_trailing_phase", (None, None))
+        vals = vals * (factor if key == half else _potential_phase(u, half))
     what = dst(r * vals)
     what *= _kinetic_phases(u.eps, u.grid.r_max, u.grid.points, dt)
     mid = replace(u, values=dst(what) / r, t=u.t + dt)
     if u.lam == 0.0:
         return mid
-    out = replace(mid, values=_potential_phase(mid, 0.5 * dt))
+    factor = _potential_phase(mid, half)
+    out = replace(mid, values=mid.values * factor)
     vars(out)["potential"] = mid.potential
+    vars(out)["_trailing_phase"] = (half, factor)
     return out
 
 
@@ -252,7 +270,7 @@ def run(data: InitialData, eps: float, t_end: float,
     if t_end <= 0:
         raise ParameterError("t_end must be positive")
     if grid is None:
-        grid = RadialGrid(data.r_max, 8192, include_origin=False)
+        grid = RadialGrid(data.r_max, 8191, include_origin=False)
     if dt is None:
         dt = min(1e-3, eps / 10.0)
     if dt <= 0:

@@ -54,18 +54,19 @@ def test_on_disk_format_pinned():
     assert RadialGrid(40.0, 8192).descriptor() == {
         "r_max": 40.0, "points": 8192, "spacing": "uniform",
         "include_origin": True, "stretch": 1.0}
-    recorded = {"converge": "73a9dbef4fd15783",
-                "classify": "d83cb50a478c3273",
-                "decay-study": "8853f95825dc9a11",
-                "schrodinger-run": "d3d47abd6cc9e3ba"}
+    recorded = {"converge": "fd894c6b43f62598",
+                "classify": "d7bf5de23b2d9518",
+                "decay-study": "cef9901be6c24e9d",
+                "schrodinger-run": "2c09f17b1440da73"}
     for scenario, digest in recorded.items():
         assert ExperimentConfig(scenario=scenario).hash() == digest
     # the committed study configs
     configs = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
-    committed = {"converge": "67bf6b77004b98e7",
-                 "classify": "3c3f65a3637a7654",
-                 "decay-study": "8853f95825dc9a11",
-                 "evolve-ep": "94279a22c6c8a23b"}
+    committed = {"converge": "65983a7275ba188d",
+                 "classify": "bf2aff80b208ac0f",
+                 "decay-study": "cef9901be6c24e9d",
+                 "evolve-ep": "b031e4bacd246284",
+                 "schrodinger-run": "dc5b2c3613a45ff2"}
     assert sorted(os.listdir(configs)) == sorted(f"{s}.json" for s in committed)
     for scenario, digest in committed.items():
         with open(os.path.join(configs, f"{scenario}.json")) as f:

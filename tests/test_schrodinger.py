@@ -197,6 +197,47 @@ def test_run_solves_poisson_once_per_step(monkeypatch, smooth_chirped):
     assert calls == [512] * 21
 
 
+def _counted_phase_factors(monkeypatch):
+    """The half-steps of the phase factors built afresh from here on."""
+    calls, build = [], schrodinger._potential_phase
+
+    def counting(u, half_dt):
+        calls.append(half_dt)
+        return build(u, half_dt)
+
+    monkeypatch.setattr(schrodinger, "_potential_phase", counting)
+    return calls
+
+
+def test_run_builds_one_phase_factor_per_step(monkeypatch, smooth_chirped):
+    calls = _counted_phase_factors(monkeypatch)
+    # a binary step, so the accumulated time shortens no step by an ulp
+    dt = 2.0 ** -10
+    run(smooth_chirped, 0.5, 20 * dt, dt=dt, grid=wave_grid(512))
+    # the initial field's factor, then each step's trailing one
+    assert calls == [0.5 * dt] * 21
+
+
+def test_shortened_step_builds_its_own_phase_factor(monkeypatch,
+                                                    smooth_chirped):
+    calls = _counted_phase_factors(monkeypatch)
+    dt, t_end, g = 2.0 ** -10, 20.5 * 2.0 ** -10, wave_grid(512)
+    res = run(smooth_chirped, 0.5, t_end, dt=dt, grid=g,
+              snapshot_times=[t_end])
+    # the shortened last step builds its leading factor too
+    assert calls == [0.5 * dt] * 21 + [0.25 * dt] * 2
+    # every step from a field rebuilt from bare values builds both factors
+    fresh = initial_wavefield(smooth_chirped, 0.5, g)
+    while fresh.t < t_end:
+        fresh = strang_step(WaveField(fresh.eps, fresh.grid, fresh.values,
+                                      fresh.lam, fresh.t),
+                            min(dt, t_end - fresh.t))
+    carried = res.snapshots[-1]
+    assert carried.t == fresh.t == t_end
+    scale = np.max(np.abs(fresh.values))
+    assert np.max(np.abs(carried.values - fresh.values)) / scale <= 1e-12
+
+
 def test_gauge_covariance(smooth_chirped):
     u = initial_wavefield(smooth_chirped, 0.5, wave_grid())
     theta = 1.234
@@ -226,6 +267,17 @@ def test_energy_drift_is_second_order_in_dt(smooth_small):
 
     ratio = drift(0.1) / drift(0.05)
     assert 3.0 <= ratio <= 5.5
+
+
+@pytest.mark.parametrize("chirp", [0.75, 1.0, 1.25])
+def test_energy_drift_bounded(chirp):
+    # eps = 1/32 at run's default step: relative drift 1.1e-3 to 1.6e-3
+    d = smooth_ball_data(chirp=chirp, grid=RadialGrid(40.0, 8192))
+    res = run(d, 1.0 / 32.0, 0.5, grid=wave_grid(4095),
+              observable_times=np.linspace(0.0, 0.5, 11))
+    energy = np.array([ob.energy for ob in res.observables])
+    assert len(energy) == 11
+    assert np.max(np.abs(energy - energy[0])) / abs(energy[0]) <= 5e-3
 
 
 def test_wavegrid_potential_gaussian_fourth_order():
