@@ -220,6 +220,9 @@ def integrate_characteristics(data: InitialData, R: float, t_end: float,
                               t_eval=None) -> CharacteristicTrajectory:
     """Adaptive RK5(4) trajectory of (X, X') and the variational pair (B, B').
 
+    The force reads m0 and rho0 from their splines, except on compatible
+    data, where it takes m0 and its R-derivative from the velocity.
+
     Terminal events detect X falling below the collapse floor and B crossing
     zero; the first event is reported with its mechanism.  Step-size underflow
     close to collapse is reported as approach-to-blowup rather than failure.
@@ -229,9 +232,17 @@ def integrate_characteristics(data: InitialData, R: float, t_end: float,
     if tol <= 0:
         raise ParameterError("tolerance must be positive")
     n, lam = data.n, data.lam
-    m0R = float(data.m0_at(R)[0])
-    mpR = float(data.rho0_at(R)[0]) * R ** (n - 1)
-    y0 = [R, float(data.v0_at(R)[0]), 1.0, float(data.v0_prime_at(R)[0])]
+    v, vp = float(data.v0_at(R)[0]), float(data.v0_prime_at(R)[0])
+    if data.compatible:
+        # the force of the data's own velocity, m0 = (n-2) R^(n-2) v0^2/(2|lam|),
+        # so the closed-form flow solves this ODE exactly
+        k = 0.5 * (n - 2) / abs(lam)
+        m0R = k * R ** (n - 2) * v * v
+        mpR = k * R ** (n - 3) * v * ((n - 2) * v + 2.0 * R * vp)
+    else:
+        m0R = float(data.m0_at(R)[0])
+        mpR = float(data.rho0_at(R)[0]) * R ** (n - 1)
+    y0 = [R, v, 1.0, vp]
 
     def position_floor(t, y):
         return y[0] - X_FLOOR_FRACTION * R

@@ -104,7 +104,8 @@ def initial_wavefield(data: InitialData, eps: float, grid: RadialGrid,
     """Prepare u = A0 exp(i Phi0 / eps) on the solver grid.
 
     Raises a resolution error naming the required point count when the grid
-    cannot resolve the phase at ppw points per local wavelength.
+    cannot resolve the phase at ppw points per local wavelength, and the
+    smallest count past it whose DST length 2(M+1) is fast.
     """
     if data.n != 3:
         raise UnsupportedConfigurationError(
@@ -113,7 +114,9 @@ def initial_wavefield(data: InitialData, eps: float, grid: RadialGrid,
     if grid.points < need:
         raise ResolutionError(
             f"grid has {grid.points} points but the phase needs at least "
-            f"{need} (dr <= 2 pi eps / ({ppw} * max|Phi0'|))")
+            f"{need} (dr <= 2 pi eps / ({ppw} * max|Phi0'|)); the smallest "
+            f"count at least that with a fast transform length 2(M+1) is "
+            f"{next_fast_len(need + 1, real=True) - 1}")
     r = grid.nodes
     u = data.amplitude_at(r).astype(complex) * np.exp(1j * data.phi0_at(r) / eps)
     return WaveField(eps=eps, grid=grid, values=u, lam=data.lam, t=0.0)

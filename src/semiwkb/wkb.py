@@ -43,16 +43,10 @@ __all__ = [
     "limit_system_residual", "first_corrector",
 ]
 
-N_PICARD = 3        # fixed-point sweeps per corrector step
-# Largest change of the last sweep, relative to the state.  Measured worst for
-# chirp 1 on 2049 labels, from the explicit-Euler start: 1.6e-7 at a step of
-# 5e-3, 1.3e-6 at 1e-2, 1.9e-5 at 2.5e-2 and 5.4e-2 at 0.5.  A single sweep
-# leaves 1.6e-2 at 1e-2 (real data, 513 labels).
-PICARD_TOL = 1e-3
 # Coarse-fine time-error estimate max|y(dt/2) - y(dt)| / max|y(dt/2)|.
-# Measured for chirp 1 on 2049 labels at T = 0.5: 5.3e-5 at dt = 1e-2; on 513
-# labels at T = 0.4: 6.1e-5 at 1e-2, 3.8e-4 at 2.5e-2, 9.7e-4 at 4e-2 and
-# 1.5e-3 at 5e-2; 3.0e-5 for the n = 4 ball at 1e-2.
+# Measured for chirp 1 on 2049 labels at T = 0.5: 1.6e-8 at dt = 2.5e-2; on 513
+# labels at T = 0.4: 4.3e-10 at 1e-2, 1.7e-8 at 2.5e-2, 4.2e-6 at 0.1 and
+# 7.8e-4 at 0.4.
 TIME_ERROR_TOL = 1e-3
 
 
@@ -286,59 +280,39 @@ def _label_derivatives(values: np.ndarray, st, grid: RadialGrid,
     return fx, fxx + (n - 1) * over_r(fx, st.X, fxx[0])
 
 
-def _cn_step(reaction, c_old, c_new, a1, p1, step, t_new):
-    """One Crank-Nicolson step of N_PICARD fixed-point sweeps.
-
-    Each sweep multiplies the distance to the fixed point by O(step).  The
-    sweeps start from the explicit-Euler predictor a1 + step * rhs_old, an
-    O(step^2) guess, so three of them leave O(step^5) per step and the march
-    keeps the even-power error expansion Richardson extrapolation needs.
-    Started from qa, an O(step) guess, they leave an O(step^3) global term.
-    """
-    rhs_a_old, rhs_p_old = reaction(c_old, a1, p1)
-    qa = a1 + 0.5 * step * rhs_a_old
-    qp = p1 + 0.5 * step * rhs_p_old
-    a1_new = qa + 0.5 * step * rhs_a_old
-    p1_new = qp + 0.5 * step * rhs_p_old
-    for _ in range(N_PICARD):
-        a1_last, p1_last = a1_new, p1_new
-        rhs_a, rhs_p = reaction(c_new, a1_last, p1_last)
-        a1_new, p1_new = qa + 0.5 * step * rhs_a, qp + 0.5 * step * rhs_p
-    change = max(np.max(np.abs(a1_new - a1_last)),
-                 np.max(np.abs(p1_new - p1_last)))
-    scale = max(np.max(np.abs(a1_new)), np.max(np.abs(p1_new)))
-    if change > PICARD_TOL * scale:
-        raise StepRejectionError(
-            f"corrector fixed point did not settle at t = {t_new:.6g}: "
-            f"the last of {N_PICARD} sweeps moved the state by "
-            f"{change / scale:.3e} of its size")
-    return a1_new, p1_new
+def _rk4_step(reaction, c0, c_half, c1, a1, p1, step):
+    """One classical Runge-Kutta step of the reaction terms, with the
+    backgrounds c0, c_half and c1 at the start, middle and end of the step."""
+    k1 = reaction(c0, a1, p1)
+    k2 = reaction(c_half, a1 + 0.5 * step * k1[0], p1 + 0.5 * step * k1[1])
+    k3 = reaction(c_half, a1 + 0.5 * step * k2[0], p1 + 0.5 * step * k2[1])
+    k4 = reaction(c1, a1 + step * k3[0], p1 + step * k3[1])
+    return tuple(y + step / 6.0 * (s1 + 2.0 * (s2 + s3) + s4)
+                 for y, s1, s2, s3, s4 in zip((a1, p1), k1, k2, k3, k4))
 
 
 def first_corrector(data: InitialData, t_end: float,
                     grid: RadialGrid | None = None,
-                    dt: float = 1e-2,
+                    dt: float = 2.5e-2,
                     sample_times=None) -> CorrectorSeries:
     """March the first linearized pair (a1, phi1) from zero to t_end.
 
     The state lives on the labels R = grid.nodes, which ride the closed-form
     characteristics, so no transport term is left.  The reaction terms
     (amplitude-phase coupling, the dispersive source i/2 * Lap a0, and the
-    Hartree feedback) take Crank-Nicolson steps of N_PICARD fixed-point
-    sweeps, and a step whose last sweep still moves the state by more than
-    PICARD_TOL of its size raises StepRejectionError.  d/dX = (1/B) d/dR, and
-    Lap phi0 = F/(1+Ft) + G/(1+Gt) is exact.
+    Hartree feedback) are a non-stiff linear ODE and take classical
+    Runge-Kutta steps.  d/dX = (1/B) d/dR, and Lap phi0 = F/(1+Ft) + G/(1+Gt)
+    is exact.
 
     Two marches run side by side: a coarse one with steps of dt, shortened to
     land on each sample time, and a fine one that takes every coarse step as
-    two equal halves.  Crank-Nicolson is symmetric, so its error has only
-    even powers of the step, and the returned state (4 y_fine - y_coarse)/3
-    is fourth order in time.  At each sample time max|y_fine - y_coarse| /
-    max|y_fine| over (a1, phi1) is the time-error estimate (``time_error``);
-    above TIME_ERROR_TOL the call raises StepRejectionError.  One flow-map
-    inversion then pulls the combined state back to the nodes of ``grid``,
-    which must have the origin layout (the Hartree feedback is solved on
-    them).
+    two equal halves.  The error of each is fourth order in the step, and the
+    returned state (16 y_fine - y_coarse)/15 is fifth order in time.  At each
+    sample time max|y_fine - y_coarse| / max|y_fine| over (a1, phi1) is the
+    time-error estimate (``time_error``); above TIME_ERROR_TOL the call raises
+    StepRejectionError.  One flow-map inversion then pulls the combined state
+    back to the nodes of ``grid``, which must have the origin layout (the
+    Hartree feedback is solved on them).
     """
     if t_end <= 0 or dt <= 0:
         raise ParameterError("t_end and dt must be positive")
@@ -385,7 +359,7 @@ def first_corrector(data: InitialData, t_end: float,
             raise StepRejectionError(
                 f"corrector time-error estimate {err:.3e} at t = {tv:.6g} "
                 f"exceeds {TIME_ERROR_TOL:g}: take a smaller dt than {dt:g}")
-        a1, p1 = ((4.0 * f - c) / 3.0 for f, c in zip(fine, coarse))
+        a1, p1 = ((16.0 * f - c) / 15.0 for f, c in zip(fine, coarse))
         labels = invert_flow_map(data, tv, R)
         state = CubicSpline(R, np.column_stack([a1.real, a1.imag, p1]))(labels)
         out_t.append(tv)
@@ -404,13 +378,12 @@ def first_corrector(data: InitialData, t_end: float,
         step = min(dt, t_end - t)
         if sample_times and sample_times[0] < t + step - eps_t:
             step = max(sample_times[0] - t, eps_t)
-        half = 0.5 * step
-        t_mid, t_new = t + half, t + step
-        c_mid, c_new = background(t_mid), background(t_new)
-        coarse = _cn_step(reaction, c_old, c_new, *coarse, step, t_new)
-        fine = _cn_step(reaction, c_old, c_mid, *fine, half, t_mid)
-        fine = _cn_step(reaction, c_mid, c_new, *fine, half, t_new)
-        t, c_old = t_new, c_new
+        c_q1, c_mid, c_q3, c_new = (background(t + q * step)
+                                    for q in (0.25, 0.5, 0.75, 1.0))
+        coarse = _rk4_step(reaction, c_old, c_mid, c_new, *coarse, step)
+        fine = _rk4_step(reaction, c_old, c_q1, c_mid, *fine, 0.5 * step)
+        fine = _rk4_step(reaction, c_mid, c_q3, c_new, *fine, 0.5 * step)
+        t, c_old = t + step, c_new
         if sample_times and t >= sample_times[0] - eps_t:
             record(t)
             sample_times = sample_times[1:]

@@ -66,7 +66,8 @@ def test_on_disk_format_pinned():
                  "classify": "bf2aff80b208ac0f",
                  "decay-study": "cef9901be6c24e9d",
                  "evolve-ep": "b031e4bacd246284",
-                 "schrodinger-run": "dc5b2c3613a45ff2"}
+                 "schrodinger-run": "dc5b2c3613a45ff2",
+                 "wkb-eval": "19b72e54e86b8c9e"}
     assert sorted(os.listdir(configs)) == sorted(f"{s}.json" for s in committed)
     for scenario, digest in committed.items():
         with open(os.path.join(configs, f"{scenario}.json")) as f:

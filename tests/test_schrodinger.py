@@ -67,6 +67,27 @@ def test_resolution_gate_names_required_points(smooth):
     initial_wavefield(smooth, eps, wave_grid(need + 16))   # passes
 
 
+def test_resolution_gate_names_fast_points(smooth):
+    # the error also names the smallest M >= need whose M+1 is 5-smooth, so
+    # that the DST length 2(M+1) is fast; the gate itself stays on need
+    eps = 1.0 / 32.0
+    need = required_points(smooth, eps, 40.0)
+    with pytest.raises(ResolutionError) as err:
+        initial_wavefield(smooth, eps, wave_grid(need // 2))
+    fast = int(str(err.value).rsplit(" ", 1)[-1])
+
+    def smooth5(k):
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    assert fast >= need and smooth5(fast + 1)
+    assert not any(smooth5(m + 1) for m in range(need, fast))
+    assert not smooth5(need + 1)    # 2425 = 5^2 * 97, so the counts differ
+    initial_wavefield(smooth, eps, wave_grid(need))     # passes
+
+
 def test_wavefield_layout_contract(smooth):
     with pytest.raises(ContractError):
         WaveField(0.5, RadialGrid(10.0, 64), np.zeros(64, complex))

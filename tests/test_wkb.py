@@ -382,15 +382,9 @@ def test_corrector_four_dimensions_origin_converges():
 
 
 def test_corrector_step_rejection(smooth_small):
+    # the time-error estimate reads 3.2e-3 at T = dt = 1 (4.9e-4 at 0.5)
     with pytest.raises(StepRejectionError):
-        first_corrector(smooth_small, 0.5, grid=RadialGrid(40.0, 513), dt=0.5)
-
-
-def test_corrector_picard_gate_fails_closed(smooth_small, monkeypatch):
-    # one sweep leaves the fixed point unsettled by far more than the gate
-    monkeypatch.setattr(wkb, "N_PICARD", 1)
-    with pytest.raises(StepRejectionError, match="did not settle"):
-        first_corrector(smooth_small, 0.01, grid=RadialGrid(40.0, 513))
+        first_corrector(smooth_small, 1.0, grid=RadialGrid(40.0, 513), dt=1.0)
 
 
 def chirped_small():
@@ -398,14 +392,13 @@ def chirped_small():
 
 
 def test_corrector_fourth_order_in_time():
-    # Richardson on Crank-Nicolson: each halving of dt divides the successive
-    # differences by 16.  Measured ratios 15.5, 15.8 (a1) and 15.8, 15.9
-    # (phi1); from the Picard start qa instead of the Euler predictor they
-    # read 7.4.
+    # Richardson on classical Runge-Kutta is fifth order: each halving of dt
+    # divides the successive differences by about 32.  Measured ratios 67, 80
+    # (a1) and 23, 28 (phi1); at dt = 5e-3 the a1 difference is at round-off.
     d = chirped_small()
     grid = RadialGrid(40.0, 513)
     finals = [first_corrector(d, 0.4, grid=grid, dt=dt).at_final()
-              for dt in (4e-2, 2e-2, 1e-2, 5e-3)]
+              for dt in (0.2, 0.1, 0.05, 0.025)]
     for k in (0, 1):
         diffs = [np.max(np.abs(a[k].values - b[k].values))
                  for a, b in zip(finals, finals[1:])]
@@ -415,31 +408,31 @@ def test_corrector_fourth_order_in_time():
 
 def test_corrector_shortened_steps_keep_fourth_order():
     # dt = 0.005 shortens the steps that land on 0.0075 and 0.02; dt = 0.0025
-    # reaches both without shortening.  Measured relative differences: 4.2e-11
-    # (a1) and 3.3e-9 (phi1); with a fine march that re-runs the step rule at
-    # dt/2 instead of halving every coarse step they read 3.4e-6 and 1.4e-4.
+    # reaches both without shortening.  Measured relative differences: 4.1e-15
+    # (a1) and 3.7e-12 (phi1); with a fine march that re-runs the step rule at
+    # dt/2 instead of halving every coarse step they read 1.1e-12 and 6.9e-10.
     d = chirped_small()
     grid = RadialGrid(40.0, 513)
     short, even = (first_corrector(d, 0.02, grid=grid, dt=dt,
                                    sample_times=[0.0075, 0.02])
                    for dt in (0.005, 0.0025))
     for i in range(2):
-        for name, bound in (("a1", 1e-9), ("phi1", 1e-7)):
+        for name, bound in (("a1", 1e-13), ("phi1", 1e-10)):
             x = getattr(short, name)[i].values
             y = getattr(even, name)[i].values
             assert np.max(np.abs(x - y)) <= bound * np.max(np.abs(y))
 
 
 def test_corrector_time_error_gate_fails_closed():
-    # the coarse-fine estimate reads 6.1e-5 at dt = 1e-2, 9.7e-4 at 4e-2 and
-    # 1.5e-3 at 5e-2, past TIME_ERROR_TOL = 1e-3
+    # the coarse-fine estimate reads 4.3e-10 at dt = 1e-2 and T = 0.4, and
+    # 1.396e-3 at dt = 0.5 and T = 1, past TIME_ERROR_TOL = 1e-3
     d = chirped_small()
     grid = RadialGrid(40.0, 513)
     cs = first_corrector(d, 0.4, grid=grid, dt=1e-2, sample_times=[0.0, 0.4])
     assert cs.time_error[0] == 0.0
     assert 0.0 < cs.time_error[1] <= 1e-4
-    with pytest.raises(StepRejectionError, match="time-error estimate 1.5"):
-        first_corrector(d, 0.4, grid=grid, dt=5e-2)
+    with pytest.raises(StepRejectionError, match="time-error estimate 1.39"):
+        first_corrector(d, 1.0, grid=grid, dt=0.5)
 
 
 def test_corrector_sample_times(smooth_small):
@@ -468,5 +461,5 @@ def test_corrector_matches_converged_eulerian_march(smooth_chirped):
     a1, phi1 = first_corrector(smooth_chirped, 0.5, grid=grid).at_final()
     for r, a1_ref, phi1_ref in EULERIAN_ANCHOR:
         i = round(r / grid.dr)
-        assert abs(phi1.values[i] - phi1_ref) <= 1e-6     # measured 3.3e-7
-        assert abs(a1.values[i] - a1_ref) <= 1e-4         # measured 4.0e-5
+        assert abs(phi1.values[i] - phi1_ref) <= 1e-6     # measured 1.5e-7
+        assert abs(a1.values[i] - a1_ref) <= 1e-4         # measured 3.6e-5
