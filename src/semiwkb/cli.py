@@ -60,7 +60,8 @@ def _summarize(scenario: str, result) -> str:
     if scenario == "converge":
         return (f"converge: order_modulus={result.fitted_order_modulus:.3f} "
                 f"order_full={result.fitted_order_full:.3f} "
-                f"excluded={result.excluded_eps}")
+                f"excluded={result.excluded_eps} "
+                f"points={[row['points'] for row in result.rows]}")
     if scenario == "classify":
         kinds = {}
         for row in result:

@@ -4,6 +4,7 @@ sweeps, decay fits, and report emission."""
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import time
 import warnings
@@ -20,13 +21,13 @@ from .grids import RadialGrid, RadialProfile
 from .norms import decay_fit, lp_norm, norm_diagnostics, sphere_area
 from .profiles import (InitialData, ball_data, gaussian_free_data,
                        sample_data, smooth_ball_data)
-from .schrodinger import run
+from .schrodinger import fast_points, required_points, run
 from .wkb import WkbFields, first_corrector, leading_order
 
 __all__ = ["DataConfig", "ExperimentConfig", "ConvergenceReport",
-           "build_data", "converge", "classify_sweep", "decay_study",
-           "evolve_ep", "wkb_eval", "schrodinger_run", "run_scenario",
-           "SCENARIOS"]
+           "build_data", "rung_points", "converge", "classify_sweep",
+           "decay_study", "evolve_ep", "wkb_eval", "schrodinger_run",
+           "run_scenario", "SCENARIOS"]
 
 SCENARIOS = ("classify", "evolve-ep", "wkb-eval", "schrodinger-run",
              "converge", "decay-study")
@@ -272,6 +273,21 @@ def fit_order(eps: np.ndarray, errs: np.ndarray) -> tuple[float, list]:
     return float(coef[0]), []
 
 
+def rung_points(data: InitialData, config: ExperimentConfig) -> list:
+    """Wave node count of each rung of ``config.eps_ladder``.
+
+    The finest rung, eps_min, runs on ``solver_points`` = M nodes.  Rung k
+    takes the smallest count whose DST length 2(M_k+1) is fast and that is at
+    least both (M+1) eps_min/eps_k - 1, the finest grid's nodes per unit of
+    eps, and ``required_points`` at eps_k; no count exceeds M.
+    """
+    M, eps_min = config.solver_points, min(config.eps_ladder)
+    return [min(M, fast_points(max(
+        math.ceil((M + 1) * eps_min / eps) - 1,
+        required_points(data, eps, config.data.r_max, config.ppw))))
+        for eps in config.eps_ladder]
+
+
 def converge(config: ExperimentConfig) -> ConvergenceReport:
     """epsilon-ladder WKB error study at t_end.
 
@@ -279,39 +295,49 @@ def converge(config: ExperimentConfig) -> ConvergenceReport:
     modulus error || |u| - |a0| ||_L2 and the full error
     || u e^{-i phi0/eps} - a0 e^{i phi1} ||_L2 against the leading order plus
     first corrector; then fit log-log orders.
+
+    ``solver_points`` is the grid of the finest rung; each coarser rung runs
+    on the smaller fast grid of ``rung_points``, on which a0, phi0 and phi1
+    are evaluated once per distinct grid.  Every row records its ``points``.
     """
     data = build_data(config.data)
     T = config.t_end
-    wgrid = RadialGrid(config.data.r_max, config.solver_points,
-                       include_origin=False)
-    fields = leading_order(data, T, wgrid)
-    a0T = fields.a0.values
-    phi0T = fields.phi0.values
+    counts = rung_points(data, config)
     corr = first_corrector(data, T,
                            grid=RadialGrid(config.data.r_max,
                                            config.corrector_points))
     _, p1T = corr.at_final()
-    phi1 = p1T(wgrid.nodes)
-    beta0 = a0T * np.exp(1j * phi1)
-    r, dr = wgrid.nodes, wgrid.dr
 
-    def one(eps: float) -> dict:
+    def reference(m: int) -> tuple:
+        """The rung grid on m nodes with a0, phi0 and beta0 = a0 e^{i phi1}
+        at t_end on it."""
+        wgrid = RadialGrid(config.data.r_max, m, include_origin=False)
+        fields = leading_order(data, T, wgrid)
+        a0T = fields.a0.values
+        return (wgrid, a0T, fields.phi0.values,
+                a0T * np.exp(1j * p1T(wgrid.nodes)))
+
+    refs = {m: reference(m) for m in set(counts)}
+
+    def one(eps: float, m: int) -> dict:
         t0 = time.perf_counter()
+        wgrid, a0T, phi0T, beta0 = refs[m]
+        r, dr = wgrid.nodes, wgrid.dr
         dt = config.dt if config.dt is not None else eps / 10.0
         res = run(data, eps, T, dt=dt, grid=wgrid, snapshot_times=[T],
                   ppw=config.ppw)
         u = res.snapshots[-1].values
         em = _weighted_l2(np.abs(u) - np.abs(a0T), r, dr, data.n)
         ef = _weighted_l2(u * np.exp(-1j * phi0T / eps) - beta0, r, dr, data.n)
-        return {"eps": eps, "err_modulus": em, "err_full": ef,
+        return {"eps": eps, "points": m, "err_modulus": em, "err_full": ef,
                 "runtime_s": time.perf_counter() - t0}
 
     ladder = list(config.eps_ladder)
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            rows = list(pool.map(one, ladder))
+            rows = list(pool.map(one, ladder, counts))
     else:
-        rows = [one(e) for e in ladder]
+        rows = [one(e, m) for e, m in zip(ladder, counts)]
 
     eps_arr = np.array([row["eps"] for row in rows])
     om, exc_m = fit_order(eps_arr, np.array([row["err_modulus"] for row in rows]))
@@ -326,7 +352,7 @@ def converge(config: ExperimentConfig) -> ConvergenceReport:
                columns=cols, scenario="converge")
         _write(config, "convergence.json", {
             "config_hash": report.config_hash,
-            "rows": [{k: r[k] for k in cols} for r in rows],
+            "rows": [{k: r[k] for k in cols + ("points",)} for r in rows],
             "fitted_order_modulus": om, "fitted_order_full": of,
             "excluded_eps": report.excluded_eps,
             "corrector_time_error": float(corr.time_error[-1])})

@@ -21,7 +21,7 @@ from .wkb import hartree_potential
 
 __all__ = ["WaveField", "Observables", "RunResult", "initial_wavefield",
            "strang_step", "run", "madelung_observables", "current_velocity",
-           "required_points"]
+           "required_points", "fast_points"]
 
 FOUR_PI = 4.0 * math.pi
 VELOCITY_FLOOR = 1e-8          # |u| mask threshold, relative to max|u|
@@ -99,6 +99,12 @@ def required_points(data: InitialData, eps: float, r_max: float,
     return max(16, int(math.ceil(r_max / dr_req)) - 1)
 
 
+def fast_points(m: int) -> int:
+    """Smallest node count M >= m whose DST length 2(M+1) is fast: M+1 is
+    5-smooth."""
+    return next_fast_len(m + 1, real=True) - 1
+
+
 def initial_wavefield(data: InitialData, eps: float, grid: RadialGrid,
                       ppw: int = 16) -> WaveField:
     """Prepare u = A0 exp(i Phi0 / eps) on the solver grid.
@@ -116,7 +122,7 @@ def initial_wavefield(data: InitialData, eps: float, grid: RadialGrid,
             f"grid has {grid.points} points but the phase needs at least "
             f"{need} (dr <= 2 pi eps / ({ppw} * max|Phi0'|)); the smallest "
             f"count at least that with a fast transform length 2(M+1) is "
-            f"{next_fast_len(need + 1, real=True) - 1}")
+            f"{fast_points(need)}")
     r = grid.nodes
     u = data.amplitude_at(r).astype(complex) * np.exp(1j * data.phi0_at(r) / eps)
     return WaveField(eps=eps, grid=grid, values=u, lam=data.lam, t=0.0)
@@ -125,8 +131,7 @@ def initial_wavefield(data: InitialData, eps: float, grid: RadialGrid,
 def _fast_length(M: int) -> bool:
     """Whether the DST-I on M nodes, an FFT of length 2(M+1), has a fast
     (5-smooth) length; this picks the branch of ``dst``."""
-    n = 2 * (M + 1)
-    return next_fast_len(n, real=True) == n
+    return fast_points(M) == M
 
 
 @lru_cache(maxsize=8)
@@ -265,10 +270,13 @@ def run(data: InitialData, eps: float, t_end: float,
         observable_times=None, snapshot_times=None, ppw: int = 16) -> RunResult:
     """Fixed-step Strang march with observables sampled at requested times.
 
-    The default step is min(1e-3, eps/10), resolving the O(1/eps) potential
-    phase accumulation.  Mass escaping past the truncation monitor (outer 2%
-    of the box) beyond ``BOUNDARY_TOL`` of the total is recorded as a
-    truncation warning stamped with the simulation time.
+    Every full step is exactly dt and ends at the time k*dt, so the steps
+    share one kinetic phase table and hand their potential phase factor on;
+    only a genuine remainder to t_end builds its own.  The default step is
+    min(1e-3, eps/10), resolving the O(1/eps) potential phase accumulation.
+    Mass escaping past the truncation monitor (outer 2% of the box) beyond
+    ``BOUNDARY_TOL`` of the total is recorded as a truncation warning stamped
+    with the simulation time.
     """
     if t_end <= 0:
         raise ParameterError("t_end must be positive")
@@ -307,16 +315,19 @@ def run(data: InitialData, eps: float, t_end: float,
 
     eps_t = 1e-12 * max(t_end, 1.0)
     sample(u, u.t + eps_t)
-    nsteps = int(round(t_end / dt))
-    if abs(nsteps * dt - t_end) > 1e-9 * t_end:
-        nsteps = int(math.ceil(t_end / dt))
-    for _ in range(nsteps):
-        step = min(dt, t_end - u.t)
-        if step <= 0:
-            break
+    # full steps of exactly dt on the mesh k dt, then the remainder to t_end
+    # unless dt divides t_end to within 1e-9 of it
+    nfull = int(round(t_end / dt))
+    if abs(nfull * dt - t_end) > 1e-9 * t_end:
+        nfull = int(math.floor(t_end / dt))
+    marks = [(dt, k * dt) for k in range(1, nfull + 1)]
+    if t_end - nfull * dt > 1e-9 * t_end:
+        marks.append((t_end - nfull * dt, t_end))
+    for step, t in marks:
         u = strang_step(u, step)
+        object.__setattr__(u, "t", t)   # the mesh time, not the running sum
         sample(u, u.t + eps_t)
-    # the accumulated time may stop short of t_end by more than eps_t
+    # the last mesh time may miss t_end by up to 1e-9 of it either way
     sample(u, t_end + eps_t)
 
     if trunc:

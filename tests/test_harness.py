@@ -8,9 +8,11 @@ import pytest
 from semiwkb import (ConfigError, ConvergenceError, DataConfig,
                      ExperimentConfig, RadialGrid, harness, run)
 from semiwkb.cli import main as cli_main
-from semiwkb.harness import (build_data, classify_sweep, converge,
-                             decay_study, evolve_ep, schrodinger_run,
-                             wkb_eval)
+from semiwkb.harness import (_weighted_l2, build_data, classify_sweep,
+                             converge, decay_study, evolve_ep, rung_points,
+                             schrodinger_run, wkb_eval)
+from semiwkb.schrodinger import fast_points, required_points
+from semiwkb.wkb import first_corrector, leading_order
 
 
 def small_converge_config(**over):
@@ -177,8 +179,68 @@ def test_converge_emits_hash_stamped_files(conv_report):
     payload = json.loads((out / "convergence.json").read_text())
     assert payload["config_hash"] == cfg.hash()
     assert len(payload["rows"]) == 3
+    assert [row["points"] for row in payload["rows"]] == [539, 1079, 2048]
+    assert "eps,err_modulus,err_full" in csv.splitlines()   # columns kept
     assert "runtime_s" not in payload["rows"][0]   # timings live in the sidecar
     assert (out / "timing.json").exists()
+
+
+@pytest.mark.parametrize("solver_points, expected", [
+    (8192, [1079, 2159, 4319, 8192]),     # perfbench and acceptance 7/8
+    (8191, [1023, 2047, 4095, 8191])])    # configs/converge.json
+def test_rung_points_on_the_acceptance_ladder(solver_points, expected):
+    data_cfg = DataConfig(chirp=1.0, points=8192)
+    cfg = ExperimentConfig(scenario="converge", data=data_cfg,
+                           eps_ladder=(1 / 8, 1 / 16, 1 / 32, 1 / 64),
+                           t_end=0.5, solver_points=solver_points)
+    data = build_data(data_cfg)
+    counts = rung_points(data, cfg)
+    assert counts == expected
+    assert counts[-1] == cfg.solver_points
+    for eps, m in zip(cfg.eps_ladder, counts):
+        assert m >= required_points(data, eps, data_cfg.r_max, cfg.ppw)
+
+
+def test_rung_points_raised_to_required_points():
+    # data at rest need the floor of 16 nodes at every eps; the eps = 1/4
+    # rung's proportional share of 127 nodes is 15, so it rises to the
+    # smallest fast count past 16
+    data_cfg = DataConfig(family="gaussian_free", lam=0.0, points=1024,
+                          r_max=20.0)
+    cfg = ExperimentConfig(scenario="converge", data=data_cfg,
+                           eps_ladder=(0.25, 0.125, 0.0625, 0.03125),
+                           t_end=0.25, solver_points=127)
+    data = build_data(data_cfg)
+    assert required_points(data, 0.25, data_cfg.r_max, cfg.ppw) == 16
+    counts = rung_points(data, cfg)
+    assert counts == [17, 31, 63, 127]
+    assert fast_points(counts[0]) == counts[0]
+
+
+def test_converge_rungs_match_the_finest_grid(conv_report):
+    # each rung against the same march and reference fields on all
+    # solver_points nodes; measured moves on this config: err_full 1.9e-6
+    # (eps = 1/4), err_modulus 1.1e-6 (eps = 1/8), zero on the finest rung;
+    # the bound leaves a factor of five
+    cfg, report, _ = conv_report
+    data = build_data(cfg.data)
+    T, r_max = cfg.t_end, cfg.data.r_max
+    g = RadialGrid(r_max, cfg.solver_points, include_origin=False)
+    fields = leading_order(data, T, g)
+    _, p1T = first_corrector(data, T, grid=RadialGrid(
+        r_max, cfg.corrector_points)).at_final()
+    a0T, phi0T = fields.a0.values, fields.phi0.values
+    beta0 = a0T * np.exp(1j * p1T(g.nodes))
+    assert [row["points"] for row in report.rows] == [539, 1079, 2048]
+    for row in report.rows:
+        eps = row["eps"]
+        u = run(data, eps, T, dt=eps / 10.0, grid=g,
+                snapshot_times=[T]).snapshots[-1].values
+        em = _weighted_l2(np.abs(u) - np.abs(a0T), g.nodes, g.dr, data.n)
+        ef = _weighted_l2(u * np.exp(-1j * phi0T / eps) - beta0, g.nodes,
+                          g.dr, data.n)
+        assert abs(row["err_modulus"] - em) <= 1e-5 * em
+        assert abs(row["err_full"] - ef) <= 1e-5 * ef
 
 
 def test_converge_deterministic_and_thread_invariant(tmp_path, conv_report):

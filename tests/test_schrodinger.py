@@ -232,11 +232,23 @@ def _counted_phase_factors(monkeypatch):
 
 def test_run_builds_one_phase_factor_per_step(monkeypatch, smooth_chirped):
     calls = _counted_phase_factors(monkeypatch)
-    # a binary step, so the accumulated time shortens no step by an ulp
     dt = 2.0 ** -10
     run(smooth_chirped, 0.5, 20 * dt, dt=dt, grid=wave_grid(512))
     # the initial field's factor, then each step's trailing one
     assert calls == [0.5 * dt] * 21
+
+
+def test_non_binary_step_keeps_one_kinetic_table(monkeypatch, smooth_chirped):
+    # 40 steps of 1/80 summed in floating point end 2.7e-16 short of 0.5; on
+    # the mesh k*dt no step is shortened to close that gap
+    calls = _counted_phase_factors(monkeypatch)
+    dt = 1.0 / 80.0
+    schrodinger._kinetic_phases.cache_clear()
+    res = run(smooth_chirped, 0.5, 0.5, dt=dt, grid=wave_grid(512),
+              snapshot_times=[0.5])
+    assert schrodinger._kinetic_phases.cache_info().misses == 1
+    assert calls == [0.5 * dt] * 41
+    assert res.snapshots[-1].t == 40 * dt
 
 
 def test_shortened_step_builds_its_own_phase_factor(monkeypatch,
