@@ -77,7 +77,8 @@ def _summarize(scenario: str, result) -> str:
     if scenario == "schrodinger-run":
         last = result["observables"][-1]
         return (f"schrodinger-run: t={last['t']:g} mass={last['mass']:.9f} "
-                f"energy={last['energy']:.9f}")
+                f"energy={last['energy']:.9f} "
+                f"points={result['header']['grid']['points']}")
 
 
 if __name__ == "__main__":

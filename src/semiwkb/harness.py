@@ -120,6 +120,9 @@ class ExperimentConfig:
             raise ConfigError("threads must be >= 1")
         if self.ppw < 1:
             raise ConfigError("ppw must be >= 1")
+        for key in ("solver_points", "corrector_points"):
+            if getattr(self, key) < 16:
+                raise ConfigError(f"{key} must be >= 16")
         if self.norm_p < 1:
             raise ConfigError("norm_p must be >= 1")
         tail = self.t_tail
@@ -276,12 +279,14 @@ def fit_order(eps: np.ndarray, errs: np.ndarray) -> tuple[float, list]:
 def rung_points(data: InitialData, config: ExperimentConfig) -> list:
     """Wave node count of each rung of ``config.eps_ladder``.
 
-    The finest rung, eps_min, runs on ``solver_points`` = M nodes.  Rung k
+    The finest rung, eps_min, runs on M = ``fast_points(solver_points)``
+    nodes, ``solver_points`` rounded up to a fast DST length 2(M+1).  Rung k
     takes the smallest count whose DST length 2(M_k+1) is fast and that is at
     least both (M+1) eps_min/eps_k - 1, the finest grid's nodes per unit of
-    eps, and ``required_points`` at eps_k; no count exceeds M.
+    eps, and ``required_points`` at eps_k; no count exceeds M, so a finest
+    rung too coarse for its phase still fails its resolution check.
     """
-    M, eps_min = config.solver_points, min(config.eps_ladder)
+    M, eps_min = fast_points(config.solver_points), min(config.eps_ladder)
     return [min(M, fast_points(max(
         math.ceil((M + 1) * eps_min / eps) - 1,
         required_points(data, eps, config.data.r_max, config.ppw))))
@@ -296,9 +301,10 @@ def converge(config: ExperimentConfig) -> ConvergenceReport:
     || u e^{-i phi0/eps} - a0 e^{i phi1} ||_L2 against the leading order plus
     first corrector; then fit log-log orders.
 
-    ``solver_points`` is the grid of the finest rung; each coarser rung runs
-    on the smaller fast grid of ``rung_points``, on which a0, phi0 and phi1
-    are evaluated once per distinct grid.  Every row records its ``points``.
+    Every rung runs on the fast grid ``rung_points`` gives it: the finest on
+    ``solver_points`` rounded up to a fast count, each coarser one on fewer
+    nodes.  a0, phi0 and phi1 are evaluated once per distinct grid, and every
+    row records its ``points``.
     """
     data = build_data(config.data)
     T = config.t_end
@@ -527,10 +533,11 @@ def wkb_eval(config: ExperimentConfig) -> list:
 
 
 def schrodinger_run(config: ExperimentConfig) -> dict:
-    """Single wave-solver run with observables and optional snapshots."""
+    """Single wave-solver run with observables and optional snapshots, on
+    ``solver_points`` rounded up to a fast DST count."""
     data = build_data(config.data)
     eps = config.eps_ladder[0]
-    wgrid = RadialGrid(config.data.r_max, config.solver_points,
+    wgrid = RadialGrid(config.data.r_max, fast_points(config.solver_points),
                        include_origin=False)
     obs_times = sorted(set([0.0, config.t_end] + [float(t) for t in config.times
                                                   if t <= config.t_end]))

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.fft import dst as _scipy_dst, fft2, next_fast_len
+from scipy.fft import dst as _scipy_dst, next_fast_len
 
 from .errors import (ContractError, ParameterError, ResolutionError,
                      UnsupportedConfigurationError)
@@ -128,56 +128,13 @@ def initial_wavefield(data: InitialData, eps: float, grid: RadialGrid,
     return WaveField(eps=eps, grid=grid, values=u, lam=data.lam, t=0.0)
 
 
-def _fast_length(M: int) -> bool:
-    """Whether the DST-I on M nodes, an FFT of length 2(M+1), has a fast
-    (5-smooth) length; this picks the branch of ``dst``."""
-    return fast_points(M) == M
-
-
-@lru_cache(maxsize=8)
-def _prime_factor_maps(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Good-Thomas index maps: a length-N DFT is the 2-D DFT of the (N1, N2)
-    array ``z[gather]``, with coprime N1*N2 = N and no twiddle factors, and
-    frequency k sits at flat position ``order[k]`` of that 2-D spectrum.
-    N2 is N's largest prime-power factor, so only the length-N2 rows pay for
-    Bluestein, on buffers a fraction of the size of a length-N Bluestein's."""
-    n, p, powers = N, 2, []
-    while p * p <= n:
-        q = 1
-        while n % p == 0:
-            n, q = n // p, q * p
-        powers.append(q)
-        p += 1
-    N2 = max(powers + [n])
-    N1 = N // N2
-    i1, i2 = np.arange(N1)[:, None], np.arange(N2)
-    gather = (N2 * i1 + N1 * i2) % N
-    freq = (N2 * pow(N2, -1, N1) * i1 + N1 * pow(N1, -1, N2) * i2) % N
-    order = np.argsort(freq.ravel())
-    for a in (gather, order):
-        a.setflags(write=False)
-    return gather, order
-
-
 def dst(x: np.ndarray) -> np.ndarray:
     """Orthonormal DST-I of the complex samples x on M nodes; its own inverse.
 
-    At a fast length this is scipy's transform, which runs one real transform
-    for the real part and one for the imaginary part.  At other lengths
-    pocketfft can run each of those as a complex Bluestein FFT of length
-    2(M+1) (at M = 8192 it does), so one complex FFT of the odd extension
-    [0, x, 0, -x[::-1]], taken through the prime-factor maps, does the work
-    of both.
+    This is scipy's transform, an FFT of length 2(M+1), which is fast when
+    M+1 is 5-smooth: the harness builds every wave grid on ``fast_points``.
     """
-    M = len(x)
-    if _fast_length(M):
-        return _scipy_dst(x, type=1, norm="ortho")
-    ext = np.zeros(2 * (M + 1), dtype=complex)
-    ext[1:M + 1] = x
-    ext[M + 2:] = -x[::-1]
-    gather, order = _prime_factor_maps(len(ext))
-    spectrum = fft2(ext[gather], overwrite_x=True).ravel()[order[1:M + 1]]
-    return (0.5j * math.sqrt(2.0 / (M + 1))) * spectrum
+    return _scipy_dst(x, type=1, norm="ortho")
 
 
 @lru_cache(maxsize=8)
@@ -337,6 +294,6 @@ def run(data: InitialData, eps: float, t_end: float,
               "grid": grid.descriptor(), "data_hash": data.content_hash(),
               "lam": data.lam, "ppw": ppw,
               "transform_len": 2 * (grid.points + 1),   # DST-I length as an FFT
-              "transform_len_fast": _fast_length(grid.points)}
+              "transform_len_fast": fast_points(grid.points) == grid.points}
     return RunResult(observables=observables, snapshots=snapshots,
                      truncation_warnings=trunc, header=header)

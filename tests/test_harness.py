@@ -179,14 +179,14 @@ def test_converge_emits_hash_stamped_files(conv_report):
     payload = json.loads((out / "convergence.json").read_text())
     assert payload["config_hash"] == cfg.hash()
     assert len(payload["rows"]) == 3
-    assert [row["points"] for row in payload["rows"]] == [539, 1079, 2048]
+    assert [row["points"] for row in payload["rows"]] == [539, 1079, 2159]
     assert "eps,err_modulus,err_full" in csv.splitlines()   # columns kept
     assert "runtime_s" not in payload["rows"][0]   # timings live in the sidecar
     assert (out / "timing.json").exists()
 
 
 @pytest.mark.parametrize("solver_points, expected", [
-    (8192, [1079, 2159, 4319, 8192]),     # perfbench and acceptance 7/8
+    (8192, [1079, 2159, 4319, 8639]),     # perfbench and acceptance 7/8
     (8191, [1023, 2047, 4095, 8191])])    # configs/converge.json
 def test_rung_points_on_the_acceptance_ladder(solver_points, expected):
     data_cfg = DataConfig(chirp=1.0, points=8192)
@@ -196,7 +196,7 @@ def test_rung_points_on_the_acceptance_ladder(solver_points, expected):
     data = build_data(data_cfg)
     counts = rung_points(data, cfg)
     assert counts == expected
-    assert counts[-1] == cfg.solver_points
+    assert counts[-1] == fast_points(cfg.solver_points)
     for eps, m in zip(cfg.eps_ladder, counts):
         assert m >= required_points(data, eps, data_cfg.r_max, cfg.ppw)
 
@@ -218,20 +218,20 @@ def test_rung_points_raised_to_required_points():
 
 
 def test_converge_rungs_match_the_finest_grid(conv_report):
-    # each rung against the same march and reference fields on all
-    # solver_points nodes; measured moves on this config: err_full 1.9e-6
-    # (eps = 1/4), err_modulus 1.1e-6 (eps = 1/8), zero on the finest rung;
-    # the bound leaves a factor of five
+    # each rung against the same march and reference fields on the finest
+    # rung's fast_points(solver_points) nodes; measured moves on this
+    # config: err_full 1.9e-6 (eps = 1/4), err_modulus 4.5e-7 (eps = 1/8),
+    # zero on the finest rung; the bound leaves a factor of five
     cfg, report, _ = conv_report
     data = build_data(cfg.data)
     T, r_max = cfg.t_end, cfg.data.r_max
-    g = RadialGrid(r_max, cfg.solver_points, include_origin=False)
+    g = RadialGrid(r_max, fast_points(cfg.solver_points), include_origin=False)
     fields = leading_order(data, T, g)
     _, p1T = first_corrector(data, T, grid=RadialGrid(
         r_max, cfg.corrector_points)).at_final()
     a0T, phi0T = fields.a0.values, fields.phi0.values
     beta0 = a0T * np.exp(1j * p1T(g.nodes))
-    assert [row["points"] for row in report.rows] == [539, 1079, 2048]
+    assert [row["points"] for row in report.rows] == [539, 1079, 2159]
     for row in report.rows:
         eps = row["eps"]
         u = run(data, eps, T, dt=eps / 10.0, grid=g,
@@ -412,13 +412,16 @@ def test_schrodinger_run_outputs(tmp_path):
     assert abs(masses[-1] - masses[0]) / masses[0] < 1e-10
     header = json.loads((tmp_path / "header.json").read_text())
     assert header["config_hash"] == cfg.hash()
+    # solver_points 1024 rounds up to the fast count 1079 (2(M+1) = 2160)
+    assert header["grid"]["points"] == 1079
+    assert header["transform_len_fast"]
     assert (tmp_path / "observables.jsonl").exists()
     assert (tmp_path / "snapshot_t0.1.csv").exists()
     # one line per observation, each exactly the run's record
     lines = [json.loads(line) for line in
              (tmp_path / "observables.jsonl").read_text().splitlines()]
     res = run(build_data(cfg.data), 0.25, 0.1, dt=cfg.dt,
-              grid=RadialGrid(20.0, 1024, include_origin=False),
+              grid=RadialGrid(20.0, 1079, include_origin=False),
               observable_times=[0.0, 0.05, 0.1], ppw=cfg.ppw)
     assert len(lines) == len(res.observables)
     for line, ob in zip(lines, res.observables):
@@ -461,6 +464,9 @@ def test_cli_exit_codes(tmp_path):
             ("decay-study", {"t_tail": [100, 10000]}),
             ("decay-study", {"t_tail": [100, 10000, -1]}),
             ("decay-study", {"norm_p": 0}),
+            ("schrodinger-run", {"solver_points": -3}),
+            ("converge", {"solver_points": 15}),
+            ("converge", {"corrector_points": 0}),
             ("wkb-eval", {"times": []}),
             ("schrodinger-run", {"data": {"points": 1024, "r_max": 20.0},
                                  "eps_ladder": [0.25], "t_end": 0.1,
@@ -484,3 +490,12 @@ def test_cli_exit_codes(tmp_path):
         "eps_ladder": [0.03125, 0.015625, 0.0078125],
         "t_end": 0.02, "solver_points": 512, "corrector_points": 513}))
     assert cli_main(["converge", "--config", str(res)]) == 3
+
+
+def test_cli_schrodinger_run_summary_names_its_grid(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({
+        "data": {"points": 1024, "r_max": 20.0}, "eps_ladder": [0.25],
+        "t_end": 0.02, "solver_points": 1024, "times": [0.01]}))
+    assert cli_main(["schrodinger-run", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().out.rstrip().endswith(" points=1079")
