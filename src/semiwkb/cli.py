@@ -21,8 +21,6 @@ def _parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=f"run the {name} scenario")
         sp.add_argument("--config", help="JSON configuration file", default=None)
         sp.add_argument("--out", help="output directory", default=None)
-        sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads for independent simulations")
     return p
 
 
@@ -34,13 +32,8 @@ def main(argv=None) -> int:
             with open(args.config) as f:
                 payload = json.load(f)
         config = ExperimentConfig.from_json(payload, scenario=args.scenario)
-        overrides = {}
         if args.out is not None:
-            overrides["out_dir"] = args.out
-        if args.threads is not None:
-            overrides["threads"] = args.threads
-        if overrides:
-            config = dataclasses.replace(config, **overrides)
+            config = dataclasses.replace(config, out_dir=args.out)
         result = run_scenario(config)
     except (ConfigError, ParameterError, json.JSONDecodeError, OSError) as exc:
         print(f"semiwkb: validation error: {exc}", file=sys.stderr)

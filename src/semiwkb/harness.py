@@ -8,7 +8,6 @@ import math
 import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +56,14 @@ def _validate_payload(cls, payload: dict, where: str):
         if not ok:
             raise ConfigError(f"{where} key {key!r} has the wrong type: "
                               f"{value!r}")
+        # json.load reads NaN and Infinity; only norm_p = +inf (the sup
+        # norm) means something, and its range check rejects -inf
+        finite = math.isfinite if key != "norm_p" else (
+            lambda x: not math.isnan(x))
+        numbers = value if types[key] == "tuple" else (value,)
+        if not all(finite(x) for x in numbers if isinstance(x, float)):
+            raise ConfigError(f"{where} key {key!r} must be finite: "
+                              f"{value!r}")
 
 
 @dataclass(frozen=True)
@@ -99,7 +106,6 @@ class ExperimentConfig:
     t_tail: tuple = (100.0, 10000.0, 13)
     norm_p: float = 8.0
     out_dir: str | None = None
-    threads: int = 1
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -116,8 +122,6 @@ class ExperimentConfig:
             raise ConfigError("converge needs at least 3 ladder values")
         if self.t_end <= 0:
             raise ConfigError("t_end must be positive")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         if self.ppw < 1:
             raise ConfigError("ppw must be >= 1")
         for key in ("solver_points", "corrector_points"):
@@ -167,7 +171,6 @@ class ExperimentConfig:
         payload = dataclasses.asdict(self)
         # execution details must not change the experiment identity
         payload.pop("out_dir", None)
-        payload.pop("threads", None)
         return sio.config_hash(payload)
 
 
@@ -338,12 +341,7 @@ def converge(config: ExperimentConfig) -> ConvergenceReport:
         return {"eps": eps, "points": m, "err_modulus": em, "err_full": ef,
                 "runtime_s": time.perf_counter() - t0}
 
-    ladder = list(config.eps_ladder)
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            rows = list(pool.map(one, ladder, counts))
-    else:
-        rows = [one(e, m) for e, m in zip(ladder, counts)]
+    rows = [one(e, m) for e, m in zip(config.eps_ladder, counts)]
 
     eps_arr = np.array([row["eps"] for row in rows])
     om, exc_m = fit_order(eps_arr, np.array([row["err_modulus"] for row in rows]))

@@ -343,8 +343,7 @@ def _tail_phase(coeff: float, n: int, r0: float, R: np.ndarray) -> np.ndarray:
 def build_initial_data(amplitude: RadialProfile, lam: float, n: int, *,
                        velocity_scale: float = 1.0,
                        kappa: float | None = None,
-                       delta: float | None = None,
-                       exact: ExactFields | None = None) -> InitialData:
+                       delta: float | None = None) -> InitialData:
     """Assemble InitialData with the compatible phase scaled by velocity_scale.
 
     velocity_scale=1 yields the exact non-caustic data (threshold vanishes);
@@ -376,7 +375,7 @@ def build_initial_data(amplitude: RadialProfile, lam: float, n: int, *,
     return InitialData(n=n, lam=lam, amplitude=amplitude, phase=phase,
                        velocity=velocity, mass=mass, threshold=threshold,
                        kappa=kappa, delta=delta, compatible=compatible,
-                       m_infinity=m_inf, tail_coeff=tail, exact=exact)
+                       m_infinity=m_inf, tail_coeff=tail)
 
 
 def free_data(velocity: RadialProfile, n: int, lam: float = 0.0) -> InitialData:

@@ -223,7 +223,7 @@ def current_velocity(u: WaveField) -> RadialProfile:
 
 
 def run(data: InitialData, eps: float, t_end: float,
-        dt: float | None = None, grid: RadialGrid | None = None,
+        dt: float | None = None, *, grid: RadialGrid,
         observable_times=None, snapshot_times=None, ppw: int = 16) -> RunResult:
     """Fixed-step Strang march with observables sampled at requested times.
 
@@ -237,8 +237,6 @@ def run(data: InitialData, eps: float, t_end: float,
     """
     if t_end <= 0:
         raise ParameterError("t_end must be positive")
-    if grid is None:
-        grid = RadialGrid(data.r_max, 8191, include_origin=False)
     if dt is None:
         dt = min(1e-3, eps / 10.0)
     if dt <= 0:

@@ -292,7 +292,7 @@ def _rk4_step(reaction, c0, c_half, c1, a1, p1, step):
 
 
 def first_corrector(data: InitialData, t_end: float,
-                    grid: RadialGrid | None = None,
+                    grid: RadialGrid,
                     dt: float = 2.5e-2,
                     sample_times=None) -> CorrectorSeries:
     """March the first linearized pair (a1, phi1) from zero to t_end.
@@ -318,11 +318,9 @@ def first_corrector(data: InitialData, t_end: float,
         raise ParameterError("t_end and dt must be positive")
     if sample_times is None:
         sample_times = [t_end]
-    sample_times = sorted(float(s) for s in sample_times)
+    sample_times = sorted(set(float(s) for s in sample_times))
     if not all(0.0 <= s <= t_end for s in sample_times):
         raise ParameterError("sample times must lie in [0, t_end]")
-    if grid is None:
-        grid = RadialGrid(data.r_max, 2049)
     R = grid.nodes
     if R[0] > 0:
         raise ParameterError("the corrector's labels must include the origin")

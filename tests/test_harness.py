@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -243,10 +244,10 @@ def test_converge_rungs_match_the_finest_grid(conv_report):
         assert abs(row["err_full"] - ef) <= 1e-5 * ef
 
 
-def test_converge_deterministic_and_thread_invariant(tmp_path, conv_report):
+def test_converge_deterministic(tmp_path, conv_report):
     cfg0, report0, out0 = conv_report
     outb = tmp_path / "b"
-    cfgb = small_converge_config(out_dir=str(outb), threads=2)
+    cfgb = small_converge_config(out_dir=str(outb))
     converge(cfgb)
     a = (out0 / "convergence.csv").read_bytes()
     b = (outb / "convergence.csv").read_bytes()
@@ -450,13 +451,14 @@ def test_cli_exit_codes(tmp_path):
     # malformed value types are validation errors, not tracebacks
     for payload in ({"data": None}, {"eps_ladder": 0.1}, {"t_end": "x"},
                     {"data": {"points": "many"}}, {"eps_ladder": [0.5, "a"]},
-                    {"threads": True}, {"data": {"lam": None}}):
+                    {"ppw": True}, {"data": {"lam": None}}):
         typed = tmp_path / "typed.json"
         typed.write_text(json.dumps(payload))
         assert cli_main(["converge", "--config", str(typed)]) == 2
 
     # out-of-range values are validation errors under the scenario they
     # would otherwise break (a negative ppw defeats the resolution guard)
+    small = {"data": {"points": 512, "r_max": 20.0}}
     for scenario, payload in (
             ("schrodinger-run", {"ppw": 0}),
             ("schrodinger-run", {"ppw": -4, "solver_points": 16}),
@@ -468,6 +470,13 @@ def test_cli_exit_codes(tmp_path):
             ("converge", {"solver_points": 15}),
             ("converge", {"corrector_points": 0}),
             ("wkb-eval", {"times": []}),
+            # json.load reads NaN and Infinity; each is rejected up front
+            ("schrodinger-run", {**small, "dt": math.inf}),
+            ("schrodinger-run", {**small, "dt": math.nan}),
+            ("converge", {**small, "dt": math.nan}),
+            ("schrodinger-run", {**small, "t_end": math.inf}),
+            ("decay-study", {**small, "norm_p": math.nan}),
+            ("converge", {"data": {"points": 512, "r_max": math.nan}}),
             ("schrodinger-run", {"data": {"points": 1024, "r_max": 20.0},
                                  "eps_ladder": [0.25], "t_end": 0.1,
                                  "solver_points": 1024,
@@ -490,6 +499,16 @@ def test_cli_exit_codes(tmp_path):
         "eps_ladder": [0.03125, 0.015625, 0.0078125],
         "t_end": 0.02, "solver_points": 512, "corrector_points": 513}))
     assert cli_main(["converge", "--config", str(res)]) == 3
+
+    # norm_p = Infinity is the sup norm and stays accepted
+    sup = tmp_path / "sup.json"
+    sup.write_text(json.dumps({**small, "norm_p": math.inf}))
+    assert cli_main(["decay-study", "--config", str(sup)]) == 0
+
+    # there is no --threads flag: argparse exits with a usage error
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["converge", "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_cli_schrodinger_run_summary_names_its_grid(tmp_path, capsys):

@@ -160,7 +160,7 @@ def test_leading_order_rejects_bad_input(smooth_chirped, ball_zero_velocity):
         leading_order(ball_zero_velocity, 1.0, ball_zero_velocity.grid)
     # lam = -1 with v0 = 0: neither compatible nor a static free background
     with pytest.raises(ContractError):
-        first_corrector(ball_zero_velocity, 0.1)
+        first_corrector(ball_zero_velocity, 0.1, grid=RadialGrid(40.0, 513))
 
 
 def test_limit_system_residuals_small(smooth_chirped):
@@ -301,6 +301,17 @@ def test_corrector_inverts_flow_map_only_at_sample_times(smooth_small,
     cs = first_corrector(smooth_small, 0.02, grid=RadialGrid(40.0, 513),
                          dt=0.0025, sample_times=[0.0, 0.0075, 0.02])
     assert times == list(cs.times) and len(times) == 3
+
+
+def test_corrector_repeated_sample_time_is_one_sample():
+    d = smooth_ball_data(grid=RadialGrid(20.0, 512), chirp=1.0)
+    grid = RadialGrid(20.0, 257)
+    rep, once = (first_corrector(d, 0.1, grid=grid, dt=0.025,
+                                 sample_times=times)
+                 for times in ([0.05, 0.05, 0.1], [0.05, 0.1]))
+    assert list(rep.times) == [0.05, 0.1]
+    for a, b in zip(rep.a1 + rep.phi1, once.a1 + once.phi1):
+        assert np.array_equal(a.values, b.values)
 
 
 def test_corrector_flow_evaluations_independent_of_dt(smooth_small,
