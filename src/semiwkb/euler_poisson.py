@@ -1,16 +1,22 @@
 """Radial Euler-Poisson dynamics by characteristics: exact formulas for the
 compatible family, adaptive ODE integration for generic data, and the
-critical-threshold classification of global existence vs finite-time blowup."""
+critical-threshold classification of global existence vs finite-time blowup.
+
+The generic ODE runs on an in-module Dormand-Prince RK5(4) stepper on plain
+floats, whose step-size controller, dense output and event location are
+scipy's RK45 step for step."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq
 
 from .errors import (ContractError, ConvergenceError, ParameterError,
                      ResolutionError, UnsupportedConfigurationError)
@@ -215,6 +221,162 @@ def _char_rhs(n, lam, m0R, mpR):
     return rhs
 
 
+# Dormand-Prince RK5(4) (J. Comput. Appl. Math. 6 (1980) 19) with scipy's
+# RK45 tableau, error weights E, quartic dense output P and controller.
+_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_DP_A = ((1 / 5,),
+         (3 / 40, 9 / 40),
+         (44 / 45, -56 / 15, 32 / 9),
+         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200,
+         -22 / 525, 1 / 40)
+_DP_P = ((1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+          -12715105075 / 11282082432),
+         (0.0, 0.0, 0.0, 0.0),
+         (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+          87487479700 / 32700410799),
+         (0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+          -10690763975 / 1880347072),
+         (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+          701980252875 / 199316789632),
+         (0.0, -282668133 / 205662961, 2019193451 / 616988883,
+          -1453857185 / 822651844),
+         (0.0, 40617522 / 29380423, -110615467 / 29380423,
+          69997945 / 29380423))
+_DP_PT = tuple(zip(*_DP_P))
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
+_ROOT_TOL = 4 * np.finfo(float).eps
+
+
+def _dp_step(rhs, t, y, f, h, rtol, atol):
+    """One trial step from (t, y) with y'(t) = f: (y_new, the seven stages,
+    the RMS norm of the error estimate in units of atol + rtol max(|y|,
+    |y_new|))."""
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = _DP_A
+    b1, _, b3, b4, b5, b6 = _DP_B
+    e1, _, e3, e4, e5, e6, e7 = _DP_E
+    c2, c3, c4, c5, c6 = _DP_C
+    k1 = f
+    k2 = rhs(t + c2 * h, [yi + (a21 * p) * h for yi, p in zip(y, k1)])
+    k3 = rhs(t + c3 * h, [yi + (a31 * p + a32 * q) * h
+                          for yi, p, q in zip(y, k1, k2)])
+    k4 = rhs(t + c4 * h, [yi + (a41 * p + a42 * q + a43 * r) * h
+                          for yi, p, q, r in zip(y, k1, k2, k3)])
+    k5 = rhs(t + c5 * h, [yi + (a51 * p + a52 * q + a53 * r + a54 * s) * h
+                          for yi, p, q, r, s in zip(y, k1, k2, k3, k4)])
+    k6 = rhs(t + c6 * h, [yi + (a61 * p + a62 * q + a63 * r + a64 * s
+                                + a65 * u) * h
+                          for yi, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)])
+    y_new = [yi + h * (b1 * p + b3 * r + b4 * s + b5 * u + b6 * w)
+             for yi, p, r, s, u, w in zip(y, k1, k3, k4, k5, k6)]
+    k7 = rhs(t + h, y_new)
+    error = _rms([(e1 * p + e3 * r + e4 * s + e5 * u + e6 * w + e7 * z) * h
+                  / (atol + max(abs(yi), abs(yn)) * rtol)
+                  for yi, yn, p, r, s, u, w, z
+                  in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
+    return y_new, (k1, k2, k3, k4, k5, k6, k7), error
+
+
+def _rms(values):
+    return math.sqrt(sum(v * v for v in values)) / len(values) ** 0.5
+
+
+def _initial_step(rhs, y0, f0, t_end, rtol, atol):
+    """Hairer-Norsett-Wanner's starting step for an order-4 error estimate."""
+    scale = [atol + abs(yi) * rtol for yi in y0]
+    d0 = _rms([yi / s for yi, s in zip(y0, scale)])
+    d1 = _rms([fi / s for fi, s in zip(f0, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_end)
+    f1 = rhs(h0, [yi + h0 * fi for yi, fi in zip(y0, f0)])
+    d2 = _rms([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, t_end)
+
+
+def _dense_output(t_old, h, y_old, K):
+    """The step's quartic interpolant in time."""
+    Q = [[sum(map(mul, col, p)) for p in _DP_PT] for col in zip(*K)]
+
+    def at(t):
+        x = (t - t_old) / h
+        x2 = x * x
+        x3 = x2 * x
+        powers = (x, x2, x3, x3 * x)
+        return [yi + h * sum(map(mul, q, powers)) for yi, q in zip(y_old, Q)]
+    return at
+
+
+def _dormand_prince(rhs, y0, t_end, rtol, atol, events, t_eval):
+    """Integrate y' = rhs(t, y) from t = 0 to t_end on plain floats.
+
+    Every event g(t, y) is terminal on a falling zero (g >= 0 before a step,
+    g <= 0 after it); its root is found by Brent's method on the step's dense
+    output.  Returns (ts, ys, hit, stalled_at): the accepted steps, or the
+    dense output at the sorted times t_eval unless that is None; hit =
+    (time, event index) of the first root, else None; stalled_at the last
+    time reached if the step size fell below 10 ulp(t), else None.  A stage
+    that overflows (a power of a vanishing X) counts as a NaN error norm and
+    is rejected with MIN_FACTOR.
+    """
+    t, y = 0.0, list(y0)
+    f = rhs(t, y)
+    h_abs = _initial_step(rhs, y, f, t_end, rtol, atol)
+    g = [ev(t, y) for ev in events]
+    ts, ys = ([t], [y]) if t_eval is None else ([], [])
+    i_eval = 0
+    while True:
+        min_step = 10 * math.ulp(t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return ts, ys, None, t
+            t_new = min(t + h_abs, t_end)
+            h = h_abs = t_new - t
+            try:
+                y_new, K, error = _dp_step(rhs, t, y, f, h, rtol, atol)
+            except (ZeroDivisionError, OverflowError):
+                error = math.nan
+            if error < 1:
+                factor = (MAX_FACTOR if error == 0 else
+                          min(MAX_FACTOR, SAFETY * error ** -0.2))
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error ** -0.2)
+            rejected = True
+
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, K[-1]
+        dense = hit = None
+        g_new = [ev(t, y) for ev in events]
+        active = [i for i, (a, b) in enumerate(zip(g, g_new)) if a >= 0 >= b]
+        g = g_new
+        if active:
+            dense = _dense_output(t_old, h, y_old, K)
+            hit = min((brentq(lambda s, ev=events[i]: ev(s, dense(s)),
+                              t_old, t, xtol=_ROOT_TOL, rtol=_ROOT_TOL), i)
+                      for i in active)
+            t, y = hit[0], dense(hit[0])
+        if t_eval is None:
+            ts.append(t)
+            ys.append(y)
+        else:
+            while i_eval < len(t_eval) and t_eval[i_eval] <= t:
+                dense = dense or _dense_output(t_old, h, y_old, K)
+                ts.append(t_eval[i_eval])
+                ys.append(dense(t_eval[i_eval]))
+                i_eval += 1
+        if hit is not None or t >= t_end:
+            return ts, ys, hit, None
+
+
 def integrate_characteristics(data: InitialData, R: float, t_end: float,
                               tol: float = 1e-10,
                               t_eval=None) -> CharacteristicTrajectory:
@@ -222,6 +384,12 @@ def integrate_characteristics(data: InitialData, R: float, t_end: float,
 
     The force reads m0 and rho0 from their splines, except on compatible
     data, where it takes m0 and its R-derivative from the velocity.
+
+    The stepper is the in-module Dormand-Prince pair (``_dormand_prince``)
+    with rtol = tol and atol = tol/100.  Its controller, dense output and
+    event roots are scipy's RK45 step for step, so it stays an independent
+    fifth-order check on the closed-form flow and on the classifier.  The
+    trajectory holds every accepted step, or the dense output at t_eval.
 
     Terminal events detect X falling below the collapse floor and B crossing
     zero; the first event is reported with its mechanism.  Step-size underflow
@@ -231,6 +399,13 @@ def integrate_characteristics(data: InitialData, R: float, t_end: float,
         raise ParameterError("labels must be positive")
     if tol <= 0:
         raise ParameterError("tolerance must be positive")
+    if t_end <= 0:
+        raise ParameterError("t_end must be positive")
+    if t_eval is not None:
+        t_eval = np.asarray(t_eval, dtype=float).ravel()
+        if (np.any(np.diff(t_eval) < 0)
+                or np.any((t_eval < 0) | (t_eval > t_end))):
+            raise ParameterError("t_eval must be sorted within [0, t_end]")
     n, lam = data.n, data.lam
     v, vp = float(data.v0_at(R)[0]), float(data.v0_prime_at(R)[0])
     if data.compatible:
@@ -243,38 +418,27 @@ def integrate_characteristics(data: InitialData, R: float, t_end: float,
         m0R = float(data.m0_at(R)[0])
         mpR = float(data.rho0_at(R)[0]) * R ** (n - 1)
     y0 = [R, v, 1.0, vp]
-
-    def position_floor(t, y):
-        return y[0] - X_FLOOR_FRACTION * R
-    position_floor.terminal = True
-    position_floor.direction = -1
-
-    def deformation_zero(t, y):
-        return y[2]
-    deformation_zero.terminal = True
-    deformation_zero.direction = -1
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sol = solve_ivp(_char_rhs(n, lam, m0R, mpR), (0.0, t_end), y0,
-                        method="RK45", rtol=tol, atol=tol * 1e-2,
-                        t_eval=t_eval,
-                        events=[position_floor, deformation_zero])
+    floor = X_FLOOR_FRACTION * R
+    events = (lambda t, y: y[0] - floor,     # POSITION_VANISHES
+              lambda t, y: y[2])             # DEFORMATION_VANISHES
+    ts, ys, hit, stalled_at = _dormand_prince(
+        _char_rhs(n, lam, m0R, mpR), y0, t_end, tol, tol * 1e-2, events,
+        None if t_eval is None else t_eval.tolist())
 
     event_time = event_mech = None
-    if sol.t_events[0].size:
-        event_time, event_mech = float(sol.t_events[0][0]), POSITION_VANISHES
-    if sol.t_events[1].size:
-        tb = float(sol.t_events[1][0])
-        if event_time is None or tb < event_time:
-            event_time, event_mech = tb, DEFORMATION_VANISHES
-    if sol.status == -1 and event_time is None:
+    if hit is not None:
+        event_time = hit[0]
+        event_mech = (POSITION_VANISHES, DEFORMATION_VANISHES)[hit[1]]
+    elif stalled_at is not None:
         # integrator stalled approaching the singularity
-        event_time, event_mech = float(sol.t[-1]), POSITION_VANISHES
+        event_time, event_mech = stalled_at, POSITION_VANISHES
         warnings.warn(f"step-size underflow at t={event_time:.6g}; "
                       "reporting approach to collapse", RuntimeWarning)
 
-    return CharacteristicTrajectory(R=R, t=sol.t, X=sol.y[0], Xdot=sol.y[1],
-                                    B=sol.y[2], event_time=event_time,
+    ys = np.array(ys, dtype=float).reshape(len(ts), 4)
+    return CharacteristicTrajectory(R=R, t=np.array(ts, dtype=float),
+                                    X=ys[:, 0], Xdot=ys[:, 1], B=ys[:, 2],
+                                    event_time=event_time,
                                     event_mechanism=event_mech)
 
 

@@ -56,14 +56,19 @@ def _validate_payload(cls, payload: dict, where: str):
         if not ok:
             raise ConfigError(f"{where} key {key!r} has the wrong type: "
                               f"{value!r}")
-        # json.load reads NaN and Infinity; only norm_p = +inf (the sup
-        # norm) means something, and its range check rejects -inf
-        finite = math.isfinite if key != "norm_p" else (
-            lambda x: not math.isnan(x))
-        numbers = value if types[key] == "tuple" else (value,)
-        if not all(finite(x) for x in numbers if isinstance(x, float)):
-            raise ConfigError(f"{where} key {key!r} must be finite: "
-                              f"{value!r}")
+
+
+def _require_finite(config, where: str) -> None:
+    """NaN nowhere and +-inf nowhere but norm_p = +inf (the sup norm), for
+    a config read by json.load (which reads NaN and Infinity) or built
+    directly alike."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        for x in value if isinstance(value, tuple) else (value,):
+            sup_norm = f.name == "norm_p" and x == math.inf
+            if isinstance(x, float) and not (math.isfinite(x) or sup_norm):
+                raise ConfigError(f"{where} key {f.name!r} must be finite: "
+                                  f"{value!r}")
 
 
 @dataclass(frozen=True)
@@ -82,6 +87,7 @@ class DataConfig:
     points: int = 8192
 
     def __post_init__(self):
+        _require_finite(self, "data")
         if self.family not in ("smooth_ball", "sample", "ball",
                                "gaussian_free"):
             raise ConfigError(f"unknown data family {self.family!r}")
@@ -108,6 +114,7 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        _require_finite(self, "config")
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; "
                               f"expected one of {SCENARIOS}")
@@ -122,6 +129,8 @@ class ExperimentConfig:
             raise ConfigError("converge needs at least 3 ladder values")
         if self.t_end <= 0:
             raise ConfigError("t_end must be positive")
+        if self.dt is not None and self.dt <= 0:
+            raise ConfigError("dt must be positive")
         if self.ppw < 1:
             raise ConfigError("ppw must be >= 1")
         for key in ("solver_points", "corrector_points"):

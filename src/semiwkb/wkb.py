@@ -318,9 +318,16 @@ def first_corrector(data: InitialData, t_end: float,
         raise ParameterError("t_end and dt must be positive")
     if sample_times is None:
         sample_times = [t_end]
-    sample_times = sorted(set(float(s) for s in sample_times))
+    sample_times = sorted(float(s) for s in sample_times)
     if not all(0.0 <= s <= t_end for s in sample_times):
         raise ParameterError("sample times must lie in [0, t_end]")
+    # a time within eps_t of the previous kept one is the same sample
+    eps_t = 1e-12 * max(t_end, 1.0)
+    kept = []
+    for s in sample_times:
+        if not kept or s > kept[-1] + eps_t:
+            kept.append(s)
+    sample_times = kept
     R = grid.nodes
     if R[0] > 0:
         raise ParameterError("the corrector's labels must include the origin")
@@ -371,7 +378,6 @@ def first_corrector(data: InitialData, t_end: float,
 
     c_old = background(0.0)
     t = 0.0
-    eps_t = 1e-12 * max(t_end, 1.0)
     while t < t_end - eps_t:
         step = min(dt, t_end - t)
         if sample_times and sample_times[0] < t + step - eps_t:

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,81 @@ def rk_oracle(data, R, times, tol=1e-12):
     sol = solve_ivp(rhs, (0.0, times[-1]), y0, rtol=tol, atol=tol * 1e-2,
                     dense_output=True)
     return sol.sol(times)
+
+
+def _agreement_data(n, case):
+    """Data whose label R = 1 shows one mechanism in dimension n: a ball of
+    density 0.3 with an inflow collapses and with an outflow hump crosses
+    shells; vacuum (n <= 2) and compatible (n >= 3) data are global."""
+    g = RadialGrid(20.0, 1024)
+    r = g.nodes
+    if case == "global":
+        if n <= 2:
+            return free_data(RadialProfile(g, 0.5 * (1 - np.exp(-r ** 2))),
+                             n, lam=-1.0)
+        return smooth_ball_data(n=n, grid=g)
+    c = -1.0 if case == "collapse" else 1.0
+    ball = ball_data(n=n, lam=-1.0, velocity="zero", grid=g, density=0.3)
+    return dataclasses.replace(
+        ball, velocity=RadialProfile(g, c * r * np.exp(-r ** 2 / 2)),
+        exact=None)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+@pytest.mark.parametrize("case", ["collapse", "shell-crossing", "global"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stepper_agrees_with_scipy_rk45(monkeypatch, n, case, tol):
+    # the in-module Dormand-Prince stepper against solve_ivp's RK45 on the
+    # same right-hand side and events: same mechanism, same steps (to 1 %),
+    # event times and dense samples to 1e-10
+    data, R = _agreement_data(n, case), 1.0
+    seen = {}
+    stepper = ep._dormand_prince
+
+    def spy(rhs, y0, t_end, rtol, atol, events, t_eval):
+        seen.update(rhs=rhs, y0=y0, rtol=rtol, atol=atol, events=events)
+        return stepper(rhs, y0, t_end, rtol, atol, events, t_eval)
+    monkeypatch.setattr(ep, "_dormand_prince", spy)
+
+    def terminal(g):
+        def event(t, y):
+            return g(t, y)
+        event.terminal, event.direction = True, -1
+        return event
+
+    t_end, t_eval = 20.0, np.linspace(0.0, 20.0, 401)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        traj = integrate_characteristics(data, R, t_end, tol=tol)
+        dense = integrate_characteristics(data, R, t_end, tol=tol,
+                                          t_eval=t_eval)
+    with np.errstate(all="ignore"):
+        options = dict(method="RK45", rtol=seen["rtol"], atol=seen["atol"],
+                       events=[terminal(g) for g in seen["events"]])
+        ref = solve_ivp(seen["rhs"], (0.0, t_end), seen["y0"], **options)
+        ref_dense = solve_ivp(seen["rhs"], (0.0, t_end), seen["y0"],
+                              t_eval=t_eval, **options)
+
+    hits = [(float(te[0]), mech) for te, mech in
+            zip(ref.t_events, (POSITION_VANISHES, DEFORMATION_VANISHES))
+            if te.size]
+    if ref.status == -1:
+        hits = [(float(ref.t[-1]), POSITION_VANISHES)]
+    expected = {"collapse": POSITION_VANISHES,
+                "shell-crossing": DEFORMATION_VANISHES, "global": None}[case]
+    assert traj.event_mechanism == expected
+    assert len(caught) == 2 * (ref.status == -1)
+    if expected is None:
+        assert hits == [] and dense.event_time is None
+    else:
+        (t_ref, mech), = hits
+        assert traj.event_mechanism == dense.event_mechanism == mech
+        assert abs(traj.event_time - t_ref) <= 1e-10 * t_ref
+    assert abs(len(traj.t) - len(ref.t)) <= 0.01 * len(ref.t)
+    assert np.array_equal(dense.t, ref_dense.t)
+    ours = np.array([dense.X, dense.Xdot, dense.B])
+    scale = np.max(np.abs(ref_dense.y[:3]), axis=1, keepdims=True)
+    assert np.all(np.abs(ours - ref_dense.y[:3]) <= 1e-10 * scale)
 
 
 # -- classification ----------------------------------------------------------
@@ -286,6 +362,11 @@ def test_zero_velocity_ball_collapses_inward(ball_zero_velocity):
                                      t_eval=np.linspace(0, 1, 21))
     assert np.all(np.diff(traj.X) < 0)
     assert np.all(traj.Xdot[1:] < 0)
+    # every sample after the collapse at t = 1.92: no state, still the event
+    late = integrate_characteristics(ball_zero_velocity, 1.0, 10.0,
+                                     t_eval=[5.0])
+    assert late.t.size == late.X.size == 0
+    assert late.event_mechanism == POSITION_VANISHES
 
 
 def test_integrate_rejects_bad_arguments(ball):
@@ -293,6 +374,25 @@ def test_integrate_rejects_bad_arguments(ball):
         integrate_characteristics(ball, -1.0, 1.0)
     with pytest.raises(ParameterError):
         integrate_characteristics(ball, 1.0, 1.0, tol=0.0)
+    with pytest.raises(ParameterError):
+        integrate_characteristics(ball, 1.0, 0.0)
+    with pytest.raises(ParameterError):
+        integrate_characteristics(ball, 1.0, 1.0, t_eval=[0.5, 0.2])
+    with pytest.raises(ParameterError):
+        integrate_characteristics(ball, 1.0, 1.0, t_eval=[0.5, 2.0])
+
+
+def test_step_size_underflow_reports_approach_to_collapse():
+    # an n = 4 position collapse that RK45 cannot step into: the step size
+    # falls below 10 ulp(t) after 1,159 points, and the stall is reported
+    d = smooth_ball_data(n=4, grid=RadialGrid(20.0, 1024),
+                         velocity_scale=0.425)
+    with pytest.warns(RuntimeWarning, match="step-size underflow"):
+        traj = integrate_characteristics(d, 1.1144, 2000.0)
+    assert len(traj.t) == 1159
+    assert traj.event_mechanism == POSITION_VANISHES
+    assert abs(traj.event_time - 4.451021513363) < 1e-10 * 4.451021513363
+    assert traj.event_time == traj.t[-1]
 
 
 # -- blowup detection -----------------------------------------------------------

@@ -44,6 +44,27 @@ def test_config_rejects_bad_ladders():
         ExperimentConfig(scenario="converge", eps_ladder=(2.0, 1.0, 0.5))
 
 
+@pytest.mark.parametrize("cls, kwargs", [
+    (ExperimentConfig, dict(scenario="decay-study", dt=math.nan,
+                            norm_p=math.nan, t_end=math.inf)),
+    (ExperimentConfig, dict(scenario="decay-study", norm_p=-math.inf)),
+    (ExperimentConfig, dict(scenario="converge", dt=-1.0)),
+    (ExperimentConfig, dict(scenario="converge", dt=0.0)),
+    (ExperimentConfig, dict(scenario="wkb-eval", times=(0.5, math.nan))),
+    (DataConfig, dict(r_max=math.inf)),
+    (DataConfig, dict(chirp=math.nan)),
+])
+def test_config_rejects_non_finite_and_non_positive_dt(cls, kwargs):
+    # direct construction takes the same check as a JSON file
+    with pytest.raises(ConfigError):
+        cls(**kwargs)
+
+
+def test_config_keeps_the_sup_norm():
+    assert ExperimentConfig(scenario="decay-study",
+                            norm_p=math.inf).norm_p == math.inf
+
+
 def test_config_scenario_gate():
     with pytest.raises(ConfigError):
         ExperimentConfig(scenario="nope")
@@ -474,6 +495,8 @@ def test_cli_exit_codes(tmp_path):
             ("schrodinger-run", {**small, "dt": math.inf}),
             ("schrodinger-run", {**small, "dt": math.nan}),
             ("converge", {**small, "dt": math.nan}),
+            ("converge", {**small, "dt": -1.0}),
+            ("schrodinger-run", {**small, "dt": 0}),
             ("schrodinger-run", {**small, "t_end": math.inf}),
             ("decay-study", {**small, "norm_p": math.nan}),
             ("converge", {"data": {"points": 512, "r_max": math.nan}}),
