@@ -4,7 +4,8 @@ critical-threshold classification of global existence vs finite-time blowup.
 
 The generic ODE runs on an in-module Dormand-Prince RK5(4) stepper on plain
 floats, whose step-size controller, dense output and event location are
-scipy's RK45 step for step."""
+scipy's RK45 step for step.  The blowup witness takes a position collapse's
+time from the per-label energy integral instead of stepping into it."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from operator import mul
 from typing import Optional
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
@@ -45,6 +47,10 @@ NEWTON_TOL = 1e-10         # largest final flow-map Newton step, relative to R
 NEWTON_STEPS = 12          # Newton cap; the n = 6 ball takes 10 at t = 1e4
 T_MAX_WITNESS = 2000.0     # horizon for integrating a blowup witness
 SIGN_TOL = 1e-9            # classify's sign checks, relative to profile scale
+WITNESS_MARGIN = 1e-3      # the witness steps to (1 - margin) t_X, not into X = 0
+SLOPE_STEP = 1e-4          # central-difference step of dt_X/dR, relative to R
+SLOPE_TOL = 1e-6           # dt_X/dR < -SLOPE_TOL t_X/R: the shell crosses first
+QUAD_RTOL = 1e-13          # relative tolerance of the collapse-time quadrature
 
 
 @dataclass(frozen=True)
@@ -53,10 +59,12 @@ class Verdict:
     t_c: Optional[float] = None
     mechanism: Optional[str] = None
     certificate: str = ""
+    label: Optional[float] = None   # the certificate's node, off the origin
 
     def as_dict(self) -> dict:
         return {"kind": self.kind, "t_c": self.t_c,
-                "mechanism": self.mechanism, "certificate": self.certificate}
+                "mechanism": self.mechanism, "certificate": self.certificate,
+                "label": self.label}
 
 
 @dataclass(frozen=True)
@@ -94,7 +102,7 @@ def _first_violation(r, checks):
         i = int(np.argmin(values))
         if values[i] < -SIGN_TOL * scale:
             return (f"{name} = {values[i]:.6g} < 0 at r = {r[i]:.6g}",
-                    max(r[i], r[1]))
+                    float(max(r[i], r[1])))
     return None
 
 
@@ -108,8 +116,9 @@ def classify(data: InitialData, *, witness: bool = False) -> Verdict:
     (``SIGN_TOL``) relative to the profile scale; conditions are verified on
     the sampled grid, v0' and C' by the grid's differentiation stencil.
 
-    With ``witness=True`` a blowup verdict also integrates the certificate
-    label up to ``T_MAX_WITNESS`` to attach the witnessed event time.
+    A verdict with a certificate node carries it as ``label`` (the
+    certificate prints it to 6 digits).  With ``witness=True`` a blowup
+    verdict also attaches ``blowup_time(data, label, T_MAX_WITNESS)``.
     """
     r = data.grid.nodes
     v = data.v0_at(r)
@@ -120,7 +129,8 @@ def classify(data: InitialData, *, witness: bool = False) -> Verdict:
 
     def blowup(certificate, label):
         hit = blowup_time(data, label, T_MAX_WITNESS) if witness else None
-        return Verdict(FINITE_TIME_BLOWUP, *(hit or (None, None)), certificate)
+        return Verdict(FINITE_TIME_BLOWUP, *(hit or (None, None)), certificate,
+                       label)
 
     if lam == 0.0 or (lam < 0 and n <= 2 and rho_scale <= SIGN_TOL):
         vp = derivative_uniform(v, data.grid)
@@ -131,7 +141,7 @@ def classify(data: InitialData, *, witness: bool = False) -> Verdict:
         # mass present in an attractive low dimension always collapses
         i = int(np.argmax(data.m0_at(r) > SIGN_TOL * data.m_infinity))
         return blowup(f"rho0 not identically zero with n = {n} <= 2",
-                      max(r[i], r[1]))
+                      float(max(r[i], r[1])))
     elif data.threshold is None:
         raise UnsupportedConfigurationError("classification needs the threshold for n >= 3")
     else:
@@ -155,7 +165,8 @@ def classify(data: InitialData, *, witness: bool = False) -> Verdict:
     if hit is None:
         return held
     if lam > 0:
-        return Verdict(NECESSARY_CONDITION_VIOLATED, certificate=hit[0])
+        return Verdict(NECESSARY_CONDITION_VIOLATED, certificate=hit[0],
+                       label=hit[1])
     return blowup(*hit)
 
 
@@ -377,23 +388,56 @@ def _dormand_prince(rhs, y0, t_end, rtol, atol, events, t_eval):
             return ts, ys, hit, None
 
 
+_MECHANISMS = (POSITION_VANISHES, DEFORMATION_VANISHES)   # the events' order
+
+
+def _label_rates(data: InitialData, R: float) -> tuple:
+    """(v0, v0', m0, m0') at the label R, the constant coefficients of its
+    characteristic ODE.
+
+    The force reads m0 and rho0 from their splines, except on compatible
+    data, where it takes m0 and its R-derivative from the velocity."""
+    n, lam = data.n, data.lam
+    v, vp = float(data.v0_at(R)[0]), float(data.v0_prime_at(R)[0])
+    if data.compatible:
+        # the force of the data's own velocity, m0 = (n-2) R^(n-2) v0^2/(2|lam|),
+        # so the closed-form flow solves this ODE exactly
+        k = 0.5 * (n - 2) / abs(lam)
+        return (v, vp, k * R ** (n - 2) * v * v,
+                k * R ** (n - 3) * v * ((n - 2) * v + 2.0 * R * vp))
+    return (v, vp, float(data.m0_at(R)[0]),
+            float(data.rho0_at(R)[0]) * R ** (n - 1))
+
+
+def _step_label(n, lam, R, rates, t_end, tol, t_eval=None):
+    """``_dormand_prince`` on (X, X', B, B') from (R, v0, 1, v0') with
+    rtol = tol and atol = tol/100, both events terminal: X below the
+    collapse floor and B crossing zero."""
+    v, vp, m0R, mpR = rates
+    floor = X_FLOOR_FRACTION * R
+    events = (lambda t, y: y[0] - floor,     # POSITION_VANISHES
+              lambda t, y: y[2])             # DEFORMATION_VANISHES
+    return _dormand_prince(_char_rhs(n, lam, m0R, mpR), [R, v, 1.0, vp],
+                           t_end, tol, tol * 1e-2, events, t_eval)
+
+
 def integrate_characteristics(data: InitialData, R: float, t_end: float,
                               tol: float = 1e-10,
                               t_eval=None) -> CharacteristicTrajectory:
     """Adaptive RK5(4) trajectory of (X, X') and the variational pair (B, B').
 
-    The force reads m0 and rho0 from their splines, except on compatible
-    data, where it takes m0 and its R-derivative from the velocity.
-
-    The stepper is the in-module Dormand-Prince pair (``_dormand_prince``)
-    with rtol = tol and atol = tol/100.  Its controller, dense output and
-    event roots are scipy's RK45 step for step, so it stays an independent
-    fifth-order check on the closed-form flow and on the classifier.  The
-    trajectory holds every accepted step, or the dense output at t_eval.
+    The force is ``_label_rates``'s.  The stepper is the in-module
+    Dormand-Prince pair (``_dormand_prince``) with rtol = tol and atol =
+    tol/100.  Its controller, dense output and event roots are scipy's RK45
+    step for step, so it stays an independent fifth-order check on the
+    closed-form flow and on the classifier.  The trajectory holds every
+    accepted step, or the dense output at t_eval.
 
     Terminal events detect X falling below the collapse floor and B crossing
     zero; the first event is reported with its mechanism.  Step-size underflow
-    close to collapse is reported as approach-to-blowup rather than failure.
+    close to collapse is reported as approach-to-blowup with a
+    ``RuntimeWarning`` rather than as failure.  Only direct calls can still
+    reach that report: ``blowup_time`` does not step into the collapse.
     """
     if R <= 0:
         raise ParameterError("labels must be positive")
@@ -406,29 +450,13 @@ def integrate_characteristics(data: InitialData, R: float, t_end: float,
         if (np.any(np.diff(t_eval) < 0)
                 or np.any((t_eval < 0) | (t_eval > t_end))):
             raise ParameterError("t_eval must be sorted within [0, t_end]")
-    n, lam = data.n, data.lam
-    v, vp = float(data.v0_at(R)[0]), float(data.v0_prime_at(R)[0])
-    if data.compatible:
-        # the force of the data's own velocity, m0 = (n-2) R^(n-2) v0^2/(2|lam|),
-        # so the closed-form flow solves this ODE exactly
-        k = 0.5 * (n - 2) / abs(lam)
-        m0R = k * R ** (n - 2) * v * v
-        mpR = k * R ** (n - 3) * v * ((n - 2) * v + 2.0 * R * vp)
-    else:
-        m0R = float(data.m0_at(R)[0])
-        mpR = float(data.rho0_at(R)[0]) * R ** (n - 1)
-    y0 = [R, v, 1.0, vp]
-    floor = X_FLOOR_FRACTION * R
-    events = (lambda t, y: y[0] - floor,     # POSITION_VANISHES
-              lambda t, y: y[2])             # DEFORMATION_VANISHES
-    ts, ys, hit, stalled_at = _dormand_prince(
-        _char_rhs(n, lam, m0R, mpR), y0, t_end, tol, tol * 1e-2, events,
+    ts, ys, hit, stalled_at = _step_label(
+        data.n, data.lam, R, _label_rates(data, R), t_end, tol,
         None if t_eval is None else t_eval.tolist())
 
     event_time = event_mech = None
     if hit is not None:
-        event_time = hit[0]
-        event_mech = (POSITION_VANISHES, DEFORMATION_VANISHES)[hit[1]]
+        event_time, event_mech = hit[0], _MECHANISMS[hit[1]]
     elif stalled_at is not None:
         # integrator stalled approaching the singularity
         event_time, event_mech = stalled_at, POSITION_VANISHES
@@ -442,15 +470,133 @@ def integrate_characteristics(data: InitialData, R: float, t_end: float,
                                     event_mechanism=event_mech)
 
 
+def _psi_quotient(u: float, n: int) -> float:
+    """u^max(n-2, 0) psi(u) / (1 - u) for psi(u) = int_u^1 s^(1-n) ds: the
+    polynomial sum_{j < |n-2|} u^j / |n-2|, except in the log case n = 2,
+    -ln(u) / (1 - u) (1 at u = 1, inf at u = 0)."""
+    if n == 2:
+        if u == 1.0:
+            return 1.0
+        return math.inf if u == 0.0 else -math.log(u) / (1.0 - u)
+    d = abs(n - 2)
+    return sum(u ** j for j in range(d)) / d
+
+
+def _qaws(f, lo, hi, alpha, beta):
+    """int_lo^hi (u - lo)^alpha (hi - u)^beta f(u) du by QUADPACK's QAWS to
+    ``QUAD_RTOL``; ConvergenceError if it does not get there."""
+    out = quad(f, lo, hi, weight="alg", wvar=(alpha, beta), epsabs=0.0,
+               epsrel=QUAD_RTOL, full_output=1)
+    if len(out) > 3:
+        raise ConvergenceError(f"collapse-time quadrature: {out[3]}")
+    return out[0]
+
+
+def _collapse_time(n: int, lam: float, m0: float, R: float, v: float
+                   ) -> float:
+    """Time for X'' = lam m0 X^(1-n) from X = R, X' = v to fall to the
+    collapse floor ``X_FLOOR_FRACTION`` R; inf if it never does.
+
+    The energy integral X'^2 = v^2 - k int_R^X s^(1-n) ds (k = -2 lam m0)
+    makes it one quadrature of dX/|X'|.  Under a pull (k > 0) below escape
+    speed the label moves as if it fell from rest at its turning point top,
+    where X'^2 = 0: the time is the fall from top to the floor, plus
+    (outgoing) or minus (incoming) the fall from top to R.  Otherwise top is
+    R.  With u = X/top, X'^2 = a + b psi(u) (``_psi_quotient``; a = 0 at a
+    turning point), and each fall is top times an integral of
+    du/sqrt(a + b psi(u)) up to u = 1.  Under a pull QAWS takes the
+    endpoint weights u^((n-2)/2) of the fall into X = 0 (n >= 3) and, at a
+    turning point, (1 - u)^(-1/2); what is left is smooth.
+    """
+    k = -2.0 * lam * m0
+    top, a, e = R, v * v, 0.0
+    if k > 0:
+        # int_R^top s^(1-n) ds = v^2/k = w, top = R e^e; past escape speed
+        # (z <= -1, n >= 3) there is no top
+        w, p = v * v / k, 2 - n
+        z = p * w / R ** p
+        if z > -1.0:
+            e = math.log1p(z) / p if p else w
+            if e <= 700.0:
+                top, a = R * math.exp(e), 0.0
+    if v >= 0 and (k <= 0 or a > 0):
+        return math.inf          # at rest, or outgoing and never pulled back
+    b = k * top ** (2 - n)
+    floor = X_FLOOR_FRACTION * R / top
+    if b <= 0:
+        # free or repelled fall: unweighted, and none if it turns first
+        def speed2(u):
+            return a + b * (1.0 - u) * _psi_quotient(u, n) / u ** max(n - 2, 0)
+        if speed2(floor) <= 0:
+            return math.inf
+        return top * _qaws(lambda u: speed2(u) ** -0.5, floor, 1.0, 0.0, 0.0)
+
+    alpha, beta = max(n - 2, 0) / 2.0, (-0.5 if a == 0 else 0.0)
+
+    def g(u):   # the integrand over u^alpha (1 - u)^beta
+        q = _psi_quotient(u, n)
+        return 1.0 / math.sqrt(b * q if a == 0
+                               else a * u ** (2 * alpha) + b * (1.0 - u) * q)
+
+    full = _qaws(g, 0.0, 1.0, alpha, beta)
+
+    def fall(lo):   # the integral from lo <= 1/2 up to 1
+        return full - _qaws(lambda u: (1.0 - u) ** beta * g(u), 0.0, lo,
+                            alpha, 0.0)
+    t = fall(floor)
+    if e > 0:
+        # from top down to R; near top in 1 - u, whose length 1 - R/top
+        # is exact even where top rounds to R
+        leg = (fall(math.exp(-e)) if e > math.log(2.0) else
+               _qaws(lambda d: (1.0 - d) ** alpha * g(1.0 - d), 0.0,
+                     -math.expm1(-e), beta, 0.0))
+        t += math.copysign(leg, v)
+    return top * t
+
+
 def blowup_time(data: InitialData, R: float, t_max: float
                 ) -> Optional[tuple[float, str]]:
-    """First time X(t)=0 or B(t)=0 along the label R, or None before t_max."""
+    """First time X(t)=0 or B(t)=0 along the label R, or None before t_max.
+
+    The collapse time t_X (X at the floor ``X_FLOOR_FRACTION`` R) is a
+    quadrature of the label's energy integral (``_collapse_time``).  Along
+    X(t_X(R), R) = X_FLOOR_FRACTION R, B = X_FLOOR_FRACTION - X' dt_X/dR at
+    t_X, so B has crossed zero first exactly when dt_X/dR is negative past
+    X_FLOOR_FRACTION/|X'|.  The slope is a central difference of t_X along
+    the label's (R, v0, m0), step ``SLOPE_STEP`` R:
+    - below -``SLOPE_TOL`` t_X/R, the stepper runs with both events to t_X
+      and finds the shell crossing before it;
+    - otherwise it runs only to (1 - ``WITNESS_MARGIN``) t_X, so a shell
+      crossing before then is still its own event, and the event is the
+      collapse at t_X.  A crossing within about ``SLOPE_TOL`` t_X of the
+      collapse is reported as the collapse.
+    The witness does not step into X = 0, so it never reaches
+    ``integrate_characteristics``' step-size-underflow report; a stall, or
+    a predicted crossing the stepper does not find, raises ConvergenceError.
+    """
     if t_max <= 0:
         raise ParameterError("t_max must be positive")
-    traj = integrate_characteristics(data, R, t_max)
-    if traj.event_time is None:
-        return None
-    return traj.event_time, traj.event_mechanism
+    if R <= 0:
+        raise ParameterError("labels must be positive")
+    n, lam = data.n, data.lam
+    rates = v, vp, m0R, mpR = _label_rates(data, R)
+    t_X = _collapse_time(n, lam, m0R, R, v)
+    crossing = False
+    if (1.0 - WITNESS_MARGIN) * t_X < t_max:
+        h = SLOPE_STEP * R
+        slope = (_collapse_time(n, lam, m0R + mpR * h, R + h, v + vp * h)
+                 - _collapse_time(n, lam, m0R - mpR * h, R - h, v - vp * h)
+                 ) / (2.0 * h)
+        crossing = slope < -SLOPE_TOL * t_X / R
+    t_end = min(t_max, t_X if crossing else (1.0 - WITNESS_MARGIN) * t_X)
+    _, _, hit, stalled_at = _step_label(n, lam, R, rates, t_end, 1e-10)
+    if hit is not None:
+        return hit[0], _MECHANISMS[hit[1]]
+    if stalled_at is not None or (crossing and t_X <= t_max):
+        raise ConvergenceError(
+            f"the blowup witness at R = {R:.6g} reached t = "
+            f"{stalled_at or t_end:.6g} without its event (t_X = {t_X:.6g})")
+    return (t_X, POSITION_VANISHES) if t_X <= t_max else None
 
 
 # ---------------------------------------------------------------------------

@@ -151,7 +151,8 @@ def _instance_batch():
     return cases
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # approach-to-collapse
+# the tol-1e-8 brute force still stalls on the n = 4 collapses
+@pytest.mark.filterwarnings("ignore:step-size underflow:RuntimeWarning")
 def test_acceptance_3_classifier_soundness():
     start = time.perf_counter()
     agree = 0

@@ -166,7 +166,8 @@ def _humped(n, lam):
                      lam=lam)
 
 
-# regime: (data, verdict kind, certificate, node of the witness label or None)
+# regime: (data, verdict kind, certificate, node of the certificate label or
+# None); blowup verdicts start their witness there
 CLASSIFY_REGIMES = {
     "free_v0_at_origin": (
         lambda: free_data(RadialProfile(G512, -0.5 + 0.1 * R512), 3),
@@ -199,7 +200,7 @@ CLASSIFY_REGIMES = {
         lambda: build_initial_data(smooth_ball_data(grid=G512).amplitude,
                                    1.0, 3),
         NECESSARY_CONDITION_VIOLATED, "C' = -0.282216 < 0 at r = 1.48728",
-        None),
+        38),
     "repulsive_undetermined": (
         lambda: free_data(RadialProfile(G512, 0.3 * R512 / (1.0 + R512)), 3,
                           lam=1.0),
@@ -219,11 +220,25 @@ def test_classify_certificate_and_witness_label(regime, monkeypatch):
                         labels.append(R) or blowup(data, R, t_max))
     v = classify(build(), witness=True)
     assert (v.kind, v.certificate) == (kind, certificate)
-    if node is None:
-        assert labels == [] and v.t_c is None
-    else:
+    assert v.label == (None if node is None else R512[node])
+    if kind == FINITE_TIME_BLOWUP:
         assert labels == [R512[node]]
         assert v.t_c is not None and v.t_c > 0
+    else:
+        assert labels == [] and v.t_c is None
+
+
+def test_verdict_label_is_the_node_not_its_print():
+    # the certificate prints the node to 6 digits; the verdict carries the
+    # node itself, so a witness rerun from it starts on the same label
+    for regime in ("free_v0_prime", "attractive_C", "repulsive_C_prime"):
+        build, _, certificate, node = CLASSIFY_REGIMES[regime]
+        v = classify(build())
+        printed = float(certificate.rsplit("at r = ", 1)[1])
+        assert v.label == R512[node] and type(v.label) is float
+        assert v.label != printed
+        assert abs(v.label - printed) <= 5e-6 * printed
+        assert v.as_dict()["label"] == v.label
 
 
 def test_classify_witness_for_inflow_at_the_origin():
@@ -401,9 +416,11 @@ def test_blowup_time_collapsing_ball(ball_zero_velocity):
     hit = blowup_time(ball_zero_velocity, 1.0, 10.0)
     assert hit is not None
     t_c, mech = hit
-    # energy method: X'^2 = 2 m0 (1/X - 1/R), collapse at (pi/2) sqrt(R^3/(2 m0))
+    # energy method: X'^2 = 2 m0 (1/X - 1/R), collapse at (pi/2) sqrt(R^3/(2 m0));
+    # the event is the floor X = 1e-8 R, (2/3) (1e-8)^(3/2) / sqrt(2 m0) earlier
     exact = 0.5 * np.pi * np.sqrt(1.5)
-    assert abs(t_c - exact) < 1e-4
+    floor = 2.0 / 3.0 * ep.X_FLOOR_FRACTION ** 1.5 * np.sqrt(1.5)
+    assert abs(t_c - (exact - floor)) < 1e-13
     assert mech == POSITION_VANISHES
 
 
@@ -415,6 +432,89 @@ def test_blowup_time_one_dimensional_ball():
     m01 = float(d.m0_at(1.0)[0])
     assert abs(m01 - 1.0) < 1e-12
     assert abs(hit[0] - np.sqrt(2.0 / m01)) < 1e-4
+
+
+def _acceptance_scaled_velocity_batch():
+    """The 40 n = 3 and n = 4 scaled-velocity instances of acceptance 3's
+    batch (undershoot, overshoot, inflow), drawn from its seed in its order
+    after the 20 compatible ones."""
+    rng = np.random.default_rng(715225)
+    rng.uniform(0.5, 2.0, 20)
+    scales = ([(3 + i % 2, b) for i, b in enumerate(rng.uniform(0.3, 0.85, 16))]
+              + [(3 + i % 2, b) for i, b in enumerate(rng.uniform(1.25, 2.0, 16))]
+              + [(3, -b) for b in rng.uniform(0.2, 1.0, 8)])
+    grid = RadialGrid(20.0, 1024)
+    return [smooth_ball_data(n=n, grid=grid, velocity_scale=float(b))
+            for n, b in scales]
+
+
+@pytest.mark.filterwarnings("ignore:step-size underflow:RuntimeWarning")
+def test_witness_agrees_with_rk45_on_the_acceptance_batch():
+    # the witness (quadrature collapse time, stepper up to its margin) against
+    # the brute-force stepper at tol 1e-12 from the verdict's own label: the
+    # same mechanism and t_c to 1e-9; 24 collapses and 16 shell crossings
+    kinds = []
+    for data in _acceptance_scaled_velocity_batch():
+        v = classify(data, witness=True)
+        ref = integrate_characteristics(data, v.label, ep.T_MAX_WITNESS,
+                                        tol=1e-12)
+        assert v.mechanism == ref.event_mechanism, (data.n, v.certificate)
+        assert abs(v.t_c - ref.event_time) <= 1e-9 * ref.event_time
+        kinds.append(v.mechanism)
+    assert kinds.count(POSITION_VANISHES) == 24
+    assert kinds.count(DEFORMATION_VANISHES) == 16
+
+
+def test_blowup_time_does_not_step_into_the_collapse():
+    # the label of test_step_size_underflow_reports_approach_to_collapse: the
+    # witness takes its collapse time from the energy integral, with no stall
+    d = smooth_ball_data(n=4, grid=RadialGrid(20.0, 1024),
+                         velocity_scale=0.425)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t_c, mech = blowup_time(d, 1.1144, 2000.0)
+    assert mech == POSITION_VANISHES
+    assert abs(t_c - 4.4510215134) < 1e-10 * t_c
+
+
+def _late_crossing_ball():
+    # a uniform ball collapses homologously (dt_X/dR = 0); a faint inflow
+    # growing like r^2 lets outer shells catch up, so dt_X/dR < 0 and the
+    # shell at R = 0.5 crosses about 2e-5 t_X before the collapse
+    g = RadialGrid(20.0, 1024)
+    r = g.nodes
+    ball = ball_data(n=3, lam=-1.0, velocity="zero", grid=g)
+    return dataclasses.replace(
+        ball, velocity=RadialProfile(g, -1e-4 * r ** 2 * np.exp(-r ** 2)),
+        exact=None)
+
+
+def test_blowup_time_finds_a_shell_crossing_just_before_the_collapse():
+    d, R = _late_crossing_ball(), 0.5
+    v, _, m0, _ = ep._label_rates(d, R)
+    t_X = ep._collapse_time(d.n, d.lam, m0, R, v)
+    t_c, mech = blowup_time(d, R, 100.0)
+    assert mech == DEFORMATION_VANISHES
+    # past the point where the witness would stop stepping for a collapse
+    assert (1.0 - ep.WITNESS_MARGIN) * t_X < t_c < t_X
+    ref = integrate_characteristics(d, R, 100.0, tol=1e-12)
+    assert ref.event_mechanism == DEFORMATION_VANISHES
+    assert abs(t_c - ref.event_time) <= 1e-9 * t_c
+
+
+def test_blowup_time_none_past_t_max(ball_zero_velocity):
+    t_c, _ = blowup_time(ball_zero_velocity, 1.0, 10.0)
+    for t_max in (0.5 * t_c, (1.0 - 0.5 * ep.WITNESS_MARGIN) * t_c,
+                  t_c * (1.0 - 1e-12)):
+        assert blowup_time(ball_zero_velocity, 1.0, t_max) is None
+    assert blowup_time(ball_zero_velocity, 1.0, t_c) == (t_c, POSITION_VANISHES)
+    # a shell crossing inside the last stretch before the collapse
+    d = _late_crossing_ball()
+    t_b, _ = blowup_time(d, 0.5, 100.0)
+    assert blowup_time(d, 0.5, t_b * (1.0 - 1e-9)) is None
+    # the stepper's last step ends at t_max, so the root moves in the last bits
+    t, mech = blowup_time(d, 0.5, t_b * (1.0 + 1e-9))
+    assert mech == DEFORMATION_VANISHES and t == pytest.approx(t_b, rel=1e-13)
 
 
 def test_compatible_ball_never_blows_up(ball):
