@@ -54,7 +54,8 @@ def _summarize(scenario: str, result) -> str:
         return (f"converge: order_modulus={result.fitted_order_modulus:.3f} "
                 f"order_full={result.fitted_order_full:.3f} "
                 f"excluded={result.excluded_eps} "
-                f"points={[row['points'] for row in result.rows]}")
+                f"points={[row['points'] for row in result.rows]} "
+                f"split_ratio={result.split_ratio:.2e}")
     if scenario == "classify":
         kinds = {}
         for row in result:

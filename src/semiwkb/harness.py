@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import io as sio
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError, StepRejectionError
 from .euler_poisson import (GLOBAL, classify, eulerian_fields,
                             integrate_characteristics, label_flow)
 from .grids import RadialGrid, RadialProfile
@@ -24,12 +24,23 @@ from .schrodinger import fast_points, required_points, run
 from .wkb import WkbFields, first_corrector, leading_order
 
 __all__ = ["DataConfig", "ExperimentConfig", "ConvergenceReport",
-           "build_data", "rung_points", "converge", "classify_sweep",
-           "decay_study", "evolve_ep", "wkb_eval", "schrodinger_run",
-           "run_scenario", "SCENARIOS"]
+           "build_data", "rung_points", "rung_step", "converge",
+           "classify_sweep", "decay_study", "evolve_ep", "wkb_eval",
+           "schrodinger_run", "run_scenario", "SCENARIOS", "SPLIT_TOL"]
 
 SCENARIOS = ("classify", "evolve-ep", "wkb-eval", "schrodinger-run",
              "converge", "decay-study")
+
+# Bound on each converge rung's splitting-error estimate relative to the
+# smaller of its two WKB errors.  A relative move of at most delta in every
+# error moves each log error by at most about delta, and the least-squares
+# slope, sum_i w_i log e_i with w_i = (x_i - mean x) / sum_j (x_j - mean x)^2
+# and x = log eps, by at most delta * sum_i |w_i|: 1/log 2 = 1.44 on 3 rungs
+# of a halving ladder and 0.8/log 2 = 1.15 on 4.  At 1e-2 each fitted order
+# stays within 0.015 of the exact march's.  Measured at T = 0.5 on the
+# ladder 1/8 .. 1/64 with fine steps of eps/2.5: 3.9e-3 to 4.3e-3 for chirp
+# 1, and at most 5.5e-3 for chirps 0.75 and 1.25.
+SPLIT_TOL = 1e-2
 
 
 # JSON value types accepted for each field annotation of the config classes
@@ -205,6 +216,7 @@ class ConvergenceReport:
     fitted_order_full: float
     excluded_eps: list
     config_hash: str
+    split_ratio: float      # worst split_error / min(err_modulus, err_full)
 
 
 def truncated_mass_fraction(data: InitialData) -> float:
@@ -305,6 +317,17 @@ def rung_points(data: InitialData, config: ExperimentConfig) -> list:
         for eps in config.eps_ladder]
 
 
+def rung_step(eps: float, t_end: float) -> float:
+    """Fine Strang step T/(2n) of a converge rung, with n = ceil(1.25 T/eps)
+    (rounded instead when 1.25 T/eps is within 1e-9 of an integer), so that
+    the fine march of 2n steps and the coarse one of n steps of T/n both land
+    on t_end with no remainder; on a ladder where 1.25 T/eps is an integer
+    the fine step is eps/2.5."""
+    x = 1.25 * t_end / eps
+    n = round(x) if abs(x - round(x)) <= 1e-9 else math.ceil(x)
+    return t_end / (2 * max(n, 1))
+
+
 def converge(config: ExperimentConfig) -> ConvergenceReport:
     """epsilon-ladder WKB error study at t_end.
 
@@ -317,9 +340,20 @@ def converge(config: ExperimentConfig) -> ConvergenceReport:
     ``solver_points`` rounded up to a fast count, each coarser one on fewer
     nodes.  a0, phi0 and phi1 are evaluated once per distinct grid, and every
     row records its ``points``.
+
+    Each rung marches twice, at its step dt (``rung_step``, or ``config.dt``
+    when given) and at 2 dt; the fine march is the answer, and Strang being
+    second order, ||u(dt) - u(2 dt)||/3 estimates its splitting error
+    (``split_error``).  A rung whose estimate exceeds ``SPLIT_TOL`` of the
+    smaller of its two WKB errors raises StepRejectionError before anything
+    is written.
     """
-    data = build_data(config.data)
     T = config.t_end
+    if config.dt is not None and 2.0 * config.dt > T:
+        raise ParameterError(
+            f"dt = {config.dt:g} leaves the splitting-error estimate blind: "
+            f"the coarse march of 2 dt must fit in t_end = {T:g}")
+    data = build_data(config.data)
     counts = rung_points(data, config)
     corr = first_corrector(data, T,
                            grid=RadialGrid(config.data.r_max,
@@ -341,13 +375,20 @@ def converge(config: ExperimentConfig) -> ConvergenceReport:
         t0 = time.perf_counter()
         wgrid, a0T, phi0T, beta0 = refs[m]
         r, dr = wgrid.nodes, wgrid.dr
-        dt = config.dt if config.dt is not None else eps / 10.0
-        res = run(data, eps, T, dt=dt, grid=wgrid, snapshot_times=[T],
-                  ppw=config.ppw)
-        u = res.snapshots[-1].values
+        dt = config.dt if config.dt is not None else rung_step(eps, T)
+        u, u_coarse = (run(data, eps, T, dt=step, grid=wgrid,
+                           snapshot_times=[T], ppw=config.ppw
+                           ).snapshots[-1].values for step in (dt, 2.0 * dt))
         em = _weighted_l2(np.abs(u) - np.abs(a0T), r, dr, data.n)
         ef = _weighted_l2(u * np.exp(-1j * phi0T / eps) - beta0, r, dr, data.n)
-        return {"eps": eps, "points": m, "err_modulus": em, "err_full": ef,
+        split = _weighted_l2(u - u_coarse, r, dr, data.n) / 3.0
+        if split > SPLIT_TOL * min(em, ef):
+            raise StepRejectionError(
+                f"splitting-error estimate {split:.3e} at eps = {eps:g} "
+                f"exceeds {SPLIT_TOL:g} of the WKB error {min(em, ef):.3e}: "
+                f"take a smaller dt than {dt:g}")
+        return {"eps": eps, "points": m, "dt": dt, "err_modulus": em,
+                "err_full": ef, "split_error": split,
                 "runtime_s": time.perf_counter() - t0}
 
     rows = [one(e, m) for e, m in zip(config.eps_ladder, counts)]
@@ -355,17 +396,21 @@ def converge(config: ExperimentConfig) -> ConvergenceReport:
     eps_arr = np.array([row["eps"] for row in rows])
     om, exc_m = fit_order(eps_arr, np.array([row["err_modulus"] for row in rows]))
     of, exc_f = fit_order(eps_arr, np.array([row["err_full"] for row in rows]))
+    # past the gate, a nonzero estimate has a nonzero WKB error to divide
+    ratio = max(row["split_error"] / min(row["err_modulus"], row["err_full"])
+                if row["split_error"] > 0 else 0.0 for row in rows)
     report = ConvergenceReport(rows=rows, fitted_order_modulus=om,
                                fitted_order_full=of,
                                excluded_eps=sorted(set(exc_m + exc_f)),
-                               config_hash=config.hash())
+                               config_hash=config.hash(), split_ratio=ratio)
     if config.out_dir:
         cols = ("eps", "err_modulus", "err_full")
         _write(config, "convergence.csv", [[r[k] for k in cols] for r in rows],
                columns=cols, scenario="converge")
         _write(config, "convergence.json", {
             "config_hash": report.config_hash,
-            "rows": [{k: r[k] for k in cols + ("points",)} for r in rows],
+            "rows": [{k: r[k] for k in cols + ("points", "dt", "split_error")}
+                     for r in rows],
             "fitted_order_modulus": om, "fitted_order_full": of,
             "excluded_eps": report.excluded_eps,
             "corrector_time_error": float(corr.time_error[-1])})

@@ -44,7 +44,9 @@ __all__ = [
 ]
 
 # Coarse-fine time-error estimate max|y(dt/2) - y(dt)| / max|y(dt/2)|.
-# Measured for chirp 1 on 2049 labels at T = 0.5: 1.6e-8 at dt = 2.5e-2; on 513
+# Measured for chirp 1 on 2049 labels at T = 0.5: 1.6e-8 at dt = 2.5e-2,
+# 3.95e-6 at the default 0.1 (max error of a1 2.8e-9 and of phi1 4.3e-9
+# against dt = 1e-3), 1.4e-4 at 0.25, and 1.57e-3 at 0.5, which fails; on 513
 # labels at T = 0.4: 4.3e-10 at 1e-2, 1.7e-8 at 2.5e-2, 4.2e-6 at 0.1 and
 # 7.8e-4 at 0.4.
 TIME_ERROR_TOL = 1e-3
@@ -293,7 +295,7 @@ def _rk4_step(reaction, c0, c_half, c1, a1, p1, step):
 
 def first_corrector(data: InitialData, t_end: float,
                     grid: RadialGrid,
-                    dt: float = 2.5e-2,
+                    dt: float = 0.1,
                     sample_times=None) -> CorrectorSeries:
     """March the first linearized pair (a1, phi1) from zero to t_end.
 

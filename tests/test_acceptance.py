@@ -72,13 +72,9 @@ def _brute_force_confirms(data, verdict, t_max=1000.0):
                 return False
         return True
     # blowup / violated necessary condition: the certificate label breaks down
-    import re
-    m = re.search(r"at r = ([0-9.eE+-]+)", verdict.certificate)
-    labels = [float(m.group(1))] if m else []
+    labels = [verdict.label] if verdict.label is not None else []
     labels += [0.5, 1.0, 1.5]
     for R in labels:
-        if R <= 0:
-            continue
         traj = integrate_characteristics(data, R, t_max, tol=1e-8)
         if traj.event_time is not None:
             return True

@@ -9,9 +9,10 @@ import pytest
 from semiwkb import (ConfigError, ConvergenceError, DataConfig,
                      ExperimentConfig, RadialGrid, harness, run)
 from semiwkb.cli import main as cli_main
-from semiwkb.harness import (_weighted_l2, build_data, classify_sweep,
-                             converge, decay_study, evolve_ep, rung_points,
-                             schrodinger_run, wkb_eval)
+from semiwkb.harness import (SPLIT_TOL, _weighted_l2, build_data,
+                             classify_sweep, converge, decay_study, evolve_ep,
+                             rung_points, rung_step, schrodinger_run,
+                             wkb_eval)
 from semiwkb.schrodinger import fast_points, required_points
 from semiwkb.wkb import first_corrector, leading_order
 
@@ -205,6 +206,13 @@ def test_converge_emits_hash_stamped_files(conv_report):
     assert "eps,err_modulus,err_full" in csv.splitlines()   # columns kept
     assert "runtime_s" not in payload["rows"][0]   # timings live in the sidecar
     assert (out / "timing.json").exists()
+    for row, written in zip(report.rows, payload["rows"]):
+        assert written["dt"] == row["dt"]
+        assert written["split_error"] == row["split_error"]
+    assert report.split_ratio == max(
+        row["split_error"] / min(row["err_modulus"], row["err_full"])
+        for row in report.rows)
+    assert 0.0 < report.split_ratio <= SPLIT_TOL
 
 
 @pytest.mark.parametrize("solver_points, expected", [
@@ -240,10 +248,11 @@ def test_rung_points_raised_to_required_points():
 
 
 def test_converge_rungs_match_the_finest_grid(conv_report):
-    # each rung against the same march and reference fields on the finest
-    # rung's fast_points(solver_points) nodes; measured moves on this
-    # config: err_full 1.9e-6 (eps = 1/4), err_modulus 4.5e-7 (eps = 1/8),
-    # zero on the finest rung; the bound leaves a factor of five
+    # each rung against the same march, at the step its row records, and
+    # reference fields on the finest rung's fast_points(solver_points) nodes;
+    # measured moves on this config: err_full 1.8e-6 (eps = 1/4),
+    # err_modulus 4.5e-7 (eps = 1/8), zero on the finest rung; the bound
+    # leaves a factor of five
     cfg, report, _ = conv_report
     data = build_data(cfg.data)
     T, r_max = cfg.t_end, cfg.data.r_max
@@ -256,13 +265,82 @@ def test_converge_rungs_match_the_finest_grid(conv_report):
     assert [row["points"] for row in report.rows] == [539, 1079, 2159]
     for row in report.rows:
         eps = row["eps"]
-        u = run(data, eps, T, dt=eps / 10.0, grid=g,
+        u = run(data, eps, T, dt=row["dt"], grid=g,
                 snapshot_times=[T]).snapshots[-1].values
         em = _weighted_l2(np.abs(u) - np.abs(a0T), g.nodes, g.dr, data.n)
         ef = _weighted_l2(u * np.exp(-1j * phi0T / eps) - beta0, g.nodes,
                           g.dr, data.n)
         assert abs(row["err_modulus"] - em) <= 1e-5 * em
         assert abs(row["err_full"] - ef) <= 1e-5 * ef
+
+
+def test_rung_step_mesh_rule():
+    # perfbench and acceptance 7/8: 1.25 T/eps = 5, 10, 20, 40 coarse steps
+    for eps in (1 / 8, 1 / 16, 1 / 32, 1 / 64):
+        assert rung_step(eps, 0.5) == pytest.approx(eps / 2.5, rel=1e-15)
+    # 1.25 T/eps = 2.5 rounds up to 3 coarse steps; 3 + 1e-12 rounds to 3
+    assert rung_step(0.125, 0.25) == 0.25 / 6
+    assert rung_step(0.25, 0.6 * (1.0 + 1e-12)) == 0.6 * (1.0 + 1e-12) / 6
+    assert rung_step(0.25, 0.61) == 0.61 / 8
+    # a coarse step longer than eps/1.25 still takes one step
+    assert rung_step(0.5, 0.1) == 0.05
+
+
+def test_converge_split_error_matches_the_splitting_error(conv_report):
+    # ||u(dt) - u(2 dt)||/3 against ||u(dt) - u(dt/8)|| on each rung's own
+    # grid; measured 1.011, 1.014 and 1.015 on this config
+    cfg, report, _ = conv_report
+    data, T = build_data(cfg.data), cfg.t_end
+    for row in report.rows:
+        g = RadialGrid(cfg.data.r_max, row["points"], include_origin=False)
+        u, u_ref = (run(data, row["eps"], T, dt=step, grid=g,
+                        snapshot_times=[T]).snapshots[-1].values
+                    for step in (row["dt"], row["dt"] / 8.0))
+        true = _weighted_l2(u - u_ref, g.nodes, g.dr, data.n)
+        assert 0.9 * true <= row["split_error"] <= 1.1 * true
+
+
+def _converge_payload(**over) -> dict:
+    payload = {"data": {"family": "smooth_ball", "chirp": 1.0,
+                        "points": 2048},
+               "eps_ladder": [0.25, 0.125, 0.0625], "t_end": 0.25,
+               "solver_points": 2048, "corrector_points": 1025}
+    payload.update(over)
+    return payload
+
+
+def test_converge_split_gate_fails_closed(tmp_path, capsys):
+    # at dt = 0.1 the estimate reads 1.9e-2 and 6.9e-2 of the smaller WKB
+    # error on rungs 2 and 3, past SPLIT_TOL: exit 1 and no output
+    assert ExperimentConfig.from_json(_converge_payload(), "converge") \
+        == small_converge_config()
+    cfg_path = tmp_path / "coarse.json"
+    cfg_path.write_text(json.dumps(_converge_payload(dt=0.1)))
+    out = tmp_path / "out"
+    assert cli_main(["converge", "--config", str(cfg_path),
+                     "--out", str(out)]) == 1
+    assert "splitting-error estimate" in capsys.readouterr().err
+    assert not (out / "convergence.json").exists()
+
+
+def test_converge_rejects_a_dt_that_blinds_the_estimate(tmp_path, capsys):
+    # 2 dt > t_end leaves no full coarse step; at dt >= t_end both marches
+    # would take the same single step and the estimate would read 0
+    cfg_path = tmp_path / "blind.json"
+    cfg_path.write_text(json.dumps(_converge_payload(dt=0.13)))
+    out = tmp_path / "out"
+    assert cli_main(["converge", "--config", str(cfg_path),
+                     "--out", str(out)]) == 2
+    assert "blind" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_converge_summary_prints_the_split_ratio(tmp_path, capsys):
+    cfg_path = tmp_path / "conv.json"
+    cfg_path.write_text(json.dumps(_converge_payload()))
+    assert cli_main(["converge", "--config", str(cfg_path)]) == 0
+    ratio = float(capsys.readouterr().out.split("split_ratio=")[1])
+    assert 0.0 < ratio <= SPLIT_TOL
 
 
 def test_converge_deterministic(tmp_path, conv_report):
