@@ -69,10 +69,11 @@ def _summarize(scenario: str, result) -> str:
     if scenario == "wkb-eval":
         return f"wkb-eval: evaluated {len(result)} snapshots"
     if scenario == "schrodinger-run":
-        last = result["observables"][-1]
+        last, header = result["observables"][-1], result["header"]
         return (f"schrodinger-run: t={last['t']:g} mass={last['mass']:.9f} "
-                f"energy={last['energy']:.9f} "
-                f"points={result['header']['grid']['points']}")
+                f"energy={last['energy']:.9f} dt={header['dt']:g} "
+                f"split_ratio={header['split_ratio']:.2e} "
+                f"points={header['grid']['points']}")
 
 
 if __name__ == "__main__":

@@ -20,11 +20,12 @@ from .grids import RadialGrid, RadialProfile
 from .norms import decay_fit, lp_norm, norm_diagnostics, sphere_area
 from .profiles import (InitialData, ball_data, gaussian_free_data,
                        sample_data, smooth_ball_data)
-from .schrodinger import fast_points, required_points, run
+from .schrodinger import fast_points, required_points, run, rung_step
 from .wkb import WkbFields, first_corrector, leading_order
 
 __all__ = ["DataConfig", "ExperimentConfig", "ConvergenceReport",
-           "build_data", "rung_points", "rung_step", "converge",
+           "build_data", "rung_points", "rung_step", "check_split_mesh",
+           "split_march", "converge",
            "classify_sweep", "decay_study", "evolve_ep", "wkb_eval",
            "schrodinger_run", "run_scenario", "SCENARIOS", "SPLIT_TOL"]
 
@@ -39,7 +40,11 @@ SCENARIOS = ("classify", "evolve-ep", "wkb-eval", "schrodinger-run",
 # of a halving ladder and 0.8/log 2 = 1.15 on 4.  At 1e-2 each fitted order
 # stays within 0.015 of the exact march's.  Measured at T = 0.5 on the
 # ladder 1/8 .. 1/64 with fine steps of eps/2.5: 3.9e-3 to 4.3e-3 for chirp
-# 1, and at most 5.5e-3 for chirps 0.75 and 1.25.
+# 1, and at most 5.5e-3 for chirps 0.75 and 1.25.  schrodinger-run has no
+# WKB error to compare against and takes the same fraction of eps ||u0||,
+# the scale of the paper's O(eps) bound: at its default step the estimate
+# reads 1.99e-3 to 2.09e-3 of it for chirps 0.75 to 1.25 at eps = 1/32 and
+# 1/128, T = 0.5.
 SPLIT_TOL = 1e-2
 
 
@@ -317,15 +322,55 @@ def rung_points(data: InitialData, config: ExperimentConfig) -> list:
         for eps in config.eps_ladder]
 
 
-def rung_step(eps: float, t_end: float) -> float:
-    """Fine Strang step T/(2n) of a converge rung, with n = ceil(1.25 T/eps)
-    (rounded instead when 1.25 T/eps is within 1e-9 of an integer), so that
-    the fine march of 2n steps and the coarse one of n steps of T/n both land
-    on t_end with no remainder; on a ladder where 1.25 T/eps is an integer
-    the fine step is eps/2.5."""
-    x = 1.25 * t_end / eps
-    n = round(x) if abs(x - round(x)) <= 1e-9 else math.ceil(x)
-    return t_end / (2 * max(n, 1))
+def check_split_mesh(dt: float, t_end: float) -> None:
+    """Reject a step whose coarse march of 2 dt does not land on t_end.
+
+    t_end/(2 dt) must be a positive integer to within 1e-9 of itself, the
+    landing tolerance of ``run``: then the fine and the coarse march both end
+    on t_end with no remainder step, and ||u(dt) - u(2 dt)||/3 is the
+    Richardson estimate of the fine march's splitting error.  Off that mesh
+    the coarse march ends on a shorter step and the estimate reads low (0.87
+    of the true error at dt = 0.05, t_end = 0.25); past 2 dt > t_end it has
+    no full coarse step, and at dt >= t_end it reads 0."""
+    k = t_end / (2.0 * dt)
+    if round(k) < 1 or abs(k - round(k)) > 1e-9 * k:
+        raise ParameterError(
+            f"dt = {dt:g} puts the coarse march of 2 dt off the mesh of "
+            f"t_end = {t_end:g} (t_end/(2 dt) = {k:.6g} is not a positive "
+            f"integer), which leaves the splitting-error estimate biased or "
+            f"blind: take dt = t_end/(2k) for a positive integer k")
+
+
+def split_march(data: InitialData, eps: float, t_end: float,
+                dt: float | None, grid: RadialGrid, ppw: int,
+                observable_times=None) -> tuple:
+    """Strang march to t_end at dt (``run``'s default ``rung_step`` when
+    None) with its splitting-error estimate.
+
+    A second, coarse march at 2 dt keeps only its final snapshot; Strang
+    being second order in time, ||u(dt) - u(2 dt)||/3 in the weighted L2
+    norm estimates the fine march's splitting error (Descombes and
+    Thalhammer, BIT 50, 2010).  Returns the fine march's ``RunResult``, with
+    a snapshot at t_end and observables at ``observable_times``, and the
+    estimate.  A dt off the mesh of ``check_split_mesh`` raises
+    ParameterError; the default step is on it by construction."""
+    if dt is not None:
+        check_split_mesh(dt, t_end)
+    fine = run(data, eps, t_end, dt=dt, grid=grid, ppw=ppw,
+               observable_times=observable_times, snapshot_times=[t_end])
+    coarse = run(data, eps, t_end, dt=2.0 * fine.header["dt"], grid=grid,
+                 ppw=ppw, observable_times=[], snapshot_times=[t_end])
+    delta = fine.snapshots[-1].values - coarse.snapshots[-1].values
+    return fine, _weighted_l2(delta, grid.nodes, grid.dr, data.n) / 3.0
+
+
+def _reject_split(split: float, scale: float, what: str, eps: float,
+                  dt: float) -> None:
+    if split > SPLIT_TOL * scale:
+        raise StepRejectionError(
+            f"splitting-error estimate {split:.3e} at eps = {eps:g} exceeds "
+            f"{SPLIT_TOL:g} of {what} ({scale:.3e}): take a smaller dt than "
+            f"{dt:g}")
 
 
 def converge(config: ExperimentConfig) -> ConvergenceReport:
@@ -341,18 +386,16 @@ def converge(config: ExperimentConfig) -> ConvergenceReport:
     nodes.  a0, phi0 and phi1 are evaluated once per distinct grid, and every
     row records its ``points``.
 
-    Each rung marches twice, at its step dt (``rung_step``, or ``config.dt``
-    when given) and at 2 dt; the fine march is the answer, and Strang being
-    second order, ||u(dt) - u(2 dt)||/3 estimates its splitting error
+    Each rung marches through ``split_march``, at its step dt (``rung_step``,
+    or ``config.dt`` when given) and at 2 dt; the fine march is the answer,
+    and ||u(dt) - u(2 dt)||/3 estimates its splitting error
     (``split_error``).  A rung whose estimate exceeds ``SPLIT_TOL`` of the
     smaller of its two WKB errors raises StepRejectionError before anything
     is written.
     """
     T = config.t_end
-    if config.dt is not None and 2.0 * config.dt > T:
-        raise ParameterError(
-            f"dt = {config.dt:g} leaves the splitting-error estimate blind: "
-            f"the coarse march of 2 dt must fit in t_end = {T:g}")
+    if config.dt is not None:
+        check_split_mesh(config.dt, T)
     data = build_data(config.data)
     counts = rung_points(data, config)
     corr = first_corrector(data, T,
@@ -375,18 +418,11 @@ def converge(config: ExperimentConfig) -> ConvergenceReport:
         t0 = time.perf_counter()
         wgrid, a0T, phi0T, beta0 = refs[m]
         r, dr = wgrid.nodes, wgrid.dr
-        dt = config.dt if config.dt is not None else rung_step(eps, T)
-        u, u_coarse = (run(data, eps, T, dt=step, grid=wgrid,
-                           snapshot_times=[T], ppw=config.ppw
-                           ).snapshots[-1].values for step in (dt, 2.0 * dt))
+        res, split = split_march(data, eps, T, config.dt, wgrid, config.ppw)
+        u, dt = res.snapshots[-1].values, res.header["dt"]
         em = _weighted_l2(np.abs(u) - np.abs(a0T), r, dr, data.n)
         ef = _weighted_l2(u * np.exp(-1j * phi0T / eps) - beta0, r, dr, data.n)
-        split = _weighted_l2(u - u_coarse, r, dr, data.n) / 3.0
-        if split > SPLIT_TOL * min(em, ef):
-            raise StepRejectionError(
-                f"splitting-error estimate {split:.3e} at eps = {eps:g} "
-                f"exceeds {SPLIT_TOL:g} of the WKB error {min(em, ef):.3e}: "
-                f"take a smaller dt than {dt:g}")
+        _reject_split(split, min(em, ef), "the WKB error", eps, dt)
         return {"eps": eps, "points": m, "dt": dt, "err_modulus": em,
                 "err_full": ef, "split_error": split,
                 "runtime_s": time.perf_counter() - t0}
@@ -551,6 +587,8 @@ def evolve_ep(config: ExperimentConfig) -> dict:
 def wkb_eval(config: ExperimentConfig) -> list:
     """Evaluate WKB fields (with the first corrector) at the configured times.
 
+    Each ``norms.jsonl`` record carries the corrector's time-error estimate
+    at its time (``CorrectorSeries.time_error``) as ``corrector_time_error``.
     Every field and norm is computed before the first file is written, so a
     run that fails leaves no partial output behind."""
     data = build_data(config.data)
@@ -569,8 +607,9 @@ def wkb_eval(config: ExperimentConfig) -> list:
         outputs.append(WkbFields(t=f.t, a0=f.a0, phi0=f.phi0, V_P=f.V_P,
                                  a1=a1, phi1=p1))
         rep = norm_diagnostics(f.a0, data.n, t=t)
-        norm_records.append({"t": t, "l2_a0": rep.l2,
-                             "y_norm_a0": rep.y_norm})
+        norm_records.append({"t": t, "l2_a0": rep.l2, "y_norm_a0": rep.y_norm,
+                             "corrector_time_error":
+                                 float(corr.time_error[i])})
     if config.out_dir:
         for t, f in zip(times, outputs):
             a0, a1 = f.a0.values, f.a1.values
@@ -585,20 +624,32 @@ def wkb_eval(config: ExperimentConfig) -> list:
 
 
 def schrodinger_run(config: ExperimentConfig) -> dict:
-    """Single wave-solver run with observables and optional snapshots, on
-    ``solver_points`` rounded up to a fast DST count."""
+    """Single wave-solver run with observables and a snapshot at t_end, on
+    ``solver_points`` rounded up to a fast DST count.
+
+    The run marches through ``split_march`` at ``config.dt`` or, by default,
+    ``rung_step``.  With no WKB error to compare against, its estimate is
+    gated on the scale of the paper's O(eps) bound: above
+    ``SPLIT_TOL * eps * ||u0||``, with ||u0|| the square root of the initial
+    discrete mass, it raises StepRejectionError before anything is written.
+    The header records ``dt``, ``split_error`` and ``split_ratio``, the
+    estimate over eps ||u0||."""
+    T = config.t_end
+    if config.dt is not None:
+        check_split_mesh(config.dt, T)
     data = build_data(config.data)
     eps = config.eps_ladder[0]
     wgrid = RadialGrid(config.data.r_max, fast_points(config.solver_points),
                        include_origin=False)
-    obs_times = sorted(set([0.0, config.t_end] + [float(t) for t in config.times
-                                                  if t <= config.t_end]))
-    res = run(data, eps, config.t_end, dt=config.dt, grid=wgrid,
-              observable_times=obs_times, snapshot_times=[config.t_end],
-              ppw=config.ppw)
+    obs_times = sorted(set([0.0, T] + [float(t) for t in config.times
+                                       if t <= T]))
+    res, split = split_march(data, eps, T, config.dt, wgrid, config.ppw,
+                             observable_times=obs_times)
+    scale = eps * math.sqrt(res.observables[0].mass)
+    _reject_split(split, scale, "eps ||u0||", eps, res.header["dt"])
     records = [dataclasses.asdict(ob) for ob in res.observables]
-    header = dict(res.header)
-    header["config_hash"] = config.hash()
+    header = {**res.header, "split_error": split,
+              "split_ratio": split / scale, "config_hash": config.hash()}
     if config.out_dir:
         _write(config, "header.json", header)
         _write(config, "observables.jsonl", records)

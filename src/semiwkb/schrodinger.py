@@ -21,7 +21,7 @@ from .wkb import hartree_potential
 
 __all__ = ["WaveField", "Observables", "RunResult", "initial_wavefield",
            "strang_step", "run", "madelung_observables", "current_velocity",
-           "required_points", "fast_points"]
+           "required_points", "fast_points", "rung_step"]
 
 FOUR_PI = 4.0 * math.pi
 VELOCITY_FLOOR = 1e-8          # |u| mask threshold, relative to max|u|
@@ -222,6 +222,20 @@ def current_velocity(u: WaveField) -> RadialProfile:
     return RadialProfile(u.grid, vel)
 
 
+def rung_step(eps: float, t_end: float) -> float:
+    """Default Strang step T/(2n), with n = ceil(1.25 T/eps) (rounded instead
+    when 1.25 T/eps is within 1e-9 of an integer), so that a fine march of 2n
+    steps and a coarse one of n steps of T/n both land on t_end with no
+    remainder; where 1.25 T/eps is an integer the step is eps/2.5.
+
+    With dt proportional to eps the splitting error of the semiclassical
+    march is itself O(eps) (Bao, Jin and Markowich, J. Comput. Phys. 175,
+    2002), the order of the WKB error it sits under."""
+    x = 1.25 * t_end / eps
+    n = round(x) if abs(x - round(x)) <= 1e-9 else math.ceil(x)
+    return t_end / (2 * max(n, 1))
+
+
 def run(data: InitialData, eps: float, t_end: float,
         dt: float | None = None, *, grid: RadialGrid,
         observable_times=None, snapshot_times=None, ppw: int = 16) -> RunResult:
@@ -230,15 +244,22 @@ def run(data: InitialData, eps: float, t_end: float,
     Every full step is exactly dt and ends at the time k*dt, so the steps
     share one kinetic phase table and hand their potential phase factor on;
     only a genuine remainder to t_end builds its own.  The default step is
-    min(1e-3, eps/10), resolving the O(1/eps) potential phase accumulation.
-    Mass escaping past the truncation monitor (outer 2% of the box) beyond
-    ``BOUNDARY_TOL`` of the total is recorded as a truncation warning stamped
-    with the simulation time.
+    ``rung_step(eps, t_end)``, eps/2.5 where 1.25 t_end/eps is an integer.
+    An observation or snapshot requested at time s is taken at the first
+    mesh time at or after s and records that time.  Mass escaping past the
+    truncation monitor (outer 2% of the box) beyond ``BOUNDARY_TOL`` of the
+    total is recorded as a truncation warning stamped with the simulation
+    time.
+
+    ``schrodinger-run`` marches once more at 2 dt (``harness.split_march``)
+    and fails closed, with StepRejectionError (exit 1) before it writes
+    anything, when the splitting-error estimate ||u(dt) - u(2 dt)||/3
+    exceeds ``SPLIT_TOL`` (1e-2) of eps ||u0||.
     """
     if t_end <= 0:
         raise ParameterError("t_end must be positive")
     if dt is None:
-        dt = min(1e-3, eps / 10.0)
+        dt = rung_step(eps, t_end)
     if dt <= 0:
         raise ParameterError("dt must be positive")
     if observable_times is None:

@@ -14,7 +14,7 @@ from semiwkb.harness import (SPLIT_TOL, _weighted_l2, build_data,
                              rung_points, rung_step, schrodinger_run,
                              wkb_eval)
 from semiwkb.schrodinger import fast_points, required_points
-from semiwkb.wkb import first_corrector, leading_order
+from semiwkb.wkb import TIME_ERROR_TOL, first_corrector, leading_order
 
 
 def small_converge_config(**over):
@@ -310,12 +310,13 @@ def _converge_payload(**over) -> dict:
 
 
 def test_converge_split_gate_fails_closed(tmp_path, capsys):
-    # at dt = 0.1 the estimate reads 1.9e-2 and 6.9e-2 of the smaller WKB
-    # error on rungs 2 and 3, past SPLIT_TOL: exit 1 and no output
+    # at dt = 0.0625 (t_end/(2 dt) = 2, on the mesh) the estimate reads
+    # 2.3e-3, 8.5e-3 and 3.2e-2 of the smaller WKB error on the three rungs;
+    # the third is past SPLIT_TOL: exit 1 and no output
     assert ExperimentConfig.from_json(_converge_payload(), "converge") \
         == small_converge_config()
     cfg_path = tmp_path / "coarse.json"
-    cfg_path.write_text(json.dumps(_converge_payload(dt=0.1)))
+    cfg_path.write_text(json.dumps(_converge_payload(dt=0.0625)))
     out = tmp_path / "out"
     assert cli_main(["converge", "--config", str(cfg_path),
                      "--out", str(out)]) == 1
@@ -324,8 +325,9 @@ def test_converge_split_gate_fails_closed(tmp_path, capsys):
 
 
 def test_converge_rejects_a_dt_that_blinds_the_estimate(tmp_path, capsys):
-    # 2 dt > t_end leaves no full coarse step; at dt >= t_end both marches
-    # would take the same single step and the estimate would read 0
+    # 2 dt > t_end leaves no full coarse step (t_end/(2 dt) = 0.96 is off
+    # the mesh); at dt >= t_end both marches would take the same single step
+    # and the estimate would read 0
     cfg_path = tmp_path / "blind.json"
     cfg_path.write_text(json.dumps(_converge_payload(dt=0.13)))
     out = tmp_path / "out"
@@ -498,7 +500,16 @@ def test_wkb_eval_outputs(tmp_path):
         assert fields[0].a1 is not None and fields[1].phi1 is not None
         text = (out / "fields_t0.2.csv").read_text()
         assert text.splitlines()[2].startswith("r,a0_re,a0_im,phi0,V_P,a1_re")
-        assert (out / "norms.jsonl").exists()
+        # one record per time, with the corrector's time-error estimate there
+        records = [json.loads(line) for line in
+                   (out / "norms.jsonl").read_text().splitlines()]
+        corr = first_corrector(build_data(cfg.data), 0.4,
+                               grid=RadialGrid(20.0, 513),
+                               sample_times=[0.2, 0.4])
+        assert [rec["t"] for rec in records] == [0.2, 0.4]
+        assert [rec["corrector_time_error"] for rec in records] \
+            == list(corr.time_error)
+        assert all(0.0 < err <= TIME_ERROR_TOL for err in corr.time_error)
 
 
 def test_schrodinger_run_outputs(tmp_path):
@@ -527,6 +538,100 @@ def test_schrodinger_run_outputs(tmp_path):
     for line, ob in zip(lines, res.observables):
         assert set(line) == {"boundary_mass", "energy", "mass", "t"}
         assert line == dataclasses.asdict(ob)
+
+
+def _wave_payload(**over) -> dict:
+    payload = {"data": {"chirp": 1.0, "points": 2048}, "eps_ladder": [0.125],
+               "t_end": 0.5, "solver_points": 1024,
+               "times": [0.013, 0.1, 0.37]}
+    payload.update(over)
+    return payload
+
+
+@pytest.fixture(scope="module")
+def wave_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("wave")
+    cfg = dataclasses.replace(
+        ExperimentConfig.from_json(_wave_payload(), "schrodinger-run"),
+        out_dir=str(out))
+    return cfg, schrodinger_run(cfg), out
+
+
+def test_schrodinger_run_split_error_matches_the_splitting_error(wave_run):
+    # ||u(dt) - u(2 dt)||/3 against ||u(dt) - u(dt/8)|| at the default step
+    # eps/2.5 = 0.05 on 1079 nodes; measured 1.01
+    cfg, out, _ = wave_run
+    header, T = out["header"], cfg.t_end
+    data = build_data(cfg.data)
+    g = RadialGrid(cfg.data.r_max, header["grid"]["points"],
+                   include_origin=False)
+    u, u_ref = (run(data, 0.125, T, dt=step, grid=g,
+                    snapshot_times=[T]).snapshots[-1].values
+                for step in (header["dt"], header["dt"] / 8.0))
+    true = _weighted_l2(u - u_ref, g.nodes, g.dr, data.n)
+    assert 0.9 * true <= header["split_error"] <= 1.1 * true
+
+
+def test_schrodinger_run_header_records_the_step_and_estimate(wave_run):
+    # split_ratio is the estimate over eps ||u0||; measured 2.4e-3
+    cfg, out, path = wave_run
+    header = json.loads((path / "header.json").read_text())
+    assert header == out["header"]
+    assert header["dt"] == rung_step(0.125, cfg.t_end) == 0.05
+    norm0 = math.sqrt(out["observables"][0]["mass"])
+    assert header["split_ratio"] == header["split_error"] / (0.125 * norm0)
+    assert 0.0 < header["split_ratio"] <= SPLIT_TOL
+
+
+def test_schrodinger_run_observes_at_the_next_mesh_time(wave_run):
+    # each requested time is observed at the first mesh time k dt at or
+    # after it (to the march's landing tolerance of 1e-12), and that time
+    # is recorded
+    cfg, out, _ = wave_run
+    dt = out["header"]["dt"]
+    requested = [0.0, 0.013, 0.1, 0.37, 0.5]
+    observed = [ob["t"] for ob in out["observables"]]
+    assert len(observed) == len(requested)
+    for s, t in zip(requested, observed):
+        assert s - 1e-12 <= t <= s + dt
+        assert abs(t / dt - round(t / dt)) <= 1e-9
+    assert observed[1] == dt
+
+
+def test_run_default_step_is_the_rung_step():
+    data = build_data(DataConfig(points=1024, r_max=20.0))
+    g = RadialGrid(20.0, 1079, include_origin=False)
+    for eps, T in ((0.25, 0.1), (0.25, 0.3), (0.125, 0.25)):
+        assert run(data, eps, T, grid=g).header["dt"] == rung_step(eps, T)
+
+
+def test_schrodinger_run_split_gate_fails_closed(tmp_path, capsys):
+    # at dt = 0.25 (one coarse step) the estimate reads 5.5e-2 of eps ||u0||,
+    # past SPLIT_TOL: exit 1 and nothing written
+    cfg_path = tmp_path / "coarse.json"
+    cfg_path.write_text(json.dumps(_wave_payload(dt=0.25)))
+    out = tmp_path / "out"
+    assert cli_main(["schrodinger-run", "--config", str(cfg_path),
+                     "--out", str(out)]) == 1
+    assert "splitting-error estimate" in capsys.readouterr().err
+    assert not (out / "header.json").exists()
+
+
+@pytest.mark.parametrize("scenario, payload", [
+    ("converge", _converge_payload(dt=0.1)),          # t_end/(2 dt) = 1.25
+    ("schrodinger-run", _wave_payload(dt=0.15))])     # 1.67
+def test_off_mesh_dt_is_rejected_before_the_data_is_built(
+        scenario, payload, tmp_path, capsys, monkeypatch):
+    def build_data(cfg):
+        raise AssertionError("data built for an off-mesh dt")
+    monkeypatch.setattr(harness, "build_data", build_data)
+    cfg_path = tmp_path / "off.json"
+    cfg_path.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert cli_main([scenario, "--config", str(cfg_path),
+                     "--out", str(out)]) == 2
+    assert "off the mesh" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- CLI ---------------------------------------------------------------------------
