@@ -1,4 +1,4 @@
-"""Radial grids, sampled radial profiles, differentiation stencils, quadrature."""
+"""Radial grids, sampled radial profiles, stencils, quadrature, time mesh."""
 
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ __all__ = [
     "derivative_uniform",
     "over_r",
     "cumulative_radial",
+    "LANDING_TOL", "sample_times", "time_mesh",
 ]
 
 
@@ -201,6 +202,47 @@ def cumulative_radial(y: np.ndarray, r: np.ndarray) -> np.ndarray:
     else:
         out[-1] = out[-2] + last
     return out
+
+
+# ---------------------------------------------------------------------------
+# time mesh
+# ---------------------------------------------------------------------------
+
+LANDING_TOL = 1e-9     # relative to t_end
+
+
+def sample_times(times, t_end: float) -> list:
+    """The times sorted, each one within ``LANDING_TOL * t_end`` of the last
+    one kept merged into it; one outside [0, t_end] raises ParameterError."""
+    tol, kept = LANDING_TOL * t_end, []
+    for s in sorted(float(s) for s in times):
+        if not 0.0 <= s <= t_end:
+            raise ParameterError(f"time {s:g} lies outside [0, {t_end:g}]")
+        if not kept or s > kept[-1] + tol:
+            kept.append(s)
+    return kept
+
+
+def time_mesh(t_end: float, dt: float, stops=()):
+    """Yield the (step, time) pairs of a fixed-step march from 0 to t_end.
+
+    From 0 and from each of the sorted ``stops`` it steps by exactly dt to
+    start + k*dt, and shortens the step onto the next stop or t_end unless
+    start + k*dt is already within ``LANDING_TOL * t_end`` of it.  A requested
+    time s is reached at the first mesh time >= s - LANDING_TOL * t_end."""
+    if t_end <= 0 or dt <= 0:
+        raise ParameterError("t_end and dt must be positive")
+    tol, start = LANDING_TOL * t_end, 0.0
+    for end in (*stops, t_end):
+        base, k = start, 0
+        while start < end - tol:
+            k += 1
+            prev, start = start, base + k * dt
+            if start <= end + tol:
+                yield dt, start
+            else:
+                start = end
+                yield end - prev, end
 
 
 # ---------------------------------------------------------------------------

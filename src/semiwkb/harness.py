@@ -13,19 +13,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import io as sio
-from .errors import ConfigError, ParameterError, StepRejectionError
+from .errors import ConfigError, StepRejectionError
 from .euler_poisson import (GLOBAL, classify, eulerian_fields,
                             integrate_characteristics, label_flow)
-from .grids import RadialGrid, RadialProfile
+from .grids import LANDING_TOL, RadialGrid, RadialProfile, sample_times
 from .norms import decay_fit, lp_norm, norm_diagnostics, sphere_area
 from .profiles import (InitialData, ball_data, gaussian_free_data,
                        sample_data, smooth_ball_data)
-from .schrodinger import fast_points, required_points, run, rung_step
+from .schrodinger import fast_points, required_points, run
 from .wkb import WkbFields, first_corrector, leading_order
 
 __all__ = ["DataConfig", "ExperimentConfig", "ConvergenceReport",
-           "build_data", "rung_points", "rung_step", "check_split_mesh",
-           "split_march", "converge",
+           "build_data", "rung_points", "split_march", "converge",
            "classify_sweep", "decay_study", "evolve_ep", "wkb_eval",
            "schrodinger_run", "run_scenario", "SCENARIOS", "SPLIT_TOL"]
 
@@ -147,6 +146,18 @@ class ExperimentConfig:
             raise ConfigError("t_end must be positive")
         if self.dt is not None and self.dt <= 0:
             raise ConfigError("dt must be positive")
+        if self.dt is not None and self.scenario in ("converge",
+                                                     "schrodinger-run"):
+            # off the mesh of 2 dt the coarse march ends on a remainder step
+            # and ||u(dt) - u(2 dt)||/3 reads low (0.87 of the true error at
+            # dt = 0.05, t_end = 0.25); at dt >= t_end it reads 0
+            k = self.t_end / (2.0 * self.dt)
+            if round(k) < 1 or abs(k - round(k)) > LANDING_TOL * k:
+                raise ConfigError(
+                    f"dt = {self.dt:g} puts the coarse march of 2 dt off the "
+                    f"mesh of t_end = {self.t_end:g} (t_end/(2 dt) = {k:.6g}),"
+                    f" which leaves the splitting-error estimate biased or "
+                    f"blind: take dt = t_end/(2k) for a positive integer k")
         if self.ppw < 1:
             raise ConfigError("ppw must be >= 1")
         for key in ("solver_points", "corrector_points"):
@@ -322,25 +333,6 @@ def rung_points(data: InitialData, config: ExperimentConfig) -> list:
         for eps in config.eps_ladder]
 
 
-def check_split_mesh(dt: float, t_end: float) -> None:
-    """Reject a step whose coarse march of 2 dt does not land on t_end.
-
-    t_end/(2 dt) must be a positive integer to within 1e-9 of itself, the
-    landing tolerance of ``run``: then the fine and the coarse march both end
-    on t_end with no remainder step, and ||u(dt) - u(2 dt)||/3 is the
-    Richardson estimate of the fine march's splitting error.  Off that mesh
-    the coarse march ends on a shorter step and the estimate reads low (0.87
-    of the true error at dt = 0.05, t_end = 0.25); past 2 dt > t_end it has
-    no full coarse step, and at dt >= t_end it reads 0."""
-    k = t_end / (2.0 * dt)
-    if round(k) < 1 or abs(k - round(k)) > 1e-9 * k:
-        raise ParameterError(
-            f"dt = {dt:g} puts the coarse march of 2 dt off the mesh of "
-            f"t_end = {t_end:g} (t_end/(2 dt) = {k:.6g} is not a positive "
-            f"integer), which leaves the splitting-error estimate biased or "
-            f"blind: take dt = t_end/(2k) for a positive integer k")
-
-
 def split_march(data: InitialData, eps: float, t_end: float,
                 dt: float | None, grid: RadialGrid, ppw: int,
                 observable_times=None) -> tuple:
@@ -352,10 +344,8 @@ def split_march(data: InitialData, eps: float, t_end: float,
     norm estimates the fine march's splitting error (Descombes and
     Thalhammer, BIT 50, 2010).  Returns the fine march's ``RunResult``, with
     a snapshot at t_end and observables at ``observable_times``, and the
-    estimate.  A dt off the mesh of ``check_split_mesh`` raises
-    ParameterError; the default step is on it by construction."""
-    if dt is not None:
-        check_split_mesh(dt, t_end)
+    estimate.  ``ExperimentConfig`` rejects an explicit dt off the mesh of
+    2 dt; the default step is on it by construction."""
     fine = run(data, eps, t_end, dt=dt, grid=grid, ppw=ppw,
                observable_times=observable_times, snapshot_times=[t_end])
     coarse = run(data, eps, t_end, dt=2.0 * fine.header["dt"], grid=grid,
@@ -394,8 +384,6 @@ def converge(config: ExperimentConfig) -> ConvergenceReport:
     is written.
     """
     T = config.t_end
-    if config.dt is not None:
-        check_split_mesh(config.dt, T)
     data = build_data(config.data)
     counts = rung_points(data, config)
     corr = first_corrector(data, T,
@@ -587,29 +575,32 @@ def evolve_ep(config: ExperimentConfig) -> dict:
 def wkb_eval(config: ExperimentConfig) -> list:
     """Evaluate WKB fields (with the first corrector) at the configured times.
 
-    Each ``norms.jsonl`` record carries the corrector's time-error estimate
-    at its time (``CorrectorSeries.time_error``) as ``corrector_time_error``.
+    The times, normalised as the corrector's are, pair one to one with its
+    samples; each ``norms.jsonl`` record carries the corrector's time-error
+    estimate there (``CorrectorSeries.time_error``) as
+    ``corrector_time_error``.
     Every field and norm is computed before the first file is written, so a
     run that fails leaves no partial output behind."""
     data = build_data(config.data)
     grid = RadialGrid(config.data.r_max, config.data.points)
-    times = sorted(set(float(t) for t in config.times))
-    corr = first_corrector(data, max(times),
+    T = max(config.times)
+    times = sample_times(config.times, T)
+    corr = first_corrector(data, T,
                            grid=RadialGrid(config.data.r_max,
                                            config.corrector_points),
                            sample_times=times)
     outputs = []
     norm_records = []
-    for i, t in enumerate(times):
+    for t, a1c, p1c, err in zip(times, corr.a1, corr.phi1, corr.time_error,
+                                strict=True):
         f = leading_order(data, t, grid)
-        a1 = RadialProfile(grid, corr.a1[i](grid.nodes))
-        p1 = RadialProfile(grid, np.real(corr.phi1[i](grid.nodes)))
+        a1 = RadialProfile(grid, a1c(grid.nodes))
+        p1 = RadialProfile(grid, np.real(p1c(grid.nodes)))
         outputs.append(WkbFields(t=f.t, a0=f.a0, phi0=f.phi0, V_P=f.V_P,
                                  a1=a1, phi1=p1))
         rep = norm_diagnostics(f.a0, data.n, t=t)
         norm_records.append({"t": t, "l2_a0": rep.l2, "y_norm_a0": rep.y_norm,
-                             "corrector_time_error":
-                                 float(corr.time_error[i])})
+                             "corrector_time_error": float(err)})
     if config.out_dir:
         for t, f in zip(times, outputs):
             a0, a1 = f.a0.values, f.a1.values
@@ -635,16 +626,13 @@ def schrodinger_run(config: ExperimentConfig) -> dict:
     The header records ``dt``, ``split_error`` and ``split_ratio``, the
     estimate over eps ||u0||."""
     T = config.t_end
-    if config.dt is not None:
-        check_split_mesh(config.dt, T)
     data = build_data(config.data)
     eps = config.eps_ladder[0]
     wgrid = RadialGrid(config.data.r_max, fast_points(config.solver_points),
                        include_origin=False)
-    obs_times = sorted(set([0.0, T] + [float(t) for t in config.times
-                                       if t <= T]))
-    res, split = split_march(data, eps, T, config.dt, wgrid, config.ppw,
-                             observable_times=obs_times)
+    res, split = split_march(
+        data, eps, T, config.dt, wgrid, config.ppw,
+        observable_times=[0.0, T, *(t for t in config.times if t <= T)])
     scale = eps * math.sqrt(res.observables[0].mass)
     _reject_split(split, scale, "eps ||u0||", eps, res.header["dt"])
     records = [dataclasses.asdict(ob) for ob in res.observables]

@@ -15,7 +15,8 @@ from scipy.fft import dst as _scipy_dst, next_fast_len
 
 from .errors import (ContractError, ParameterError, ResolutionError,
                      UnsupportedConfigurationError)
-from .grids import RadialGrid, RadialProfile, derivative_uniform
+from .grids import (LANDING_TOL, RadialGrid, RadialProfile,
+                    derivative_uniform, sample_times, time_mesh)
 from .profiles import InitialData
 from .wkb import hartree_potential
 
@@ -241,15 +242,15 @@ def run(data: InitialData, eps: float, t_end: float,
         observable_times=None, snapshot_times=None, ppw: int = 16) -> RunResult:
     """Fixed-step Strang march with observables sampled at requested times.
 
-    Every full step is exactly dt and ends at the time k*dt, so the steps
-    share one kinetic phase table and hand their potential phase factor on;
-    only a genuine remainder to t_end builds its own.  The default step is
-    ``rung_step(eps, t_end)``, eps/2.5 where 1.25 t_end/eps is an integer.
-    An observation or snapshot requested at time s is taken at the first
-    mesh time at or after s and records that time.  Mass escaping past the
-    truncation monitor (outer 2% of the box) beyond ``BOUNDARY_TOL`` of the
-    total is recorded as a truncation warning stamped with the simulation
-    time.
+    On ``grids.time_mesh`` every full step is exactly dt and ends at k*dt,
+    so the steps share one kinetic phase table and hand their potential phase
+    factor on; only a genuine remainder to t_end builds its own.  The default
+    step is ``rung_step(eps, t_end)``, eps/2.5 where 1.25 t_end/eps is an
+    integer.  An observation or snapshot requested at time s is taken at the
+    first k*dt >= s - LANDING_TOL * t_end and records it.  Mass escaping past
+    the truncation monitor (outer 2% of the box) beyond ``BOUNDARY_TOL`` of
+    the total is recorded as a truncation warning stamped with the
+    simulation time.
 
     ``schrodinger-run`` marches once more at 2 dt (``harness.split_march``)
     and fails closed, with StepRejectionError (exit 1) before it writes
@@ -262,13 +263,9 @@ def run(data: InitialData, eps: float, t_end: float,
         dt = rung_step(eps, t_end)
     if dt <= 0:
         raise ParameterError("dt must be positive")
-    if observable_times is None:
-        observable_times = [0.0, t_end]
-    obs_times = sorted(set(float(s) for s in observable_times))
-    snap_times = sorted(set(float(s) for s in (snapshot_times or [])))
-    if not all(0.0 <= s <= t_end for s in obs_times + snap_times):
-        raise ParameterError("observation and snapshot times must lie in "
-                             "[0, t_end]")
+    obs_times = sample_times([0.0, t_end] if observable_times is None
+                             else observable_times, t_end)
+    snap_times = sample_times(snapshot_times or [], t_end)
     u = initial_wavefield(data, eps, grid, ppw=ppw)
 
     observables, snapshots, trunc = [], [], []
@@ -281,30 +278,19 @@ def run(data: InitialData, eps: float, t_end: float,
                           "fraction": ob.boundary_mass / total0})
         return ob
 
-    def sample(field, upto):
-        while obs_times and obs_times[0] <= upto:
+    def sample(field):
+        while obs_times and field.t >= obs_times[0] - LANDING_TOL * t_end:
             observables.append(monitor(field))
             obs_times.pop(0)
-        while snap_times and snap_times[0] <= upto:
+        while snap_times and field.t >= snap_times[0] - LANDING_TOL * t_end:
             snapshots.append(field)
             snap_times.pop(0)
 
-    eps_t = 1e-12 * max(t_end, 1.0)
-    sample(u, u.t + eps_t)
-    # full steps of exactly dt on the mesh k dt, then the remainder to t_end
-    # unless dt divides t_end to within 1e-9 of it
-    nfull = int(round(t_end / dt))
-    if abs(nfull * dt - t_end) > 1e-9 * t_end:
-        nfull = int(math.floor(t_end / dt))
-    marks = [(dt, k * dt) for k in range(1, nfull + 1)]
-    if t_end - nfull * dt > 1e-9 * t_end:
-        marks.append((t_end - nfull * dt, t_end))
-    for step, t in marks:
+    sample(u)
+    for step, t in time_mesh(t_end, dt):
         u = strang_step(u, step)
         object.__setattr__(u, "t", t)   # the mesh time, not the running sum
-        sample(u, u.t + eps_t)
-    # the last mesh time may miss t_end by up to 1e-9 of it either way
-    sample(u, t_end + eps_t)
+        sample(u)
 
     if trunc:
         warnings.warn(f"boundary mass exceeded {BOUNDARY_TOL:g} of the total "

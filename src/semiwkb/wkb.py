@@ -33,8 +33,9 @@ from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, ParameterError, StepRejectionError
 from .euler_poisson import invert_flow_map, label_flow
-from .grids import (RadialGrid, RadialProfile, cumulative_radial,
-                    derivative_uniform, over_r)
+from .grids import (LANDING_TOL, RadialGrid, RadialProfile,
+                    cumulative_radial, derivative_uniform, over_r,
+                    sample_times as grid_sample_times, time_mesh)
 from .profiles import InitialData
 
 __all__ = [
@@ -306,30 +307,19 @@ def first_corrector(data: InitialData, t_end: float,
     Runge-Kutta steps.  d/dX = (1/B) d/dR, and Lap phi0 = F/(1+Ft) + G/(1+Gt)
     is exact.
 
-    Two marches run side by side: a coarse one with steps of dt, shortened to
-    land on each sample time, and a fine one that takes every coarse step as
-    two equal halves.  The error of each is fourth order in the step, and the
-    returned state (16 y_fine - y_coarse)/15 is fifth order in time.  At each
-    sample time max|y_fine - y_coarse| / max|y_fine| over (a1, phi1) is the
-    time-error estimate (``time_error``); above TIME_ERROR_TOL the call raises
-    StepRejectionError.  One flow-map inversion then pulls the combined state
-    back to the nodes of ``grid``, which must have the origin layout (the
-    Hartree feedback is solved on them).
+    Two marches run side by side: a coarse one with steps of dt on
+    ``grids.time_mesh``, which lands on each sample time and t_end, and a fine
+    one that takes every coarse step as two equal halves.  The error of each is
+    fourth order in the step, and the returned state (16 y_fine - y_coarse)/15
+    is fifth order in time.  At each sample time max|y_fine - y_coarse| /
+    max|y_fine| over (a1, phi1) is the time-error estimate (``time_error``);
+    above TIME_ERROR_TOL the call raises StepRejectionError.  One flow-map
+    inversion then pulls the combined state back to the nodes of ``grid``,
+    which must have the origin layout (the Hartree feedback is solved on them).
     """
     if t_end <= 0 or dt <= 0:
         raise ParameterError("t_end and dt must be positive")
-    if sample_times is None:
-        sample_times = [t_end]
-    sample_times = sorted(float(s) for s in sample_times)
-    if not all(0.0 <= s <= t_end for s in sample_times):
-        raise ParameterError("sample times must lie in [0, t_end]")
-    # a time within eps_t of the previous kept one is the same sample
-    eps_t = 1e-12 * max(t_end, 1.0)
-    kept = []
-    for s in sample_times:
-        if not kept or s > kept[-1] + eps_t:
-            kept.append(s)
-    sample_times = kept
+    samples = grid_sample_times([t_end, *(sample_times or ())], t_end)
     R = grid.nodes
     if R[0] > 0:
         raise ParameterError("the corrector's labels must include the origin")
@@ -374,27 +364,21 @@ def first_corrector(data: InitialData, t_end: float,
         out_p1.append(RadialProfile(grid, state[:, 2]))
         out_err.append(err)
 
-    if sample_times and sample_times[0] == 0.0:
-        record(0.0)
-        sample_times = sample_times[1:]
+    def visit(tv):
+        while samples and tv >= samples[0] - LANDING_TOL * t_end:
+            record(tv)
+            samples.pop(0)
 
-    c_old = background(0.0)
-    t = 0.0
-    while t < t_end - eps_t:
-        step = min(dt, t_end - t)
-        if sample_times and sample_times[0] < t + step - eps_t:
-            step = max(sample_times[0] - t, eps_t)
+    visit(0.0)
+    t, c_old = 0.0, background(0.0)
+    for step, t_new in time_mesh(t_end, dt, stops=tuple(samples)):
         c_q1, c_mid, c_q3, c_new = (background(t + q * step)
                                     for q in (0.25, 0.5, 0.75, 1.0))
         coarse = _rk4_step(reaction, c_old, c_mid, c_new, *coarse, step)
         fine = _rk4_step(reaction, c_old, c_q1, c_mid, *fine, 0.5 * step)
         fine = _rk4_step(reaction, c_mid, c_q3, c_new, *fine, 0.5 * step)
-        t, c_old = t + step, c_new
-        if sample_times and t >= sample_times[0] - eps_t:
-            record(t)
-            sample_times = sample_times[1:]
+        t, c_old = t_new, c_new
+        visit(t)
 
-    if not out_t or out_t[-1] < t_end - eps_t:
-        record(t)
     return CorrectorSeries(times=np.asarray(out_t), a1=out_a1, phi1=out_p1,
                            grid=grid, time_error=np.asarray(out_err))

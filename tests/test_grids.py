@@ -7,7 +7,8 @@ from scipy.interpolate import CubicSpline
 
 from semiwkb import ParameterError, RadialGrid, RadialProfile
 from semiwkb.errors import DomainError
-from semiwkb.grids import cumulative_radial, derivative_uniform, fd_weights
+from semiwkb.grids import (LANDING_TOL, cumulative_radial, derivative_uniform,
+                           fd_weights, sample_times, time_mesh)
 
 
 def test_grid_layouts():
@@ -136,3 +137,69 @@ def test_profile_immutable():
         p.values = np.ones(64)
     with pytest.raises(ValueError):
         p.values[0] = 1.0
+
+
+# -- time mesh ----------------------------------------------------------------
+
+# times as fractions of t_end: anywhere in [0, 1], or on the eighths give or
+# take a few LANDING_TOL, where the merging and landing rules decide
+_fractions = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.builds(lambda k, j: min(max(k / 8 + j * LANDING_TOL, 0.0), 1.0),
+              st.integers(0, 8), st.floats(min_value=-3.0, max_value=3.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(t_end=st.floats(min_value=1e-3, max_value=1e3),
+       steps=st.one_of(st.integers(1, 200).map(float),
+                       st.floats(min_value=0.5, max_value=200.0)),
+       stops=st.lists(_fractions, max_size=6))
+def test_time_mesh_steps_and_landings(t_end, steps, stops):
+    dt, tol = t_end / steps, LANDING_TOL * t_end
+    stops = sample_times([s * t_end for s in stops], t_end)
+    mesh = list(time_mesh(t_end, dt, stops))
+    times = [0.0] + [t for _, t in mesh]
+    assert all(b > a for a, b in zip(times, times[1:]))
+    assert all(0.0 < step <= dt for step, _ in mesh)
+    for (step, t), prev in zip(mesh, times):
+        if step != dt:      # a shortened step lands exactly on its target
+            assert t in stops or t == t_end
+            assert step == t - prev
+        else:               # a full step spans dt, to round-off
+            assert abs(t - prev - dt) <= 1e-12 * t_end
+    assert abs(times[-1] - t_end) <= tol
+    for s in stops:
+        assert min(abs(t - s) for t in times) <= tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(t_end=st.floats(min_value=1e-3, max_value=1e3),
+       times=st.lists(_fractions, max_size=12))
+def test_sample_times_sorted_idempotent_and_separated(t_end, times):
+    tol = LANDING_TOL * t_end
+    times = [s * t_end for s in times]
+    kept = sample_times(times, t_end)
+    assert kept == sorted(kept)
+    assert sample_times(kept, t_end) == kept
+    assert all(b > a + tol for a, b in zip(kept, kept[1:]))
+    # every time merges into a kept one at most tol before it
+    assert all(any(s - tol <= k <= s for k in kept) for s in times)
+
+
+def test_sample_times_and_mesh_reject_bad_input():
+    for times in ([-1e-3, 0.5], [0.5, 1.0 + 1e-6]):
+        with pytest.raises(ParameterError):
+            sample_times(times, 1.0)
+    for t_end, dt in ((0.0, 0.1), (1.0, 0.0), (1.0, -0.1)):
+        with pytest.raises(ParameterError):
+            next(time_mesh(t_end, dt))
+
+
+def test_time_mesh_without_stops_is_the_run_mesh():
+    # the times are k*dt, not running sums: 40 steps of 1/80 end on
+    # 40 * (1/80) = 0.5 with no shortened step; 20.5 steps end on a half step
+    dt = 1 / 80
+    assert list(time_mesh(0.5, dt)) == [(dt, k * dt) for k in range(1, 41)]
+    dt = 2.0 ** -10
+    assert list(time_mesh(20.5 * dt, dt))[-2:] == [(dt, 20 * dt),
+                                                    (0.5 * dt, 20.5 * dt)]

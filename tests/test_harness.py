@@ -11,9 +11,8 @@ from semiwkb import (ConfigError, ConvergenceError, DataConfig,
 from semiwkb.cli import main as cli_main
 from semiwkb.harness import (SPLIT_TOL, _weighted_l2, build_data,
                              classify_sweep, converge, decay_study, evolve_ep,
-                             rung_points, rung_step, schrodinger_run,
-                             wkb_eval)
-from semiwkb.schrodinger import fast_points, required_points
+                             rung_points, schrodinger_run, wkb_eval)
+from semiwkb.schrodinger import fast_points, required_points, rung_step
 from semiwkb.wkb import TIME_ERROR_TOL, first_corrector, leading_order
 
 
@@ -512,6 +511,29 @@ def test_wkb_eval_outputs(tmp_path):
         assert all(0.0 < err <= TIME_ERROR_TOL for err in corr.time_error)
 
 
+@pytest.mark.parametrize("gap", [1e-13, 1e-11])
+def test_wkb_eval_merges_times_within_the_landing_tolerance(gap, tmp_path):
+    # times closer than LANDING_TOL * t_end (2e-10) are one sample: one
+    # field file and one record, paired with the corrector's one sample
+    times = [0.2, 0.2 + gap]
+    payload = {"data": {"points": 1024, "r_max": 20.0, "chirp": 0.5},
+               "times": times, "corrector_points": 257}
+    cfg_path = tmp_path / "near.json"
+    cfg_path.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert cli_main(["wkb-eval", "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+    assert [p.name for p in out.glob("fields_t*.csv")] == ["fields_t0.2.csv"]
+    records = [json.loads(line) for line in
+               (out / "norms.jsonl").read_text().splitlines()]
+    corr = first_corrector(build_data(DataConfig(**payload["data"])),
+                           max(times), grid=RadialGrid(20.0, 257),
+                           sample_times=times)
+    assert len(corr.time_error) == len(records) == 1
+    assert records[0]["t"] == 0.2
+    assert records[0]["corrector_time_error"] == corr.time_error[0]
+
+
 def test_schrodinger_run_outputs(tmp_path):
     cfg = ExperimentConfig(scenario="schrodinger-run",
                            data=DataConfig(points=1024, r_max=20.0),
@@ -584,9 +606,9 @@ def test_schrodinger_run_header_records_the_step_and_estimate(wave_run):
 
 
 def test_schrodinger_run_observes_at_the_next_mesh_time(wave_run):
-    # each requested time is observed at the first mesh time k dt at or
-    # after it (to the march's landing tolerance of 1e-12), and that time
-    # is recorded
+    # each requested time s is observed at the first mesh time k dt at or
+    # after s - LANDING_TOL * t_end, and that time is recorded; none of
+    # these mesh times falls short of its s
     cfg, out, _ = wave_run
     dt = out["header"]["dt"]
     requested = [0.0, 0.013, 0.1, 0.37, 0.5]
@@ -615,6 +637,25 @@ def test_schrodinger_run_split_gate_fails_closed(tmp_path, capsys):
                      "--out", str(out)]) == 1
     assert "splitting-error estimate" in capsys.readouterr().err
     assert not (out / "header.json").exists()
+
+
+@pytest.mark.parametrize("dt, on_mesh", [
+    (0.0625, True), (0.125, True), (0.025, True),   # t_end/(2 dt) = 2, 1, 5
+    (0.0625 * (1 + 1e-12), True),                   # inside LANDING_TOL
+    (0.0625 * (1 + 1e-8), False),
+    (0.05, False), (0.1, False), (0.07, False),     # 2.5, 1.25, 1.79
+    (0.13, False)])                                 # 0.96: no coarse step
+@pytest.mark.parametrize("scenario", ["converge", "schrodinger-run"])
+def test_config_takes_only_a_dt_on_the_split_mesh(scenario, dt, on_mesh):
+    def make():
+        return ExperimentConfig(scenario=scenario, t_end=0.25, dt=dt)
+    if on_mesh:
+        assert make().dt == dt
+    else:
+        with pytest.raises(ConfigError, match="off the mesh"):
+            make()
+    # scenarios that take no Strang step do not check it
+    assert ExperimentConfig(scenario="wkb-eval", t_end=0.25, dt=dt).dt == dt
 
 
 @pytest.mark.parametrize("scenario, payload", [

@@ -304,8 +304,8 @@ def test_corrector_inverts_flow_map_only_at_sample_times(smooth_small,
 
 
 def test_corrector_repeated_sample_time_is_one_sample():
-    # a time within the 1e-12 floor of the previous one folds into it, so no
-    # ~1e-13 RK4 step is taken and no third state is recorded
+    # a time within LANDING_TOL * t_end (1e-10) of the previous one folds
+    # into it, so no ~1e-13 RK4 step is taken and no third state is recorded
     d = smooth_ball_data(grid=RadialGrid(20.0, 512), chirp=1.0)
     grid = RadialGrid(20.0, 257)
     once = first_corrector(d, 0.1, grid=grid, dt=0.025,
