@@ -55,6 +55,7 @@ def _summarize(scenario: str, result) -> str:
                 f"order_full={result.fitted_order_full:.3f} "
                 f"excluded={result.excluded_eps} "
                 f"points={[row['points'] for row in result.rows]} "
+                f"spectral_tail={result.spectral_tail:.2e} "
                 f"split_ratio={result.split_ratio:.2e}")
     if scenario == "classify":
         kinds = {}
@@ -73,6 +74,7 @@ def _summarize(scenario: str, result) -> str:
         return (f"schrodinger-run: t={last['t']:g} mass={last['mass']:.9f} "
                 f"energy={last['energy']:.9f} dt={header['dt']:g} "
                 f"split_ratio={header['split_ratio']:.2e} "
+                f"spectral_tail={header['spectral_tail']:.2e} "
                 f"points={header['grid']['points']}")
 
 

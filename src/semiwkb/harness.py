@@ -13,18 +13,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import io as sio
-from .errors import ConfigError, StepRejectionError
+from .errors import (ConfigError, ParameterError, ResolutionError,
+                     StepRejectionError)
 from .euler_poisson import (GLOBAL, classify, eulerian_fields,
                             integrate_characteristics, label_flow)
 from .grids import LANDING_TOL, RadialGrid, RadialProfile, sample_times
 from .norms import decay_fit, lp_norm, norm_diagnostics, sphere_area
 from .profiles import (InitialData, ball_data, gaussian_free_data,
                        sample_data, smooth_ball_data)
-from .schrodinger import fast_points, required_points, run
+from .schrodinger import (TAIL_TOL, fast_points, required_points, run,
+                          spectral_tail)
 from .wkb import WkbFields, first_corrector, leading_order
 
 __all__ = ["DataConfig", "ExperimentConfig", "ConvergenceReport",
-           "build_data", "rung_points", "split_march", "converge",
+           "build_data", "rung_points", "split_mesh_error", "split_march",
+           "converge",
            "classify_sweep", "decay_study", "evolve_ep", "wkb_eval",
            "schrodinger_run", "run_scenario", "SCENARIOS", "SPLIT_TOL"]
 
@@ -84,6 +87,22 @@ def _require_finite(config, where: str) -> None:
             if isinstance(x, float) and not (math.isfinite(x) or sup_norm):
                 raise ConfigError(f"{where} key {f.name!r} must be finite: "
                                   f"{value!r}")
+
+
+def split_mesh_error(t_end: float, dt: float) -> str | None:
+    """Why ``split_march`` cannot take the step dt to t_end, or None.
+
+    Off the mesh of 2 dt the coarse march ends on a remainder step and
+    ||u(dt) - u(2 dt)||/3 reads low (0.87 of the true error at dt = 0.05,
+    t_end = 0.25); at dt >= t_end it reads 0.  The check is O(1) arithmetic
+    on t_end/(2 dt) at ``LANDING_TOL``: it builds no mesh."""
+    k = t_end / (2.0 * dt)
+    if round(k) >= 1 and abs(k - round(k)) <= LANDING_TOL * k:
+        return None
+    return (f"dt = {dt:g} puts the coarse march of 2 dt off the mesh of "
+            f"t_end = {t_end:g} (t_end/(2 dt) = {k:.6g}), which leaves the "
+            f"splitting-error estimate biased or blind: take dt = t_end/(2k) "
+            f"for a positive integer k")
 
 
 @dataclass(frozen=True)
@@ -146,18 +165,10 @@ class ExperimentConfig:
             raise ConfigError("t_end must be positive")
         if self.dt is not None and self.dt <= 0:
             raise ConfigError("dt must be positive")
-        if self.dt is not None and self.scenario in ("converge",
-                                                     "schrodinger-run"):
-            # off the mesh of 2 dt the coarse march ends on a remainder step
-            # and ||u(dt) - u(2 dt)||/3 reads low (0.87 of the true error at
-            # dt = 0.05, t_end = 0.25); at dt >= t_end it reads 0
-            k = self.t_end / (2.0 * self.dt)
-            if round(k) < 1 or abs(k - round(k)) > LANDING_TOL * k:
-                raise ConfigError(
-                    f"dt = {self.dt:g} puts the coarse march of 2 dt off the "
-                    f"mesh of t_end = {self.t_end:g} (t_end/(2 dt) = {k:.6g}),"
-                    f" which leaves the splitting-error estimate biased or "
-                    f"blind: take dt = t_end/(2k) for a positive integer k")
+        if (self.dt is not None
+                and self.scenario in ("converge", "schrodinger-run")
+                and (why := split_mesh_error(self.t_end, self.dt))):
+            raise ConfigError(why)
         if self.ppw < 1:
             raise ConfigError("ppw must be >= 1")
         for key in ("solver_points", "corrector_points"):
@@ -233,6 +244,7 @@ class ConvergenceReport:
     excluded_eps: list
     config_hash: str
     split_ratio: float      # worst split_error / min(err_modulus, err_full)
+    spectral_tail: float    # worst final spectral tail over the rungs
 
 
 def truncated_mass_fraction(data: InitialData) -> float:
@@ -319,48 +331,71 @@ def fit_order(eps: np.ndarray, errs: np.ndarray) -> tuple[float, list]:
 def rung_points(data: InitialData, config: ExperimentConfig) -> list:
     """Wave node count of each rung of ``config.eps_ladder``.
 
-    The finest rung, eps_min, runs on M = ``fast_points(solver_points)``
-    nodes, ``solver_points`` rounded up to a fast DST length 2(M+1).  Rung k
-    takes the smallest count whose DST length 2(M_k+1) is fast and that is at
-    least both (M+1) eps_min/eps_k - 1, the finest grid's nodes per unit of
-    eps, and ``required_points`` at eps_k; no count exceeds M, so a finest
-    rung too coarse for its phase still fails its resolution check.
-    """
-    M, eps_min = fast_points(config.solver_points), min(config.eps_ladder)
-    return [min(M, fast_points(max(
-        math.ceil((M + 1) * eps_min / eps) - 1,
-        required_points(data, eps, config.data.r_max, config.ppw))))
-        for eps in config.eps_ladder]
+    Rung k runs on the smallest count whose DST length 2(M_k+1) is fast and
+    that is at least both ``required_points`` at eps_k, the count its phase
+    needs, and the spectral count of u0 = A0 exp(i Phi0/eps_k): one past
+    the last M whose top tenth of the first M DST modes of r u0 holds at
+    least TAIL_TOL/10 of their root energy (``spectral_tail``), read off one
+    spectrum on the cap grid.  The cap is ``fast_points(solver_points)``: a
+    rung capped below its phase's count fails ``initial_wavefield``'s
+    resolution check, and one capped below its spectral count alone runs on
+    the cap and is left to ``split_march``'s tail gate.  The spectral count
+    keeps data at rest, whose ``required_points`` is only the grid floor,
+    off that floor."""
+    cap = fast_points(config.solver_points)
+    r = RadialGrid(config.data.r_max, cap, include_origin=False).nodes
+    ra0, phi0 = r * data.amplitude_at(r), data.phi0_at(r)
+    counts = []
+    for eps in config.eps_ladder:
+        tails = spectral_tail(ra0 * np.exp(1j * phi0 / eps))
+        spectral = 2 + int(np.max(np.flatnonzero(tails >= TAIL_TOL / 10),
+                                  initial=-1))
+        phase = required_points(data, eps, config.data.r_max, config.ppw)
+        counts.append(min(cap, fast_points(max(phase, spectral))))
+    return counts
 
 
 def split_march(data: InitialData, eps: float, t_end: float,
-                dt: float | None, grid: RadialGrid, ppw: int,
+                dt: float | None, grid: RadialGrid, ppw: int, scale,
                 observable_times=None) -> tuple:
     """Strang march to t_end at dt (``run``'s default ``rung_step`` when
-    None) with its splitting-error estimate.
+    None) with its splitting-error estimate, gated twice.
 
     A second, coarse march at 2 dt keeps only its final snapshot; Strang
     being second order in time, ||u(dt) - u(2 dt)||/3 in the weighted L2
     norm estimates the fine march's splitting error (Descombes and
-    Thalhammer, BIT 50, 2010).  Returns the fine march's ``RunResult``, with
-    a snapshot at t_end and observables at ``observable_times``, and the
-    estimate.  ``ExperimentConfig`` rejects an explicit dt off the mesh of
-    2 dt; the default step is on it by construction."""
+    Thalhammer, BIT 50, 2010).  A dt off the mesh of 2 dt raises
+    ParameterError before either march (``split_mesh_error``); the default
+    step is on it by construction.
+
+    ``scale(fine)`` gives the estimate's reference scale and its name.  An
+    estimate above ``SPLIT_TOL`` of it raises StepRejectionError; past that,
+    a fine march whose final ``spectral_tail`` exceeds ``TAIL_TOL`` raises
+    ResolutionError.  Returns the fine march's ``RunResult``, with a
+    snapshot at t_end and observables at ``observable_times``, and the
+    estimate."""
+    if dt is not None and (why := split_mesh_error(t_end, dt)):
+        raise ParameterError(why)
     fine = run(data, eps, t_end, dt=dt, grid=grid, ppw=ppw,
                observable_times=observable_times, snapshot_times=[t_end])
-    coarse = run(data, eps, t_end, dt=2.0 * fine.header["dt"], grid=grid,
-                 ppw=ppw, observable_times=[], snapshot_times=[t_end])
+    dt = fine.header["dt"]
+    coarse = run(data, eps, t_end, dt=2.0 * dt, grid=grid, ppw=ppw,
+                 observable_times=[], snapshot_times=[t_end])
     delta = fine.snapshots[-1].values - coarse.snapshots[-1].values
-    return fine, _weighted_l2(delta, grid.nodes, grid.dr, data.n) / 3.0
-
-
-def _reject_split(split: float, scale: float, what: str, eps: float,
-                  dt: float) -> None:
-    if split > SPLIT_TOL * scale:
+    split = _weighted_l2(delta, grid.nodes, grid.dr, data.n) / 3.0
+    ref, what = scale(fine)
+    if split > SPLIT_TOL * ref:
         raise StepRejectionError(
             f"splitting-error estimate {split:.3e} at eps = {eps:g} exceeds "
-            f"{SPLIT_TOL:g} of {what} ({scale:.3e}): take a smaller dt than "
+            f"{SPLIT_TOL:g} of {what} ({ref:.3e}): take a smaller dt than "
             f"{dt:g}")
+    tail = fine.header["spectral_tail"]
+    if tail > TAIL_TOL:
+        raise ResolutionError(
+            f"spectral tail {tail:.3e} of u({t_end:g}) at eps = {eps:g} on "
+            f"{grid.points} nodes exceeds {TAIL_TOL:g}: the grid does not "
+            f"resolve the march; raise solver_points")
+    return fine, split
 
 
 def converge(config: ExperimentConfig) -> ConvergenceReport:
@@ -371,17 +406,18 @@ def converge(config: ExperimentConfig) -> ConvergenceReport:
     || u e^{-i phi0/eps} - a0 e^{i phi1} ||_L2 against the leading order plus
     first corrector; then fit log-log orders.
 
-    Every rung runs on the fast grid ``rung_points`` gives it: the finest on
-    ``solver_points`` rounded up to a fast count, each coarser one on fewer
-    nodes.  a0, phi0 and phi1 are evaluated once per distinct grid, and every
-    row records its ``points``.
+    Every rung runs on the fast grid ``rung_points`` gives it, the count its
+    own phase and spectrum need, capped at ``solver_points`` rounded up to a
+    fast count.  a0, phi0 and phi1 are evaluated once per distinct grid, and
+    every row records its ``points``.
 
     Each rung marches through ``split_march``, at its step dt (``rung_step``,
     or ``config.dt`` when given) and at 2 dt; the fine march is the answer,
     and ||u(dt) - u(2 dt)||/3 estimates its splitting error
     (``split_error``).  A rung whose estimate exceeds ``SPLIT_TOL`` of the
-    smaller of its two WKB errors raises StepRejectionError before anything
-    is written.
+    smaller of its two WKB errors raises StepRejectionError (exit 1), and
+    one whose final ``spectral_tail`` exceeds ``TAIL_TOL`` raises
+    ResolutionError (exit 3), before anything is written.
     """
     T = config.t_end
     data = build_data(config.data)
@@ -406,13 +442,20 @@ def converge(config: ExperimentConfig) -> ConvergenceReport:
         t0 = time.perf_counter()
         wgrid, a0T, phi0T, beta0 = refs[m]
         r, dr = wgrid.nodes, wgrid.dr
-        res, split = split_march(data, eps, T, config.dt, wgrid, config.ppw)
-        u, dt = res.snapshots[-1].values, res.header["dt"]
-        em = _weighted_l2(np.abs(u) - np.abs(a0T), r, dr, data.n)
-        ef = _weighted_l2(u * np.exp(-1j * phi0T / eps) - beta0, r, dr, data.n)
-        _reject_split(split, min(em, ef), "the WKB error", eps, dt)
-        return {"eps": eps, "points": m, "dt": dt, "err_modulus": em,
-                "err_full": ef, "split_error": split,
+        row = {"eps": eps, "points": m}
+
+        def wkb_error(fine) -> tuple:
+            u = fine.snapshots[-1].values
+            row["err_modulus"] = _weighted_l2(np.abs(u) - np.abs(a0T), r, dr,
+                                              data.n)
+            row["err_full"] = _weighted_l2(
+                u * np.exp(-1j * phi0T / eps) - beta0, r, dr, data.n)
+            return min(row["err_modulus"], row["err_full"]), "the WKB error"
+
+        res, split = split_march(data, eps, T, config.dt, wgrid, config.ppw,
+                                 wkb_error)
+        return {**row, "dt": res.header["dt"], "split_error": split,
+                "spectral_tail": res.header["spectral_tail"],
                 "runtime_s": time.perf_counter() - t0}
 
     rows = [one(e, m) for e, m in zip(config.eps_ladder, counts)]
@@ -426,14 +469,17 @@ def converge(config: ExperimentConfig) -> ConvergenceReport:
     report = ConvergenceReport(rows=rows, fitted_order_modulus=om,
                                fitted_order_full=of,
                                excluded_eps=sorted(set(exc_m + exc_f)),
-                               config_hash=config.hash(), split_ratio=ratio)
+                               config_hash=config.hash(), split_ratio=ratio,
+                               spectral_tail=max(row["spectral_tail"]
+                                                 for row in rows))
     if config.out_dir:
         cols = ("eps", "err_modulus", "err_full")
         _write(config, "convergence.csv", [[r[k] for k in cols] for r in rows],
                columns=cols, scenario="converge")
         _write(config, "convergence.json", {
             "config_hash": report.config_hash,
-            "rows": [{k: r[k] for k in cols + ("points", "dt", "split_error")}
+            "rows": [{k: r[k] for k in cols + ("points", "dt", "split_error",
+                                               "spectral_tail")}
                      for r in rows],
             "fitted_order_modulus": om, "fitted_order_full": of,
             "excluded_eps": report.excluded_eps,
@@ -622,19 +668,23 @@ def schrodinger_run(config: ExperimentConfig) -> dict:
     ``rung_step``.  With no WKB error to compare against, its estimate is
     gated on the scale of the paper's O(eps) bound: above
     ``SPLIT_TOL * eps * ||u0||``, with ||u0|| the square root of the initial
-    discrete mass, it raises StepRejectionError before anything is written.
-    The header records ``dt``, ``split_error`` and ``split_ratio``, the
-    estimate over eps ||u0||."""
+    discrete mass, it raises StepRejectionError, and past ``TAIL_TOL`` of
+    spectral tail ResolutionError, before anything is written.  The header
+    records ``dt``, ``split_error``, ``split_ratio``, the estimate over
+    eps ||u0||, and ``spectral_tail``."""
     T = config.t_end
     data = build_data(config.data)
     eps = config.eps_ladder[0]
     wgrid = RadialGrid(config.data.r_max, fast_points(config.solver_points),
                        include_origin=False)
+
+    def norm_scale(fine) -> tuple:
+        return eps * math.sqrt(fine.observables[0].mass), "eps ||u0||"
+
     res, split = split_march(
-        data, eps, T, config.dt, wgrid, config.ppw,
+        data, eps, T, config.dt, wgrid, config.ppw, norm_scale,
         observable_times=[0.0, T, *(t for t in config.times if t <= T)])
-    scale = eps * math.sqrt(res.observables[0].mass)
-    _reject_split(split, scale, "eps ||u0||", eps, res.header["dt"])
+    scale, _ = norm_scale(res)
     records = [dataclasses.asdict(ob) for ob in res.observables]
     header = {**res.header, "split_error": split,
               "split_ratio": split / scale, "config_hash": config.hash()}

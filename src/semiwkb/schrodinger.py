@@ -22,11 +22,19 @@ from .wkb import hartree_potential
 
 __all__ = ["WaveField", "Observables", "RunResult", "initial_wavefield",
            "strang_step", "run", "madelung_observables", "current_velocity",
-           "required_points", "fast_points", "rung_step"]
+           "required_points", "fast_points", "rung_step", "spectral_tail",
+           "TAIL_TOL"]
 
 FOUR_PI = 4.0 * math.pi
 VELOCITY_FLOOR = 1e-8          # |u| mask threshold, relative to max|u|
 BOUNDARY_TOL = 1e-6            # boundary-mass warning level, relative to the total
+# Bound on the spectral tail of a march's final state (``spectral_tail``).
+# The tail tracks the spatial error: at eps = 1/8, T = 0.5 it reads 1.9e-8,
+# 2.9e-4, 3.8e-3 and 4.5e-2 at 16, 8, 6 and 4 points per wavelength, against
+# errors of 3.4e-6, 2.9e-4, 4.9e-3 and 9.0e-2 on a 17,279-node reference.
+# Rungs sized for TAIL_TOL/10 end at most at 1.2e-7 on the ladder 1/8 .. 1/64
+# for chirps 0.75 to 1.25, and at most at 9.1e-7 on the smaller test ladders.
+TAIL_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -92,7 +100,12 @@ class RunResult:
 
 def required_points(data: InitialData, eps: float, r_max: float,
                     ppw: int = 16) -> int:
-    """Node count needed to resolve the fast phase at ppw points per wavelength."""
+    """Node count needed to resolve the fast phase at ppw points per
+    wavelength of its largest wavenumber max|Phi0'|/eps.
+
+    It sees the phase only: for data at rest (Phi0' = 0) it returns the grid
+    floor of 16, a floor and not a count, and the amplitude's own spectrum
+    has to size the grid (``harness.rung_points``)."""
     vmax = float(np.max(np.abs(data.v0_at(data.grid.nodes))))
     if vmax == 0.0:
         return 16
@@ -136,6 +149,23 @@ def dst(x: np.ndarray) -> np.ndarray:
     M+1 is 5-smooth: the harness builds every wave grid on ``fast_points``.
     """
     return _scipy_dst(x, type=1, norm="ortho")
+
+
+def spectral_tail(w: np.ndarray) -> np.ndarray:
+    """Root energy fraction of the top tenth of the DST-I modes of w = r u,
+    for each leading run of the spectrum: entry m-1 reads it over the first
+    m modes, the spectrum a grid of m nodes on the same box resolves, and the
+    last entry is w's own.  One ``dst``.
+
+    The energies are summed from the top mode down, so a tail far below
+    the round-off of the total energy still reads as its own sum."""
+    energy = np.abs(dst(w)) ** 2
+    above = np.append(np.cumsum(energy[::-1])[::-1], 0.0)  # modes k.. on
+    m = np.arange(1, len(energy) + 1)
+    top = above[m - (m + 9) // 10] - above[m]     # the top ceil(m/10) modes
+    total = above[0] - above[m]
+    return np.sqrt(np.divide(top, total, out=np.zeros_like(top),
+                             where=total > 0))
 
 
 @lru_cache(maxsize=8)
@@ -255,7 +285,9 @@ def run(data: InitialData, eps: float, t_end: float,
     ``schrodinger-run`` marches once more at 2 dt (``harness.split_march``)
     and fails closed, with StepRejectionError (exit 1) before it writes
     anything, when the splitting-error estimate ||u(dt) - u(2 dt)||/3
-    exceeds ``SPLIT_TOL`` (1e-2) of eps ||u0||.
+    exceeds ``SPLIT_TOL`` (1e-2) of eps ||u0||.  The header records the
+    final state's ``spectral_tail``, which ``split_march`` gates on
+    ``TAIL_TOL``.
     """
     if t_end <= 0:
         raise ParameterError("t_end must be positive")
@@ -298,6 +330,7 @@ def run(data: InitialData, eps: float, t_end: float,
     header = {"eps": eps, "dt": dt, "t_end": t_end,
               "grid": grid.descriptor(), "data_hash": data.content_hash(),
               "lam": data.lam, "ppw": ppw,
+              "spectral_tail": float(spectral_tail(u.r * u.values)[-1]),
               "transform_len": 2 * (grid.points + 1),   # DST-I length as an FFT
               "transform_len_fast": fast_points(grid.points) == grid.points}
     return RunResult(observables=observables, snapshots=snapshots,

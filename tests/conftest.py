@@ -1,7 +1,15 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from semiwkb import RadialGrid, ball_data, smooth_ball_data
+
+# HYPOTHESIS_PROFILE=ci prints the blob that reproduces a failing example;
+# example counts and deadlines stay each test's own
+settings.register_profile("ci", print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
@@ -628,13 +628,31 @@ def _six_newton_steps(data, t, radii):
 @given(t=st.floats(min_value=0.0, max_value=1e4),
        fractions=st.lists(st.floats(min_value=0.0, max_value=1.0),
                           min_size=1, max_size=16))
+# far out on the flat flow of the ball (X = 336 and 432, B = 0.121 and
+# 0.107 at R = 4.9355) both inversions sit one or two ulp of X off the
+# target, and their labels differ by 9.39e-13 and 5.32e-13, past
+# 1e-13 max(R, 1); on the steep flow at R = 0.68 (X = 307, B = 422) the
+# early stop sits 2 ulp of X off and six steps land on the target
+@example(t=5026.181818246104, fractions=[0.9746631898328306])
+@example(t=7321.0, fractions=[0.982421875])
+@example(t=8158.72569011453, fractions=[0.6266593021379786])
 def test_newton_early_stop_loses_nothing(smooth_small, ball, t, fractions):
+    # the early stop leaves X(t, R) no further from its target than six full
+    # Newton steps do, up to the round-off of evaluating X: 4 ulp of X (the
+    # excess measured at most 3 ulp over 9,600 random labels).  The labels
+    # agree to 1e-13 max(R, 1) wherever that lies above the label floor this
+    # implies, 4 ulp(X)/B
     for data in (smooth_small, ball):
         top = explicit_characteristics(data, t, data.grid.nodes[-1:]).X[0]
         radii = top * np.array(fractions)
         R = invert_flow_map(data, t, radii)
         ref = _six_newton_steps(data, t, radii)
-        assert np.all(np.abs(R - ref) <= 1e-13 * np.maximum(ref, 1.0))
+        got, six = (explicit_characteristics(data, t, x) for x in (R, ref))
+        ulp = np.spacing(np.abs(six.X))
+        assert np.all(np.abs(got.X - radii) <= np.abs(six.X - radii) + 4 * ulp)
+        bound = 1e-13 * np.maximum(ref, 1.0)
+        kept = bound > 4 * ulp / six.B
+        assert np.all(np.abs(R - ref)[kept] <= bound[kept])
 
 
 @settings(max_examples=15, deadline=None)

@@ -9,10 +9,13 @@ import pytest
 from semiwkb import (ConfigError, ConvergenceError, DataConfig,
                      ExperimentConfig, RadialGrid, harness, run)
 from semiwkb.cli import main as cli_main
+from semiwkb.errors import ParameterError
 from semiwkb.harness import (SPLIT_TOL, _weighted_l2, build_data,
                              classify_sweep, converge, decay_study, evolve_ep,
-                             rung_points, schrodinger_run, wkb_eval)
-from semiwkb.schrodinger import fast_points, required_points, rung_step
+                             rung_points, schrodinger_run, split_march,
+                             split_mesh_error, wkb_eval)
+from semiwkb.schrodinger import (TAIL_TOL, fast_points, required_points,
+                                 rung_step)
 from semiwkb.wkb import TIME_ERROR_TOL, first_corrector, leading_order
 
 
@@ -173,6 +176,10 @@ def test_converge_free_gaussian_orders(tmp_path):
     report = converge(cfg)
     assert 0.8 <= report.fitted_order_full <= 1.2
     assert report.fitted_order_modulus > 1.7
+    # data at rest: required_points returns its floor of 16, and the
+    # spectrum of A0 lifts every rung off the 17-node fast floor to 39
+    assert [row["points"] for row in report.rows] == [39, 39, 39, 39]
+    assert report.spectral_tail <= TAIL_TOL
 
 
 # -- scenarios -----------------------------------------------------------------
@@ -201,13 +208,16 @@ def test_converge_emits_hash_stamped_files(conv_report):
     payload = json.loads((out / "convergence.json").read_text())
     assert payload["config_hash"] == cfg.hash()
     assert len(payload["rows"]) == 3
-    assert [row["points"] for row in payload["rows"]] == [539, 1079, 2159]
+    assert [row["points"] for row in payload["rows"]] == [479, 624, 1214]
     assert "eps,err_modulus,err_full" in csv.splitlines()   # columns kept
     assert "runtime_s" not in payload["rows"][0]   # timings live in the sidecar
     assert (out / "timing.json").exists()
     for row, written in zip(report.rows, payload["rows"]):
         assert written["dt"] == row["dt"]
         assert written["split_error"] == row["split_error"]
+        assert written["spectral_tail"] == row["spectral_tail"]
+        assert 0.0 < row["spectral_tail"] <= TAIL_TOL
+    assert report.spectral_tail == max(r["spectral_tail"] for r in report.rows)
     assert report.split_ratio == max(
         row["split_error"] / min(row["err_modulus"], row["err_full"])
         for row in report.rows)
@@ -215,9 +225,11 @@ def test_converge_emits_hash_stamped_files(conv_report):
 
 
 @pytest.mark.parametrize("solver_points, expected", [
-    (8192, [1079, 2159, 4319, 8639]),     # perfbench and acceptance 7/8
-    (8191, [1023, 2047, 4095, 8191])])    # configs/converge.json
+    (8192, [624, 1214, 2429, 4859]),      # perfbench and acceptance 7/8
+    (8191, [624, 1214, 2429, 4859])])     # configs/converge.json
 def test_rung_points_on_the_acceptance_ladder(solver_points, expected):
+    # the phase decides on this ladder: every rung takes the fast count past
+    # its ppw-16 count, well under the cap, whichever cap it is given
     data_cfg = DataConfig(chirp=1.0, points=8192)
     cfg = ExperimentConfig(scenario="converge", data=data_cfg,
                            eps_ladder=(1 / 8, 1 / 16, 1 / 32, 1 / 64),
@@ -225,15 +237,15 @@ def test_rung_points_on_the_acceptance_ladder(solver_points, expected):
     data = build_data(data_cfg)
     counts = rung_points(data, cfg)
     assert counts == expected
-    assert counts[-1] == fast_points(cfg.solver_points)
     for eps, m in zip(cfg.eps_ladder, counts):
-        assert m >= required_points(data, eps, data_cfg.r_max, cfg.ppw)
+        need = required_points(data, eps, data_cfg.r_max, cfg.ppw)
+        assert m == fast_points(need) < fast_points(cfg.solver_points)
 
 
 def test_rung_points_raised_to_required_points():
-    # data at rest need the floor of 16 nodes at every eps; the eps = 1/4
-    # rung's proportional share of 127 nodes is 15, so it rises to the
-    # smallest fast count past 16
+    # data at rest: the phase needs only the floor of 16 nodes at every eps,
+    # and the spectrum of r A0 raises each rung to 39 nodes (M+1 = 40); a
+    # cap below that count holds every rung on the cap
     data_cfg = DataConfig(family="gaussian_free", lam=0.0, points=1024,
                           r_max=20.0)
     cfg = ExperimentConfig(scenario="converge", data=data_cfg,
@@ -241,17 +253,16 @@ def test_rung_points_raised_to_required_points():
                            t_end=0.25, solver_points=127)
     data = build_data(data_cfg)
     assert required_points(data, 0.25, data_cfg.r_max, cfg.ppw) == 16
-    counts = rung_points(data, cfg)
-    assert counts == [17, 31, 63, 127]
-    assert fast_points(counts[0]) == counts[0]
+    assert rung_points(data, cfg) == [39, 39, 39, 39]
+    capped = dataclasses.replace(cfg, solver_points=24)
+    assert rung_points(data, capped) == [fast_points(24)] * 4 == [24] * 4
 
 
 def test_converge_rungs_match_the_finest_grid(conv_report):
     # each rung against the same march, at the step its row records, and
-    # reference fields on the finest rung's fast_points(solver_points) nodes;
-    # measured moves on this config: err_full 1.8e-6 (eps = 1/4),
-    # err_modulus 4.5e-7 (eps = 1/8), zero on the finest rung; the bound
-    # leaves a factor of five
+    # reference fields on the cap grid, fast_points(solver_points) = 2159
+    # nodes; measured moves on this config: err_full 3.9e-6 (eps = 1/8),
+    # err_modulus 1.9e-6 (eps = 1/8); the bound leaves a factor of 2.5
     cfg, report, _ = conv_report
     data = build_data(cfg.data)
     T, r_max = cfg.t_end, cfg.data.r_max
@@ -261,7 +272,7 @@ def test_converge_rungs_match_the_finest_grid(conv_report):
         r_max, cfg.corrector_points)).at_final()
     a0T, phi0T = fields.a0.values, fields.phi0.values
     beta0 = a0T * np.exp(1j * p1T(g.nodes))
-    assert [row["points"] for row in report.rows] == [539, 1079, 2159]
+    assert [row["points"] for row in report.rows] == [479, 624, 1214]
     for row in report.rows:
         eps = row["eps"]
         u = run(data, eps, T, dt=row["dt"], grid=g,
@@ -323,6 +334,44 @@ def test_converge_split_gate_fails_closed(tmp_path, capsys):
     assert not (out / "convergence.json").exists()
 
 
+def test_converge_tail_gate_fails_closed(tmp_path, capsys):
+    # at ppw 4 the eps = 1/8 phase needs 75 nodes and the cap of 161 passes
+    # it, but the spectrum of u0 needs more: the rung runs on the cap and
+    # u(T) ends with a spectral tail of 3.1e-4, past TAIL_TOL; exit 3 and
+    # no output
+    cfg_path = tmp_path / "capped.json"
+    cfg_path.write_text(json.dumps({
+        "data": {"chirp": 1.0, "points": 1024, "r_max": 20.0},
+        "eps_ladder": [0.125, 0.0625, 0.03125], "t_end": 0.1, "ppw": 4,
+        "solver_points": 160, "corrector_points": 257}))
+    out = tmp_path / "out"
+    assert cli_main(["converge", "--config", str(cfg_path),
+                     "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "spectral tail 3.1" in err and "eps = 0.125 on 161 nodes" in err
+    assert not (out / "convergence.json").exists()
+
+
+@pytest.mark.parametrize("chirp", [0.75, 1.0, 1.25])
+def test_smoke_ladder_rungs_end_resolved(chirp):
+    # perfbench's smoke converge; the rule proportional to the finest grid
+    # gave eps = 1/2 255 nodes, where u(T) ends with a spectral tail of
+    # 2.8e-4 to 3.2e-4; the spectrum of u0 gives it 431 or 449 nodes, and
+    # every rung ends at most at 9.1e-7
+    cfg = ExperimentConfig(scenario="converge",
+                           data=DataConfig(chirp=chirp, points=1024),
+                           eps_ladder=(0.5, 0.25, 0.125), t_end=0.1,
+                           solver_points=1023, corrector_points=257)
+    report = converge(cfg)
+    first = report.rows[0]
+    assert first["points"] > 255
+    assert report.spectral_tail <= TAIL_TOL
+    assert 0.8 <= report.fitted_order_full <= 1.2
+    old = run(build_data(cfg.data), 0.5, 0.1, dt=first["dt"],
+              grid=RadialGrid(40.0, 255, include_origin=False))
+    assert old.header["spectral_tail"] > TAIL_TOL
+
+
 def test_converge_rejects_a_dt_that_blinds_the_estimate(tmp_path, capsys):
     # 2 dt > t_end leaves no full coarse step (t_end/(2 dt) = 0.96 is off
     # the mesh); at dt >= t_end both marches would take the same single step
@@ -340,8 +389,12 @@ def test_cli_converge_summary_prints_the_split_ratio(tmp_path, capsys):
     cfg_path = tmp_path / "conv.json"
     cfg_path.write_text(json.dumps(_converge_payload()))
     assert cli_main(["converge", "--config", str(cfg_path)]) == 0
-    ratio = float(capsys.readouterr().out.split("split_ratio=")[1])
+    out = capsys.readouterr().out
+    ratio = float(out.split("split_ratio=")[1])
     assert 0.0 < ratio <= SPLIT_TOL
+    # the worst final spectral tail over the rungs
+    tail = float(out.split("spectral_tail=")[1].split()[0])
+    assert 0.0 < tail <= TAIL_TOL
 
 
 def test_converge_deterministic(tmp_path, conv_report):
@@ -603,6 +656,7 @@ def test_schrodinger_run_header_records_the_step_and_estimate(wave_run):
     norm0 = math.sqrt(out["observables"][0]["mass"])
     assert header["split_ratio"] == header["split_error"] / (0.125 * norm0)
     assert 0.0 < header["split_ratio"] <= SPLIT_TOL
+    assert 0.0 < header["spectral_tail"] <= TAIL_TOL
 
 
 def test_schrodinger_run_observes_at_the_next_mesh_time(wave_run):
@@ -656,6 +710,22 @@ def test_config_takes_only_a_dt_on_the_split_mesh(scenario, dt, on_mesh):
             make()
     # scenarios that take no Strang step do not check it
     assert ExperimentConfig(scenario="wkb-eval", t_end=0.25, dt=dt).dt == dt
+    # the config and split_march share one rule
+    assert (split_mesh_error(0.25, dt) is None) == on_mesh
+
+
+@pytest.mark.parametrize("dt", [0.05, 0.1, 0.13, 0.0625 * (1 + 1e-8)])
+def test_split_march_rejects_a_dt_off_its_mesh(dt, monkeypatch):
+    # called directly, with no config to validate it, split_march refuses
+    # the step before it marches (at dt = 0.05 the estimate would read 0.87
+    # of the true error)
+    def marching(*args, **kwargs):
+        raise AssertionError("marched on an off-mesh dt")
+    monkeypatch.setattr(harness, "run", marching)
+    data = build_data(DataConfig(points=1024, r_max=20.0))
+    grid = RadialGrid(20.0, 1079, include_origin=False)
+    with pytest.raises(ParameterError, match="off the mesh"):
+        split_march(data, 0.25, 0.25, dt, grid, 16, marching)
 
 
 @pytest.mark.parametrize("scenario, payload", [

@@ -14,7 +14,8 @@ from semiwkb import (ContractError, ParameterError, RadialGrid, RadialProfile,
                      lp_norm, madelung_observables, poisson_radial, run,
                      smooth_ball_data, strang_step)
 from semiwkb.profiles import InitialData
-from semiwkb.schrodinger import discrete_mass, required_points
+from semiwkb.schrodinger import (discrete_mass, required_points,
+                                 spectral_tail)
 
 
 def wave_grid(points=2048, r_max=40.0):
@@ -188,7 +189,21 @@ def test_run_makes_two_kinetic_transforms_per_step(monkeypatch, smooth_chirped):
 
     monkeypatch.setattr(schrodinger, "dst", counting)
     run(smooth_chirped, 0.5, 0.02, dt=1e-3, grid=wave_grid(512))
-    assert calls == [512] * 40
+    # and one more for the final state's spectral tail
+    assert calls == [512] * 41
+
+
+def test_spectral_tail_reads_each_leading_run_of_modes():
+    # modes 5 and 95 of 100 (1-based), at amplitudes 1 and 1e-9: mode 5 is
+    # the top tenth of the first 5 modes, and mode 95 is in the top tenth of
+    # the whole spectrum, whose root energy fraction 1e-9 lies far below the
+    # round-off of the total energy
+    modes = np.zeros(100)
+    modes[[4, 94]] = [1.0, 1e-9]
+    tails = spectral_tail(schrodinger.dst(modes))   # DST-I is an involution
+    assert tails[4] == pytest.approx(1.0, abs=1e-12)
+    assert tails[3] == pytest.approx(0.0, abs=1e-12)
+    assert tails[-1] == pytest.approx(1e-9, rel=1e-6)
 
 
 def test_run_solves_poisson_once_per_step(monkeypatch, smooth_chirped):
