@@ -264,46 +264,77 @@ _ROOT_TOL = 4 * np.finfo(float).eps
 def _dp_step(rhs, t, y, f, h, rtol, atol):
     """One trial step from (t, y) with y'(t) = f: (y_new, the seven stages,
     the RMS norm of the error estimate in units of atol + rtol max(|y|,
-    |y_new|))."""
+    |y_new|)).
+
+    Written out for the four components (X, X', B, B'), each sum in the
+    tableau's order, so it is bit for bit the step a loop over the tableau
+    takes (the oracle in the tests)."""
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
         (a61, a62, a63, a64, a65) = _DP_A
     b1, _, b3, b4, b5, b6 = _DP_B
     e1, _, e3, e4, e5, e6, e7 = _DP_E
     c2, c3, c4, c5, c6 = _DP_C
+    y0, y1, y2, y3 = y
     k1 = f
-    k2 = rhs(t + c2 * h, [yi + (a21 * p) * h for yi, p in zip(y, k1)])
-    k3 = rhs(t + c3 * h, [yi + (a31 * p + a32 * q) * h
-                          for yi, p, q in zip(y, k1, k2)])
-    k4 = rhs(t + c4 * h, [yi + (a41 * p + a42 * q + a43 * r) * h
-                          for yi, p, q, r in zip(y, k1, k2, k3)])
-    k5 = rhs(t + c5 * h, [yi + (a51 * p + a52 * q + a53 * r + a54 * s) * h
-                          for yi, p, q, r, s in zip(y, k1, k2, k3, k4)])
-    k6 = rhs(t + c6 * h, [yi + (a61 * p + a62 * q + a63 * r + a64 * s
-                                + a65 * u) * h
-                          for yi, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)])
-    y_new = [yi + h * (b1 * p + b3 * r + b4 * s + b5 * u + b6 * w)
-             for yi, p, r, s, u, w in zip(y, k1, k3, k4, k5, k6)]
+    p0, p1, p2, p3 = k1
+    k2 = rhs(t + c2 * h, [y0 + (a21 * p0) * h, y1 + (a21 * p1) * h,
+                          y2 + (a21 * p2) * h, y3 + (a21 * p3) * h])
+    q0, q1, q2, q3 = k2
+    k3 = rhs(t + c3 * h, [y0 + (a31 * p0 + a32 * q0) * h,
+                          y1 + (a31 * p1 + a32 * q1) * h,
+                          y2 + (a31 * p2 + a32 * q2) * h,
+                          y3 + (a31 * p3 + a32 * q3) * h])
+    r0, r1, r2, r3 = k3
+    k4 = rhs(t + c4 * h, [y0 + (a41 * p0 + a42 * q0 + a43 * r0) * h,
+                          y1 + (a41 * p1 + a42 * q1 + a43 * r1) * h,
+                          y2 + (a41 * p2 + a42 * q2 + a43 * r2) * h,
+                          y3 + (a41 * p3 + a42 * q3 + a43 * r3) * h])
+    s0, s1, s2, s3 = k4
+    k5 = rhs(t + c5 * h,
+             [y0 + (a51 * p0 + a52 * q0 + a53 * r0 + a54 * s0) * h,
+              y1 + (a51 * p1 + a52 * q1 + a53 * r1 + a54 * s1) * h,
+              y2 + (a51 * p2 + a52 * q2 + a53 * r2 + a54 * s2) * h,
+              y3 + (a51 * p3 + a52 * q3 + a53 * r3 + a54 * s3) * h])
+    u0, u1, u2, u3 = k5
+    k6 = rhs(t + c6 * h,
+             [y0 + (a61 * p0 + a62 * q0 + a63 * r0 + a64 * s0 + a65 * u0) * h,
+              y1 + (a61 * p1 + a62 * q1 + a63 * r1 + a64 * s1 + a65 * u1) * h,
+              y2 + (a61 * p2 + a62 * q2 + a63 * r2 + a64 * s2 + a65 * u2) * h,
+              y3 + (a61 * p3 + a62 * q3 + a63 * r3 + a64 * s3 + a65 * u3) * h])
+    w0, w1, w2, w3 = k6
+    y_new = [y0 + h * (b1 * p0 + b3 * r0 + b4 * s0 + b5 * u0 + b6 * w0),
+             y1 + h * (b1 * p1 + b3 * r1 + b4 * s1 + b5 * u1 + b6 * w1),
+             y2 + h * (b1 * p2 + b3 * r2 + b4 * s2 + b5 * u2 + b6 * w2),
+             y3 + h * (b1 * p3 + b3 * r3 + b4 * s3 + b5 * u3 + b6 * w3)]
+    n0, n1, n2, n3 = y_new
     k7 = rhs(t + h, y_new)
-    error = _rms([(e1 * p + e3 * r + e4 * s + e5 * u + e6 * w + e7 * z) * h
-                  / (atol + max(abs(yi), abs(yn)) * rtol)
-                  for yi, yn, p, r, s, u, w, z
-                  in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
+    z0, z1, z2, z3 = k7
+    error = _rms(
+        (e1 * p0 + e3 * r0 + e4 * s0 + e5 * u0 + e6 * w0 + e7 * z0) * h
+        / (atol + max(abs(y0), abs(n0)) * rtol),
+        (e1 * p1 + e3 * r1 + e4 * s1 + e5 * u1 + e6 * w1 + e7 * z1) * h
+        / (atol + max(abs(y1), abs(n1)) * rtol),
+        (e1 * p2 + e3 * r2 + e4 * s2 + e5 * u2 + e6 * w2 + e7 * z2) * h
+        / (atol + max(abs(y2), abs(n2)) * rtol),
+        (e1 * p3 + e3 * r3 + e4 * s3 + e5 * u3 + e6 * w3 + e7 * z3) * h
+        / (atol + max(abs(y3), abs(n3)) * rtol))
     return y_new, (k1, k2, k3, k4, k5, k6, k7), error
 
 
-def _rms(values):
-    return math.sqrt(sum(v * v for v in values)) / len(values) ** 0.5
+def _rms(v0, v1, v2, v3):
+    """The RMS of four values."""
+    return math.sqrt(v0 * v0 + v1 * v1 + v2 * v2 + v3 * v3) / 2.0
 
 
 def _initial_step(rhs, y0, f0, t_end, rtol, atol):
     """Hairer-Norsett-Wanner's starting step for an order-4 error estimate."""
     scale = [atol + abs(yi) * rtol for yi in y0]
-    d0 = _rms([yi / s for yi, s in zip(y0, scale)])
-    d1 = _rms([fi / s for fi, s in zip(f0, scale)])
+    d0 = _rms(*[yi / s for yi, s in zip(y0, scale)])
+    d1 = _rms(*[fi / s for fi, s in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_end)
     f1 = rhs(h0, [yi + h0 * fi for yi, fi in zip(y0, f0)])
-    d2 = _rms([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0
+    d2 = _rms(*[(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -325,7 +356,8 @@ def _dense_output(t_old, h, y_old, K):
 
 
 def _dormand_prince(rhs, y0, t_end, rtol, atol, events, t_eval):
-    """Integrate y' = rhs(t, y) from t = 0 to t_end on plain floats.
+    """Integrate y' = rhs(t, y) for the four floats y = (X, X', B, B') from
+    t = 0 to t_end.
 
     Every event g(t, y) is terminal on a falling zero (g >= 0 before a step,
     g <= 0 after it); its root is found by Brent's method on the step's dense

@@ -279,12 +279,15 @@ class InitialData:
                                dtype=self.amplitude.values.dtype)
 
     @cached_property
+    def v0_max(self) -> float:
+        """max|v0| over the grid nodes: it does not depend on eps or t."""
+        return float(np.max(np.abs(self.v0_at(self.grid.nodes))))
+
+    @cached_property
     def explicit_flow(self) -> bool:
         """Whether the closed-form flow of the compatible family applies:
         compatible data, or uncoupled data at rest (lam = 0, v0 = 0, X = R)."""
-        return self.compatible or (
-            self.lam == 0.0
-            and float(np.max(np.abs(self.v0_at(self.grid.nodes)))) == 0.0)
+        return self.compatible or (self.lam == 0.0 and self.v0_max == 0.0)
 
     def v0_prime_at(self, R):
         """The slope of the interpolant ``v0_at`` evaluates."""

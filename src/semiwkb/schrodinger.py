@@ -106,7 +106,7 @@ def required_points(data: InitialData, eps: float, r_max: float,
     It sees the phase only: for data at rest (Phi0' = 0) it returns the grid
     floor of 16, a floor and not a count, and the amplitude's own spectrum
     has to size the grid (``harness.rung_points``)."""
-    vmax = float(np.max(np.abs(data.v0_at(data.grid.nodes))))
+    vmax = data.v0_max
     if vmax == 0.0:
         return 16
     dr_req = 2.0 * math.pi * eps / (ppw * vmax)

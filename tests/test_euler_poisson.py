@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -113,6 +114,98 @@ def test_stepper_agrees_with_scipy_rk45(monkeypatch, n, case, tol):
     ours = np.array([dense.X, dense.Xdot, dense.B])
     scale = np.max(np.abs(ref_dense.y[:3]), axis=1, keepdims=True)
     assert np.all(np.abs(ours - ref_dense.y[:3]) <= 1e-10 * scale)
+
+
+def _tableau_step(rhs, t, y, f, h, rtol, atol):
+    """The Dormand-Prince trial step driven by the tableau over any number
+    of components: the reference ``ep._dp_step``, written out for the four
+    components (X, X', B, B'), reproduces bit for bit."""
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = ep._DP_A
+    b1, _, b3, b4, b5, b6 = ep._DP_B
+    e1, _, e3, e4, e5, e6, e7 = ep._DP_E
+    c2, c3, c4, c5, c6 = ep._DP_C
+    k1 = f
+    k2 = rhs(t + c2 * h, [yi + (a21 * p) * h for yi, p in zip(y, k1)])
+    k3 = rhs(t + c3 * h, [yi + (a31 * p + a32 * q) * h
+                          for yi, p, q in zip(y, k1, k2)])
+    k4 = rhs(t + c4 * h, [yi + (a41 * p + a42 * q + a43 * r) * h
+                          for yi, p, q, r in zip(y, k1, k2, k3)])
+    k5 = rhs(t + c5 * h, [yi + (a51 * p + a52 * q + a53 * r + a54 * s) * h
+                          for yi, p, q, r, s in zip(y, k1, k2, k3, k4)])
+    k6 = rhs(t + c6 * h, [yi + (a61 * p + a62 * q + a63 * r + a64 * s
+                                + a65 * u) * h
+                          for yi, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)])
+    y_new = [yi + h * (b1 * p + b3 * r + b4 * s + b5 * u + b6 * w)
+             for yi, p, r, s, u, w in zip(y, k1, k3, k4, k5, k6)]
+    k7 = rhs(t + h, y_new)
+    scaled = [(e1 * p + e3 * r + e4 * s + e5 * u + e6 * w + e7 * z) * h
+              / (atol + max(abs(yi), abs(yn)) * rtol)
+              for yi, yn, p, r, s, u, w, z
+              in zip(y, y_new, k1, k3, k4, k5, k6, k7)]
+    error = math.sqrt(sum(v * v for v in scaled)) / len(scaled) ** 0.5
+    return y_new, (k1, k2, k3, k4, k5, k6, k7), error
+
+
+def _step_outcome(step, rhs, t, y, h, rtol, atol):
+    """The bytes of (y_new, stages, error) of one trial step from (t, y), or
+    the exception a stage raised."""
+    try:
+        y_new, K, error = step(rhs, t, y, rhs(t, y), h, rtol, atol)
+    except (ZeroDivisionError, OverflowError) as exc:
+        return repr(exc)
+    return np.array([*y_new, *np.ravel(K), error]).tobytes()
+
+
+# stage 2 lands X on 0.0 (a21 * -5 rounds to -1), and on 2e-78, whose
+# X^-4 overflows
+_ZERO_STAGE = dict(n=3, lam=-1.0, m0R=1.0, mpR=1.0, y=(1.0, -5.0, 1.0, 0.0),
+                   t=0.0, h=1.0, rtol=1e-10, atol=1e-12)
+_OVERFLOW_STAGE = dict(n=4, lam=1.0, m0R=1.0, mpR=1.0,
+                       y=(1e-77, -4e-77, 1.0, 0.0), t=0.0, h=1.0, rtol=1e-10,
+                       atol=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.sampled_from([1, 2, 3, 4]), lam=st.sampled_from([-1.0, 1.0]),
+       m0R=st.floats(0.0, 10.0), mpR=st.floats(0.0, 10.0),
+       y=st.tuples(st.floats(1e-3, 10.0) | st.floats(-10.0, -1e-3),
+                   st.floats(-10.0, 10.0), st.floats(-10.0, 10.0),
+                   st.floats(-10.0, 10.0)),
+       t=st.floats(0.0, 100.0), h=st.floats(1e-8, 10.0),
+       rtol=st.floats(1e-13, 1e-2), atol=st.floats(0.0, 1e-4))
+@example(**_ZERO_STAGE)
+@example(**_OVERFLOW_STAGE)
+def test_unrolled_step_is_the_tableau_step(n, lam, m0R, mpR, y, t, h, rtol,
+                                           atol):
+    # the same y_new, seven stages and error norm to the bit, or the same
+    # exception from a stage
+    rhs = ep._char_rhs(n, lam, m0R, mpR)
+    assert (_step_outcome(ep._dp_step, rhs, t, list(y), h, rtol, atol)
+            == _step_outcome(_tableau_step, rhs, t, list(y), h, rtol, atol))
+
+
+@pytest.mark.parametrize("case, raised", [(_ZERO_STAGE, ZeroDivisionError),
+                                          (_OVERFLOW_STAGE, OverflowError)])
+def test_unrolled_step_raises_where_the_tableau_step_does(case, raised):
+    rhs = ep._char_rhs(case["n"], case["lam"], case["m0R"], case["mpR"])
+    y, t, h = list(case["y"]), case["t"], case["h"]
+    for step in (ep._dp_step, _tableau_step):
+        with pytest.raises(raised):
+            step(rhs, t, y, rhs(t, y), h, case["rtol"], case["atol"])
+
+
+def test_unrolled_step_keeps_the_acceptance_batch_verdicts(monkeypatch):
+    # kind, t_c, mechanism, certificate and label of every witness in
+    # acceptance 3's seed-0 batch are the tableau step's
+    from test_acceptance import _instance_batch
+    batch = [data for data, _ in _instance_batch()]
+
+    def verdicts():
+        return [dataclasses.astuple(classify(d, witness=True)) for d in batch]
+    ours = verdicts()
+    monkeypatch.setattr(ep, "_dp_step", _tableau_step)
+    assert verdicts() == ours
 
 
 # -- classification ----------------------------------------------------------

@@ -1,7 +1,9 @@
+import collections
 import dataclasses
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from semiwkb.harness import (SPLIT_TOL, _weighted_l2, build_data,
                              classify_sweep, converge, decay_study, evolve_ep,
                              rung_points, schrodinger_run, split_march,
                              split_mesh_error, wkb_eval)
+from semiwkb.profiles import InitialData
 from semiwkb.schrodinger import (TAIL_TOL, fast_points, required_points,
                                  rung_step)
 from semiwkb.wkb import TIME_ERROR_TOL, first_corrector, leading_order
@@ -256,6 +259,28 @@ def test_rung_points_raised_to_required_points():
     assert rung_points(data, cfg) == [39, 39, 39, 39]
     capped = dataclasses.replace(cfg, solver_points=24)
     assert rung_points(data, capped) == [fast_points(24)] * 4 == [24] * 4
+
+
+def test_converge_takes_max_v0_once(monkeypatch, tmp_path):
+    # on the perfbench ladder, the v0 spline runs over the whole data grid
+    # twice per call: once for max|v0| (every required_points call shares
+    # it) and once for the corrector's node rates
+    callers = collections.Counter()
+    v0_at = InitialData.v0_at
+
+    def spy(self, R):
+        if np.size(R) == self.grid.points:
+            callers[sys._getframe(1).f_code.co_name] += 1
+        return v0_at(self, R)
+    monkeypatch.setattr(InitialData, "v0_at", spy)
+    cfg = ExperimentConfig(scenario="converge",
+                           data=DataConfig(chirp=1.0, points=8192),
+                           eps_ladder=(1 / 8, 1 / 16, 1 / 32, 1 / 64),
+                           t_end=0.5, solver_points=8192,
+                           corrector_points=2049, out_dir=str(tmp_path))
+    report = converge(cfg)
+    assert [row["points"] for row in report.rows] == [624, 1214, 2429, 4859]
+    assert callers == {"v0_max": 1, "rates_at": 1}
 
 
 def test_converge_rungs_match_the_finest_grid(conv_report):
