@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from operator import mul
 from typing import Optional
 
@@ -373,33 +374,43 @@ def _dormand_prince(rhs, y0, t_end, rtol, atol, events, t_eval):
     h_abs = _initial_step(rhs, y, f, t_end, rtol, atol)
     g = [ev(t, y) for ev in events]
     ts, ys = ([t], [y]) if t_eval is None else ([], [])
-    i_eval = 0
+    i_eval, n_events = 0, range(len(events))
     while True:
         min_step = 10 * math.ulp(t)
-        h_abs = max(h_abs, min_step)
+        if h_abs < min_step:
+            h_abs = min_step
         rejected = False
         while True:
             if h_abs < min_step:
                 return ts, ys, None, t
-            t_new = min(t + h_abs, t_end)
+            t_new = t + h_abs
+            if t_new >= t_end:
+                t_new = t_end
             h = h_abs = t_new - t
             try:
                 y_new, K, error = _dp_step(rhs, t, y, f, h, rtol, atol)
             except (ZeroDivisionError, OverflowError):
                 error = math.nan
             if error < 1:
-                factor = (MAX_FACTOR if error == 0 else
-                          min(MAX_FACTOR, SAFETY * error ** -0.2))
-                h_abs *= min(1.0, factor) if rejected else factor
+                factor = MAX_FACTOR
+                if error > 0:
+                    factor = SAFETY * error ** -0.2
+                    if factor > MAX_FACTOR:
+                        factor = MAX_FACTOR
+                if rejected and factor > 1.0:
+                    factor = 1.0
+                h_abs *= factor
                 break
-            h_abs *= max(MIN_FACTOR, SAFETY * error ** -0.2)
+            # a NaN error takes MIN_FACTOR: no comparison with NaN holds
+            factor = SAFETY * error ** -0.2
+            h_abs *= factor if factor > MIN_FACTOR else MIN_FACTOR
             rejected = True
 
         t_old, y_old = t, y
-        t, y, f = t_new, y_new, K[-1]
+        t, y, f = t_new, y_new, K[6]
         dense = hit = None
         g_new = [ev(t, y) for ev in events]
-        active = [i for i, (a, b) in enumerate(zip(g, g_new)) if a >= 0 >= b]
+        active = [i for i in n_events if g[i] >= 0 >= g_new[i]]
         g = g_new
         if active:
             dense = _dense_output(t_old, h, y_old, K)
@@ -495,7 +506,8 @@ def integrate_characteristics(data: InitialData, R: float, t_end: float,
         warnings.warn(f"step-size underflow at t={event_time:.6g}; "
                       "reporting approach to collapse", RuntimeWarning)
 
-    ys = np.array(ys, dtype=float).reshape(len(ts), 4)
+    ys = np.fromiter(chain.from_iterable(ys), float, 4 * len(ts)
+                     ).reshape(len(ts), 4)
     return CharacteristicTrajectory(R=R, t=np.array(ts, dtype=float),
                                     X=ys[:, 0], Xdot=ys[:, 1], B=ys[:, 2],
                                     event_time=event_time,

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import PPoly
+from scipy.linalg import solve_banded
 
 from .errors import DomainError, ParameterError
 
@@ -17,6 +18,7 @@ __all__ = [
     "derivative_uniform",
     "over_r",
     "cumulative_radial",
+    "not_a_knot_spline",
     "LANDING_TOL", "sample_times", "time_mesh",
 ]
 
@@ -205,6 +207,47 @@ def cumulative_radial(y: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# interpolation
+# ---------------------------------------------------------------------------
+
+def not_a_knot_spline(x: np.ndarray, y: np.ndarray) -> PPoly:
+    """The cubic spline through (x, y) with not-a-knot ends (de Boor, A
+    Practical Guide to Splines, 1978), on columns of y along axis 0.
+
+    For a strictly increasing float x of n >= 4 nodes and finite float y,
+    the arithmetic is ``scipy.interpolate.CubicSpline(x, y)``'s, so the
+    coefficients are its to the bit: the same banded system for the slopes
+    s, the same solve and the same Hermite coefficients.  Its input
+    validation and ``PPoly`` checks are skipped, since profiles hold
+    validated samples.
+    """
+    n = len(x)
+    if n < 4:
+        raise ParameterError(f"a not-a-knot spline needs 4 nodes, got {n}")
+    dx = np.diff(x)
+    dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / dxr
+    A = np.zeros((3, n))
+    b = np.empty(y.shape, dtype=y.dtype)
+    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    A[0, 2:] = dx[:-1]
+    A[-1, :-2] = dx[1:]
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    A[1, 0] = dx[1]
+    A[0, 1] = d = x[2] - x[0]
+    b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
+    A[1, -1] = dx[-2]
+    A[-1, -2] = d = x[-1] - x[-3]
+    b[-1] = (dxr[-1] ** 2 * slope[-2]
+             + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+    s = solve_banded((1, 1), A, b.reshape(n, -1), overwrite_ab=True,
+                     overwrite_b=True, check_finite=False).reshape(y.shape)
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    c = np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+    return PPoly.construct_fast(c, x)
+
+
+# ---------------------------------------------------------------------------
 # time mesh
 # ---------------------------------------------------------------------------
 
@@ -288,20 +331,20 @@ class RadialProfile:
     def with_values(self, values) -> "RadialProfile":
         return RadialProfile(self.grid, values)
 
-    def _interpolator(self) -> CubicSpline:
+    def _interpolator(self) -> PPoly:
         """One real spline, on the (re, im) columns for a complex profile."""
         if self._spline is None:
             values = self.values
             if self.is_complex:
                 values = np.column_stack([values.real, values.imag])
             object.__setattr__(self, "_spline",
-                               CubicSpline(self.grid.nodes, values))
+                               not_a_knot_spline(self.grid.nodes, values))
         return self._spline
 
     def __call__(self, radii, nu: int = 0):
         radii = np.asarray(radii, dtype=float)
         r = self.grid.nodes
-        if np.any(radii < r[0] - 1e-12) or np.any(radii > r[-1] + 1e-12):
+        if (radii < r[0] - 1e-12).any() or (radii > r[-1] + 1e-12).any():
             raise ParameterError("interpolation outside the profile grid")
         out = self._interpolator()(np.clip(radii, r[0], r[-1]), nu)
         if self.is_complex:

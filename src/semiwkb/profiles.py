@@ -246,10 +246,12 @@ class InitialData:
         if oracle is not None:
             return oracle(R)
         inside = R <= self.r_max if closed else R < self.r_max
+        if inside.all():
+            return on_grid(R)
         out = np.zeros_like(R, dtype=dtype)
-        if np.any(inside):
+        if inside.any():
             out[inside] = on_grid(R[inside])
-        if beyond is not None and not np.all(inside):
+        if beyond is not None:
             out[~inside] = beyond(R[~inside])
         return out
 

@@ -235,7 +235,7 @@ def madelung_observables(u: WaveField) -> Observables:
     if u.lam != 0.0:
         energy += 0.5 * u.lam * np.sum(u.potential * dens)
     edge = max(int(0.02 * u.grid.points), 4)
-    return Observables(t=u.t, mass=discrete_mass(u),
+    return Observables(t=u.t, mass=FOUR_PI * float(np.sum(dens) * u.dr),
                        energy=FOUR_PI * float(energy * u.dr),
                        boundary_mass=FOUR_PI * float(np.sum(dens[-edge:]) * u.dr))
 

@@ -25,16 +25,17 @@ the labels R along the same closed-form flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, ParameterError, StepRejectionError
 from .euler_poisson import invert_flow_map, label_flow
 from .grids import (LANDING_TOL, RadialGrid, RadialProfile,
-                    cumulative_radial, derivative_uniform, over_r,
+                    cumulative_radial, derivative_uniform,
+                    not_a_knot_spline, over_r,
                     sample_times as grid_sample_times, time_mesh)
 from .profiles import InitialData
 
@@ -84,10 +85,11 @@ class CorrectorSeries:
 # ---------------------------------------------------------------------------
 
 def hartree_potential(source: np.ndarray, r: np.ndarray, n: int,
-                      X: np.ndarray | None = None, B=1.0) -> np.ndarray:
+                      X: np.ndarray | None = None, B=None) -> np.ndarray:
     """Solve -(x^(n-1) V')' = x^(n-1) * source radially (signed source allowed).
 
-    Samples sit at x = X(r), dX/dr = B (default r and 1), integrated in r.
+    Samples sit at x = X(r), dX/dr = B (default r and 1), integrated in r;
+    X vanishes at the origin node only.
     n >= 3: the tail is closed analytically with the captured charge and V
     vanishes at infinity.  n <= 2, where no decaying solution exists: V(0) = 0.
     On the Dirichlet layout (r[0] > 0, nodes j*dr, j = 1..M) the source is a
@@ -102,18 +104,36 @@ def hartree_potential(source: np.ndarray, r: np.ndarray, n: int,
         rho = np.zeros(M + 2)
         rho[1:-1] = source
         rho[0] = max((4.0 * source[0] - source[1]) / 3.0, 0.0)
-        source, r = rho, RadialGrid(r[0] * (M + 1), M + 2).nodes
-    X = r if X is None else X
-    area = X ** (n - 1)
-    m = cumulative_radial(source * area * B, r)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = np.where(X > 0, m / area, 0.0)
-    H = cumulative_radial(h * B, r)
+        source, (r, area) = rho, _origin_frame(r[0], M, n)
+        X = r
+    else:
+        X = r if X is None else X
+        area = X ** (n - 1)
+    y = source * area
+    if B is not None:
+        y *= B
+    m = cumulative_radial(y, r)
+    h = np.empty_like(m)       # m / area, with its limit 0 at the origin
+    h[0] = 0.0
+    np.divide(m[1:], area[1:], out=h[1:])
+    if B is not None:
+        h *= B
+    H = cumulative_radial(h, r)
     if n <= 2:
         V = H[0] - H
     else:
         V = (H[-1] - H) + m[-1] * X[-1] ** (2 - n) / (n - 2)
     return V[1:-1] if dirichlet else V
+
+
+@lru_cache(maxsize=8)
+def _origin_frame(dr: float, M: int, n: int):
+    """The M+2 nodes j*dr, j = 0..M+1, of the origin grid under a Dirichlet
+    grid of M nodes, and their r^(n-1), read-only."""
+    r = RadialGrid(dr * (M + 1), M + 2).nodes
+    area = r ** (n - 1)
+    area.setflags(write=False)
+    return r, area
 
 
 def poisson_radial(rho: RadialProfile, n: int) -> RadialProfile:
@@ -358,7 +378,8 @@ def first_corrector(data: InitialData, t_end: float,
                 f"exceeds {TIME_ERROR_TOL:g}: take a smaller dt than {dt:g}")
         a1, p1 = ((16.0 * f - c) / 15.0 for f, c in zip(fine, coarse))
         labels = invert_flow_map(data, tv, R)
-        state = CubicSpline(R, np.column_stack([a1.real, a1.imag, p1]))(labels)
+        state = not_a_knot_spline(
+            R, np.column_stack([a1.real, a1.imag, p1]))(labels)
         out_t.append(tv)
         out_a1.append(RadialProfile(grid, state[:, 0] + 1j * state[:, 1]))
         out_p1.append(RadialProfile(grid, state[:, 2]))

@@ -8,7 +8,8 @@ from scipy.interpolate import CubicSpline
 from semiwkb import ParameterError, RadialGrid, RadialProfile
 from semiwkb.errors import DomainError
 from semiwkb.grids import (LANDING_TOL, cumulative_radial, derivative_uniform,
-                           fd_weights, sample_times, time_mesh)
+                           fd_weights, not_a_knot_spline, sample_times,
+                           time_mesh)
 
 
 def test_grid_layouts():
@@ -128,6 +129,37 @@ def test_complex_profile_interpolates_like_a_spline_pair():
     got = p(x)
     assert got.dtype == complex
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def _exact(a):
+    """An array's dtype, shape and bytes."""
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=st.integers(min_value=16, max_value=8192),
+       r_max=st.sampled_from([1.0, 5.0, 20.0, 40.0, 1000.0]),
+       include_origin=st.booleans(), columns=st.sampled_from([None, 2, 3]),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_not_a_knot_spline_is_scipys(points, r_max, include_origin, columns,
+                                     seed):
+    # scipy's CubicSpline is the oracle: the same coefficients, values and
+    # slopes to the bit, off the nodes, on them and at both ends
+    x = RadialGrid(r_max, points, include_origin).nodes
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=points if columns is None else (points, columns))
+    ours, ref = not_a_knot_spline(x, y), CubicSpline(x, y)
+    assert _exact(ours.c) == _exact(ref.c)
+    at = np.concatenate([rng.uniform(x[0], x[-1], 64), x, x[[0, -1]]])
+    for nu in (0, 1):
+        assert _exact(ours(at, nu)) == _exact(ref(at, nu))
+
+
+@pytest.mark.parametrize("points", [1, 2, 3])
+def test_not_a_knot_spline_needs_four_nodes(points):
+    x = np.arange(float(points))
+    with pytest.raises(ParameterError):
+        not_a_knot_spline(x, np.zeros(points))
 
 
 def test_profile_immutable():

@@ -11,7 +11,7 @@ from semiwkb import (DivisionGuardError, DomainError, ParameterError,
                      build_initial_data, compatible_phase, critical_threshold,
                      cumulative_mass, sample_amplitude, sample_data,
                      smooth_ball_data, v0_identity_residual)
-from semiwkb.profiles import ExactFields, smooth_cutoff
+from semiwkb.profiles import ExactFields, InitialData, free_data, smooth_cutoff
 
 
 # -- cutoff and amplitude family ------------------------------------------
@@ -327,6 +327,56 @@ def test_evaluators_on_grid_data(smooth_small):
     assert np.array_equal(e.amplitude_at(R), np.zeros(2))
     chirped = smooth_ball_data(chirp=1.0, grid=d.grid)
     assert chirped.amplitude_at(R).dtype == complex
+
+
+def _reference_continued(self, R, name, on_grid, beyond=None, closed=True,
+                         dtype=float):
+    """``InitialData._continued`` filling a zero array inside and beyond
+    r_max whatever the labels: the reference its shortcut for labels that
+    are all inside reproduces bit for bit."""
+    R = np.atleast_1d(np.asarray(R, dtype=float))
+    oracle = getattr(self.exact, name, None)
+    if oracle is not None:
+        return oracle(R)
+    inside = R <= self.r_max if closed else R < self.r_max
+    out = np.zeros_like(R, dtype=dtype)
+    if np.any(inside):
+        out[inside] = on_grid(R[inside])
+    if beyond is not None and not np.all(inside):
+        out[~inside] = beyond(R[~inside])
+    return out
+
+
+_LABEL_EVALUATORS = ("rho0_at", "m0_at", "v0_at", "phi0_at", "amplitude_at",
+                     "v0_prime_at")
+
+
+def test_label_evaluators_are_the_reference(smooth_small, ball, monkeypatch):
+    # complex and real amplitudes, a vacuum tail and none, and an oracle;
+    # labels: a scalar, none, r_max itself (closed for v0, open for phi0),
+    # beyond it, and arrays mixing both sides
+    grid = smooth_small.grid
+    r = grid.nodes
+    datasets = [smooth_small, smooth_ball_data(chirp=1.0, grid=grid),
+                smooth_ball_data(velocity_scale=0.6, grid=grid),
+                free_data(RadialProfile(grid, 1.0 - np.exp(-r ** 2)), 3),
+                ball]
+    cases = []
+    for d in datasets:
+        r_max = d.r_max
+        for R in (1.1, np.array([]), r_max, np.array([r_max]),
+                  np.nextafter(r_max, 0.0), 1.5 * r_max,
+                  np.array([0.0, 0.7, r_max]),
+                  np.array([2.0 * r_max, 0.0, r_max, 1.3, 3.0 * r_max])):
+            for name in _LABEL_EVALUATORS:
+                cases.append((d, name, R, getattr(d, name)(R)))
+
+    monkeypatch.setattr(InitialData, "_continued", _reference_continued)
+    assert any(out.dtype == complex and out.size for *_, out in cases)
+    for d, name, R, out in cases:
+        ref = getattr(d, name)(R)
+        assert (out.dtype, out.shape, out.tobytes()) == (
+            ref.dtype, ref.shape, ref.tobytes()), (name, R)
 
 
 def test_content_hash_distinguishes_data():

@@ -360,6 +360,7 @@ def test_madelung_mass_matches_norms(smooth_chirped):
     f_ext = np.concatenate([[0.0], np.abs(u.values), [0.0]])
     ref = lp_norm(f_ext, r_ext, 3, 2) ** 2
     assert abs(ob.mass - ref) / ref < 1e-12
+    assert ob.mass == discrete_mass(u)
 
 
 def test_energy_matches_spectral_energy(smooth_chirped):

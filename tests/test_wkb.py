@@ -12,7 +12,7 @@ from semiwkb import (ContractError, DomainError, ParameterError, RadialGrid,
                      limit_system_residual, phase_time_constant,
                      poisson_radial, smooth_ball_data)
 from semiwkb.euler_poisson import explicit_characteristics
-from semiwkb.grids import derivative_uniform
+from semiwkb.grids import cumulative_radial, derivative_uniform
 from semiwkb.norms import lp_norm
 from semiwkb.profiles import InitialData, gaussian_free_data
 from semiwkb import wkb
@@ -133,6 +133,47 @@ def test_hartree_potential_on_flow_labels(smooth):
     rho = np.exp(-r ** 2)
     assert np.array_equal(wkb.hartree_potential(rho, r, 3),
                           wkb.hartree_potential(rho, r, 3, X=r, B=1.0))
+
+
+def _reference_hartree(source, r, n, X=None, B=1.0):
+    """``wkb.hartree_potential`` building the Dirichlet layout's origin grid
+    and r^(n-1) on every call, multiplying by B = 1 and taking m / area
+    where X > 0: the reference the cached, sliced solve reproduces bit for
+    bit."""
+    dirichlet = r[0] > 0
+    if dirichlet:
+        M = len(r)
+        rho = np.zeros(M + 2)
+        rho[1:-1] = source
+        rho[0] = max((4.0 * source[0] - source[1]) / 3.0, 0.0)
+        source, r = rho, RadialGrid(r[0] * (M + 1), M + 2).nodes
+    X = r if X is None else X
+    area = X ** (n - 1)
+    m = cumulative_radial(source * area * B, r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = np.where(X > 0, m / area, 0.0)
+    H = cumulative_radial(h * B, r)
+    if n <= 2:
+        V = H[0] - H
+    else:
+        V = (H[-1] - H) + m[-1] * X[-1] ** (2 - n) / (n - 2)
+    return V[1:-1] if dirichlet else V
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_hartree_potential_is_the_reference(smooth, n):
+    for points in (1023, 1024):
+        for include_origin in (False, True):
+            r = RadialGrid(30.0, points, include_origin).nodes
+            rho = np.exp(-r ** 2) * (1.0 + 0.5 * np.sin(3.0 * r))
+            for _ in range(2):      # the second Dirichlet call is cached
+                assert (wkb.hartree_potential(rho, r, n).tobytes()
+                        == _reference_hartree(rho, r, n).tobytes())
+    R = smooth.grid.nodes
+    st = explicit_characteristics(smooth, 0.5, R)
+    src = np.exp(-st.X ** 2)
+    assert (wkb.hartree_potential(src, R, n, st.X, st.B).tobytes()
+            == _reference_hartree(src, R, n, st.X, st.B).tobytes())
 
 
 # -- leading order -------------------------------------------------------------
