@@ -15,8 +15,9 @@ from .euler_poisson import (CharacteristicTrajectory, Verdict, blowup_time,
                             classify, eulerian_fields,
                             explicit_characteristics,
                             integrate_characteristics)
-from .wkb import (CorrectorSeries, WkbFields, first_corrector, leading_order,
-                  limit_system_residual, phase_time_constant, poisson_radial)
+from .wkb import (CorrectorSeries, WkbFields, first_corrector,
+                  leading_amplitude, leading_order, limit_system_residual,
+                  phase_time_constant, poisson_radial)
 from .norms import DecayFit, NormReport, decay_fit, lp_norm, norm_diagnostics
 from .schrodinger import (Observables, WaveField, current_velocity,
                           initial_wavefield, madelung_observables, run,

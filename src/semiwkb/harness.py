@@ -18,12 +18,13 @@ from .errors import (ConfigError, ParameterError, ResolutionError,
 from .euler_poisson import (GLOBAL, classify, eulerian_fields,
                             integrate_characteristics, label_flow)
 from .grids import LANDING_TOL, RadialGrid, RadialProfile, sample_times
-from .norms import decay_fit, lp_norm, norm_diagnostics, sphere_area
+from .norms import (FIT_MIN_SAMPLES, FIT_MIN_SPAN, decay_fit, lp_norm,
+                    norm_diagnostics, sphere_area)
 from .profiles import (InitialData, ball_data, gaussian_free_data,
                        sample_data, smooth_ball_data)
 from .schrodinger import (TAIL_TOL, fast_points, required_points, run,
                           spectral_tail)
-from .wkb import WkbFields, first_corrector, leading_order
+from .wkb import WkbFields, first_corrector, leading_amplitude, leading_order
 
 __all__ = ["DataConfig", "ExperimentConfig", "ConvergenceReport",
            "build_data", "rung_points", "split_mesh_error", "split_march",
@@ -180,6 +181,15 @@ class ExperimentConfig:
         if len(tail) != 3 or not (0.0 < tail[0] < tail[1] and tail[2] >= 1):
             raise ConfigError("t_tail must be (t_min, t_max, count) with "
                               "0 < t_min < t_max and count >= 1")
+        # decay-study fits every series over these times: hold them to the
+        # fit's floor before any data is built
+        if self.scenario == "decay-study":
+            if tail[2] != int(tail[2]) or tail[2] < FIT_MIN_SAMPLES:
+                raise ConfigError(f"decay-study needs an integer t_tail count "
+                                  f">= {FIT_MIN_SAMPLES}: {tail[2]!r}")
+            if tail[1] / tail[0] < FIT_MIN_SPAN:
+                raise ConfigError("decay-study t_tail must span at least two "
+                                  f"decades (t_max/t_min >= {FIT_MIN_SPAN:g})")
         if self.scenario == "wkb-eval" and not self.times:
             raise ConfigError("wkb-eval needs at least one time")
         object.__setattr__(self, "eps_ladder", lad)
@@ -557,10 +567,10 @@ def decay_study(config: ExperimentConfig) -> dict:
     for t in times:
         top, X_at_1 = (float(x) for x in edge_and_one.at(t).X)
         grid_t = RadialGrid(top, 8192)
-        f = leading_order(data, t, grid_t)
-        series["l2_a0"].append(lp_norm(f.a0.values, grid_t.nodes, data.n, 2))
+        a0 = leading_amplitude(data, t, grid_t)
+        series["l2_a0"].append(lp_norm(a0.values, grid_t.nodes, data.n, 2))
         series["X_at_1"].append(X_at_1)
-        da0 = f.a0.derivative(1, left_parity="even")
+        da0 = a0.derivative(1, left_parity="even")
         series["grad_a0_l2"].append(lp_norm(da0, grid_t.nodes, data.n, 2))
 
     series["sup_v"], series["grad_phi0_lp"] = velocity_norms(

@@ -37,8 +37,14 @@ def write_csv(path: str, columns: list[str], rows: Iterable[Iterable],
         for key, value in (header or {}).items():
             f.write(f"# {key}: {value}\n")
         f.write(",".join(columns) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(x) for x in row) + "\n")
+        for row in map(tuple, rows):
+            # float.__repr__ takes only floats and their subclasses (numpy's
+            # float64), and writes each as _fmt would
+            try:
+                line = ",".join(map(float.__repr__, row))
+            except TypeError:
+                line = ",".join(map(_fmt, row))
+            f.write(line + "\n")
 
 
 def write_json(path: str, payload) -> None:

@@ -23,7 +23,12 @@ from .errors import DomainError, ParameterError
 from .grids import RadialProfile, over_r
 
 __all__ = ["NormReport", "DecayFit", "sphere_area", "lp_norm",
-           "norm_diagnostics", "decay_fit"]
+           "norm_diagnostics", "decay_fit", "FIT_MIN_SAMPLES", "FIT_MIN_SPAN"]
+
+# decay_fit's floor: this many samples, with t_max/t_min at least two
+# decades less a round-off margin
+FIT_MIN_SAMPLES = 8
+FIT_MIN_SPAN = 99.999
 
 
 def sphere_area(n: int) -> float:
@@ -78,17 +83,18 @@ def norm_diagnostics(profile: RadialProfile, n: int,
 def decay_fit(times, values) -> DecayFit:
     """Least-squares slope of log(value) against log(t) over all samples.
 
-    Requires at least 8 samples spanning two decades; values must be positive.
+    Requires at least FIT_MIN_SAMPLES samples spanning FIT_MIN_SPAN (two
+    decades); values must be positive.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
     if t.shape != v.shape or t.ndim != 1:
         raise ParameterError("times and values must be matching 1D arrays")
-    if len(t) < 8:
-        raise ParameterError("need at least 8 samples")
+    if len(t) < FIT_MIN_SAMPLES:
+        raise ParameterError(f"need at least {FIT_MIN_SAMPLES} samples")
     if t[-1] <= 0 or t[0] <= 0 or np.any(np.diff(t) <= 0):
         raise ParameterError("times must be positive and increasing")
-    if t[-1] / t[0] < 99.999:
+    if t[-1] / t[0] < FIT_MIN_SPAN:
         raise ParameterError("samples must span at least two decades in t")
     if np.any(v <= 0):
         raise DomainError("decay fit requires positive values")

@@ -41,7 +41,8 @@ from .profiles import InitialData
 
 __all__ = [
     "WkbFields", "CorrectorSeries",
-    "poisson_radial", "leading_order", "phase_time_constant",
+    "poisson_radial", "leading_amplitude", "leading_order",
+    "phase_time_constant",
     "limit_system_residual", "first_corrector",
 ]
 
@@ -209,6 +210,24 @@ def phase_time_constant(data: InitialData, t: float) -> float:
     return float(_potential_term_nodes(data, t)[0])
 
 
+def _pull_back(data: InitialData, t: float, grid: RadialGrid):
+    """The labels R of grid's nodes at time t, their flow, and the amplitude
+    a0 = A0(R)/sqrt(J) there."""
+    if t < 0:
+        raise ParameterError("time must be nonnegative")
+    R = invert_flow_map(data, t, grid.nodes)
+    flow = label_flow(data, R)
+    return R, flow, data.amplitude_at(R) / np.sqrt(flow.at(t).J)
+
+
+def leading_amplitude(data: InitialData, t: float,
+                      grid: RadialGrid | None = None) -> RadialProfile:
+    """The leading-order amplitude a0 at time t, equal to ``leading_order``'s
+    without its phase or potential."""
+    grid = data.grid if grid is None else grid
+    return RadialProfile(grid, _pull_back(data, t, grid)[2])
+
+
 def leading_order(data: InitialData, t: float,
                   grid: RadialGrid | None = None) -> WkbFields:
     """Eulerian leading-order WKB fields (a0, phi0, V_P) at time t.
@@ -219,13 +238,8 @@ def leading_order(data: InitialData, t: float,
     v0 = 0) rides the same flow with X = R: its fields stay at their initial
     values.
     """
-    if t < 0:
-        raise ParameterError("time must be nonnegative")
-    if grid is None:
-        grid = data.grid
-    R = invert_flow_map(data, t, grid.nodes)
-    flow = label_flow(data, R)
-    a0 = data.amplitude_at(R) / np.sqrt(flow.at(t).J)
+    grid = data.grid if grid is None else grid
+    R, flow, a0 = _pull_back(data, t, grid)
 
     P = RadialProfile(data.grid, _potential_term_nodes(data, t))
     kinetic = 0.5 * flow.v0 ** 2 * _Q((4.0 - data.n) / data.n, flow.F, t)

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from semiwkb import (ConfigError, ConvergenceError, DataConfig,
-                     ExperimentConfig, RadialGrid, harness, run)
+                     ExperimentConfig, RadialGrid, harness, run, wkb)
 from semiwkb.cli import main as cli_main
 from semiwkb.errors import ParameterError
 from semiwkb.harness import (SPLIT_TOL, _weighted_l2, build_data,
                              classify_sweep, converge, decay_study, evolve_ep,
                              rung_points, schrodinger_run, split_march,
                              split_mesh_error, wkb_eval)
+from semiwkb.norms import decay_fit, lp_norm
 from semiwkb.profiles import InitialData
 from semiwkb.schrodinger import (TAIL_TOL, fast_points, required_points,
                                  rung_step)
@@ -110,7 +111,7 @@ def test_config_list_keys_become_tuples():
     # every tuple-annotated key is read from a JSON list into a tuple
     lists = {"eps_ladder": [0.5, 0.25, 0.125], "times": [0.1],
              "labels": [1.0], "velocity_scales": [1.0],
-             "amplitude_scales": [2.0], "t_tail": [10.0, 1000.0, 5]}
+             "amplitude_scales": [2.0], "t_tail": [10.0, 1000.0, 8]}
     cfg = ExperimentConfig.from_json(lists, scenario="decay-study")
     for key, value in lists.items():
         assert getattr(cfg, key) == tuple(value)
@@ -464,6 +465,63 @@ def test_decay_study_fits(tmp_path):
     assert (tmp_path / "decay_study.json").exists()
 
 
+def _reference_decay_study(config):
+    """decay_study as it was before it pulled back a0 alone: the whole
+    leading_order at every time, of which it reads a0."""
+    data = build_data(config.data)
+    times = harness._log_times(config.t_tail)
+    tail_c = max(data.tail_coeff, 1e-6)
+    label_top = max(20.0 * (0.5 * data.n * tail_c * times[-1]) ** (2.0 / data.n),
+                    100.0 * data.r_max)
+    series = {name: [] for name in
+              ("l2_a0", "sup_v", "X_at_1", "grad_phi0_lp", "grad_a0_l2")}
+    edge_and_one = harness.label_flow(data, [data.r_max, 1.0])
+    for t in times:
+        top, X_at_1 = (float(x) for x in edge_and_one.at(t).X)
+        grid_t = RadialGrid(top, 8192)
+        f = leading_order(data, t, grid_t)
+        series["l2_a0"].append(lp_norm(f.a0.values, grid_t.nodes, data.n, 2))
+        series["X_at_1"].append(X_at_1)
+        da0 = f.a0.derivative(1, left_parity="even")
+        series["grad_a0_l2"].append(lp_norm(da0, grid_t.nodes, data.n, 2))
+    series["sup_v"], series["grad_phi0_lp"] = harness.velocity_norms(
+        data, times, config.norm_p, label_top)
+    fits = {}
+    for name, vals in series.items():
+        fit = decay_fit(times, np.array(vals))
+        fits[name] = {"exponent": fit.exponent, "stderr": fit.stderr}
+    return {"config_hash": config.hash(),
+            "times": [float(t) for t in times],
+            "series": {k: [float(x) for x in v] for k, v in series.items()},
+            "fits": fits,
+            "grad_phi0_lp_strictly_decreasing":
+                bool(np.all(np.diff(series["grad_phi0_lp"]) < 0))}
+
+
+def test_decay_study_pulls_back_a0_alone(monkeypatch):
+    # no phase tail quadrature, no Poisson solve: one flow-map inversion per
+    # time, and the report of the whole leading order
+    cfg = ExperimentConfig(scenario="decay-study",
+                           data=DataConfig(family="smooth_ball", points=1024))
+    calls = collections.Counter()
+
+    def spy(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("_potential_term_nodes", "hartree_potential", "quad",
+                 "invert_flow_map"):
+        spy(wkb, name)
+    report = decay_study(cfg)
+    assert calls == {"invert_flow_map": cfg.t_tail[2]}
+    monkeypatch.undo()
+    assert report == _reference_decay_study(cfg)
+
+
 def test_decay_study_tail_runs_past_the_grid():
     # at t = 1 the last-time label estimate is 23.8, inside r_max = 40; the
     # vacuum-tail labels must still run outward, to the limit within 1e-4
@@ -805,6 +863,10 @@ def test_cli_exit_codes(tmp_path):
             ("schrodinger-run", {"eps_ladder": []}),
             ("decay-study", {"t_tail": [100, 10000]}),
             ("decay-study", {"t_tail": [100, 10000, -1]}),
+            # below decay_fit's floor, or a count the log grid would truncate
+            ("decay-study", {"t_tail": [100, 10000, 7]}),
+            ("decay-study", {"t_tail": [1, 10, 9]}),
+            ("decay-study", {"t_tail": [100, 10000, 8.9]}),
             ("decay-study", {"norm_p": 0}),
             ("schrodinger-run", {"solver_points": -3}),
             ("converge", {"solver_points": 15}),

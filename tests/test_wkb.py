@@ -1,16 +1,19 @@
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.special import erf, exp1
 
 from semiwkb import (ContractError, DomainError, ParameterError, RadialGrid,
-                     RadialProfile, StepRejectionError, ball_data,
-                     build_initial_data, first_corrector, leading_order,
-                     limit_system_residual, phase_time_constant,
-                     poisson_radial, smooth_ball_data)
+                     RadialProfile, ResolutionError, SemiwkbError,
+                     StepRejectionError, ball_data, build_initial_data,
+                     first_corrector, leading_order, limit_system_residual,
+                     phase_time_constant, poisson_radial, sample_data,
+                     smooth_ball_data)
 from semiwkb.euler_poisson import explicit_characteristics
 from semiwkb.grids import cumulative_radial, derivative_uniform
 from semiwkb.norms import lp_norm
@@ -202,6 +205,69 @@ def test_leading_order_rejects_bad_input(smooth_chirped, ball_zero_velocity):
     # lam = -1 with v0 = 0: neither compatible nor a static free background
     with pytest.raises(ContractError):
         first_corrector(ball_zero_velocity, 0.1, grid=RadialGrid(40.0, 513))
+
+
+# The pulled-back amplitude alone, against leading_order's a0 as the oracle:
+# compatible chirped balls in n = 3 and 4 at several amplitude scales, the
+# kappa/delta family (whose flow folds by t = 2154 on 1024 points and by
+# t = 1e4 at twice the amplitude on 2048), uncoupled data at rest, and
+# lam = -1 data at rest, which have no closed-form flow.
+PULL_BACK_DATA = (
+    [("smooth", n, scale) for n in (3, 4) for scale in (0.5, 1.0, 2.0)]
+    + [("sample", 1024, 1.0), ("sample", 2048, 1.0), ("sample", 2048, 2.0),
+       ("free", 3, 1.0), ("free", 4, 0.5), ("at_rest", 3, 1.0)])
+
+
+@functools.lru_cache(maxsize=None)
+def _pull_back_data(kind, k, scale):
+    if kind == "smooth":
+        return smooth_ball_data(n=k, chirp=1.0, scale=scale,
+                                grid=RadialGrid(40.0, 1024))
+    if kind == "sample":
+        return sample_data(3.0, 0.25, scale=scale, grid=RadialGrid(40.0, k))
+    if kind == "free":
+        return gaussian_free_data(RadialGrid(20.0, 1024), scale, n=k)
+    return ball_data(velocity="zero", grid=RadialGrid(40.0, 1024))
+
+
+def _outcome(fn):
+    try:
+        return fn(), None
+    except SemiwkbError as exc:
+        return None, (type(exc), str(exc))
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=st.sampled_from(PULL_BACK_DATA),
+       t=st.one_of(st.floats(0.0, 1e4), st.sampled_from([0.0, 2154.0, 1e4]),
+                   st.floats(-1e4, -1e-300)),
+       top=st.one_of(st.none(), st.floats(0.5, 1.0)),
+       points=st.sampled_from([16, 257, 1024]))
+def test_leading_amplitude_is_leading_orders_a0(spec, t, top, points):
+    data = _pull_back_data(*spec)
+    grid = None if top is None else RadialGrid(top * data.r_max, points)
+    got, got_exc = _outcome(lambda: wkb.leading_amplitude(data, t, grid))
+    ref, ref_exc = _outcome(lambda: leading_order(data, t, grid).a0)
+    event(ref_exc[0].__name__ if ref_exc else "equal")
+    assert got_exc == ref_exc
+    if ref_exc is None:
+        assert got.grid == ref.grid
+        assert got.values.dtype == ref.values.dtype
+        assert np.array_equal(got.values, ref.values)
+    elif t < 0:
+        assert ref_exc[0] is ParameterError
+
+
+@pytest.mark.parametrize("spec, t, exc", [
+    (("smooth", 3, 1.0), -1.0, ParameterError),
+    (("at_rest", 3, 1.0), 1.0, ContractError),
+    (("sample", 1024, 1.0), 1e4, ResolutionError)])
+def test_leading_amplitude_raises_as_leading_order(spec, t, exc):
+    # each failure the property may meet, pinned so it is always met
+    data = _pull_back_data(*spec)
+    for fn in (wkb.leading_amplitude, leading_order):
+        with pytest.raises(exc):
+            fn(data, t)
 
 
 def test_limit_system_residuals_small(smooth_chirped):
