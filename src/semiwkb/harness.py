@@ -51,43 +51,61 @@ SCENARIOS = ("classify", "evolve-ep", "wkb-eval", "schrodinger-run",
 SPLIT_TOL = 1e-2
 
 
-# JSON value types accepted for each field annotation of the config classes
-_JSON_TYPES = {"str": str, "str | None": (str, type(None)), "int": int,
-               "float": (int, float), "float | None": (int, float, type(None)),
-               "tuple": (list, tuple)}
+def _number(x, kind: str):
+    """x as an int or a float (``kind``), or None when it is not one: bools
+    and strings are not, nor floats where an int is due; numpy scalars are."""
+    whole = isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+    if whole or (kind == "float" and isinstance(x, (float, np.floating))):
+        return int(x) if kind == "int" else float(x)
+    return None
 
 
-def _is_a(value, kinds) -> bool:
-    return isinstance(value, kinds) and not isinstance(value, bool)
+def _canonicalize(config, where: str) -> None:
+    """The one type pass of both config classes, however they were built.
 
-
-def _validate_payload(cls, payload: dict, where: str):
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    types = {f.name: f.type for f in dataclasses.fields(cls)}
-    unknown = set(payload) - set(types)
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    for key, value in payload.items():
-        ok = _is_a(value, _JSON_TYPES[types[key]])
-        if ok and types[key] == "tuple":
-            ok = all(_is_a(x, (int, float)) for x in value)
-        if not ok:
-            raise ConfigError(f"{where} key {key!r} has the wrong type: "
-                              f"{value!r}")
-
-
-def _require_finite(config, where: str) -> None:
-    """NaN nowhere and +-inf nowhere but norm_p = +inf (the sup norm), for
-    a config read by json.load (which reads NaN and Infinity) or built
-    directly alike."""
+    Each field is checked against its annotation and stored in one form:
+    ints as int, floats as float, and tuple fields, from a list or a tuple,
+    as tuples of floats, with t_tail's whole count as an int.  Equal
+    experiments so compare and hash alike.  NaN and +-inf (json.load reads
+    both) fail, but for norm_p = +inf, the sup norm."""
     for f in dataclasses.fields(config):
-        value = getattr(config, f.name)
-        for x in value if isinstance(value, tuple) else (value,):
+        value = kept = getattr(config, f.name)
+        kind = f.type.removesuffix(" | None")
+        if value is None and kind != f.type:
+            continue
+        if kind == "tuple":
+            kept = (tuple(_number(x, "float") for x in value)
+                    if isinstance(value, (list, tuple)) else (None,))
+        elif kind in ("int", "float"):
+            kept = _number(value, kind)
+        elif not isinstance(value, str if kind == "str" else DataConfig):
+            kept = None
+        for x in kept if kind == "tuple" else (kept,):
+            if x is None:
+                raise ConfigError(f"{where} key {f.name!r} has the wrong "
+                                  f"type: {value!r}")
             sup_norm = f.name == "norm_p" and x == math.inf
             if isinstance(x, float) and not (math.isfinite(x) or sup_norm):
                 raise ConfigError(f"{where} key {f.name!r} must be finite: "
                                   f"{value!r}")
+        if f.name == "t_tail" and len(kept) == 3 and kept[2].is_integer():
+            kept = (*kept[:2], int(kept[2]))
+        object.__setattr__(config, f.name, kept)
+
+
+def _name_token(x: float) -> str:
+    """x as output file names carry it (``fields_t0.5.csv``): six
+    significant digits."""
+    return f"{x:g}"
+
+
+def _require_distinct_names(values, key: str) -> None:
+    """ConfigError when two distinct ``values`` would write one file name."""
+    named = {}
+    for x in values:
+        if (other := named.setdefault(_name_token(x), x)) != x:
+            raise ConfigError(f"{key} {other!r} and {x!r} would write to one "
+                              f"file name ({_name_token(x)})")
 
 
 def split_mesh_error(t_end: float, dt: float) -> str | None:
@@ -122,7 +140,7 @@ class DataConfig:
     points: int = 8192
 
     def __post_init__(self):
-        _require_finite(self, "data")
+        _canonicalize(self, "data")
         if self.family not in ("smooth_ball", "sample", "ball",
                                "gaussian_free"):
             raise ConfigError(f"unknown data family {self.family!r}")
@@ -149,11 +167,11 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        _require_finite(self, "config")
+        _canonicalize(self, "config")
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; "
                               f"expected one of {SCENARIOS}")
-        lad = tuple(float(e) for e in self.eps_ladder)
+        lad = self.eps_ladder
         if not lad:
             raise ConfigError("eps ladder must not be empty")
         if any(not (0.0 < e <= 1.0) for e in lad):
@@ -178,21 +196,28 @@ class ExperimentConfig:
         if self.norm_p < 1:
             raise ConfigError("norm_p must be >= 1")
         tail = self.t_tail
-        if len(tail) != 3 or not (0.0 < tail[0] < tail[1] and tail[2] >= 1):
+        if (len(tail) != 3 or not isinstance(tail[2], int)
+                or not (0.0 < tail[0] < tail[1] and tail[2] >= 1)):
             raise ConfigError("t_tail must be (t_min, t_max, count) with "
-                              "0 < t_min < t_max and count >= 1")
+                              "0 < t_min < t_max and a whole count >= 1")
         # decay-study fits every series over these times: hold them to the
         # fit's floor before any data is built
         if self.scenario == "decay-study":
-            if tail[2] != int(tail[2]) or tail[2] < FIT_MIN_SAMPLES:
-                raise ConfigError(f"decay-study needs an integer t_tail count "
+            if tail[2] < FIT_MIN_SAMPLES:
+                raise ConfigError(f"decay-study needs a t_tail count "
                                   f">= {FIT_MIN_SAMPLES}: {tail[2]!r}")
             if tail[1] / tail[0] < FIT_MIN_SPAN:
                 raise ConfigError("decay-study t_tail must span at least two "
                                   f"decades (t_max/t_min >= {FIT_MIN_SPAN:g})")
         if self.scenario == "wkb-eval" and not self.times:
             raise ConfigError("wkb-eval needs at least one time")
-        object.__setattr__(self, "eps_ladder", lad)
+        if self.scenario == "classify" and not (self.amplitude_scales
+                                                and self.velocity_scales):
+            raise ConfigError("classify needs at least one amplitude scale "
+                              "and one velocity scale")
+        if self.scenario == "evolve-ep":
+            _require_distinct_names(self.labels, "labels")
+            _require_distinct_names(self.times, "times")
 
     @classmethod
     def from_json(cls, payload: dict, scenario: str | None = None
@@ -209,11 +234,13 @@ class ExperimentConfig:
         if scenario is None:
             raise ConfigError("no scenario given")
         data_payload = payload.pop("data", {})
-        _validate_payload(DataConfig, data_payload, "data")
-        _validate_payload(cls, {"scenario": scenario, **payload}, "config")
-        for f in dataclasses.fields(cls):
-            if f.type == "tuple" and f.name in payload:
-                payload[f.name] = tuple(payload[f.name])
+        for where, keys, known in (("data", data_payload, DataConfig),
+                                   ("config", payload, cls)):
+            if not isinstance(keys, dict):
+                raise ConfigError(f"{where} must be a JSON object")
+            names = {f.name for f in dataclasses.fields(known)}
+            if extra := set(keys) - names:
+                raise ConfigError(f"unknown keys in {where}: {sorted(extra)}")
         config = cls(scenario=scenario, data=DataConfig(**data_payload),
                      **payload)
         # the default times, shared with wkb-eval and evolve-ep, pass the
@@ -523,11 +550,6 @@ def classify_sweep(config: ExperimentConfig) -> list:
     return rows
 
 
-def _log_times(spec: tuple) -> np.ndarray:
-    t0, t1, count = spec
-    return np.geomspace(float(t0), float(t1), int(count))
-
-
 def velocity_norms(data: InitialData, times, p: float,
                    label_top: float) -> tuple[list, list]:
     """sup |v(t)| and ||v(t)||_{L^p} at each of ``times``, on the labels of
@@ -555,7 +577,7 @@ def decay_study(config: ExperimentConfig) -> dict:
     log-log decay exponents for each series.
     """
     data = build_data(config.data)
-    times = _log_times(config.t_tail)
+    times = np.geomspace(*config.t_tail)
     tail_c = max(data.tail_coeff, 1e-6)
     # the vacuum tail runs outward from r_max, however early the last time
     label_top = max(20.0 * (0.5 * data.n * tail_c * times[-1]) ** (2.0 / data.n),
@@ -599,26 +621,24 @@ def evolve_ep(config: ExperimentConfig) -> dict:
     data = build_data(config.data)
     verdict = classify(data, witness=True)
     t_eval = np.linspace(0.0, config.t_end, 201)
-    trajectories = {}
-    for R in config.labels:
-        trajectories[R] = integrate_characteristics(data, float(R),
-                                                    config.t_end,
-                                                    t_eval=t_eval)
-    fields = ({t: eulerian_fields(data, float(t))[0] for t in config.times}
+    trajectories = {R: integrate_characteristics(data, R, config.t_end,
+                                                 t_eval=t_eval)
+                    for R in config.labels}
+    fields = ({t: eulerian_fields(data, t)[0] for t in config.times}
               if verdict.kind == GLOBAL else {})
     out = {"verdict": verdict.as_dict(), "config_hash": config.hash()}
     if config.out_dir:
         _write(config, "verdict.json", out)
         for R, traj in trajectories.items():
-            _write(config, f"trajectory_R{R:g}.csv",
+            _write(config, f"trajectory_R{_name_token(R)}.csv",
                    zip(traj.t, traj.X, traj.Xdot, traj.B),
                    columns=["t", "X", "Xdot", "B"], label=R)
         for t, rho in fields.items():
-            _write(config, f"rho_t{t:g}.csv",
+            _write(config, f"rho_t{_name_token(t)}.csv",
                    zip(rho.grid.nodes, rho.values, np.zeros_like(rho.values)),
                    columns=["r", "value_re", "value_im"], t=t)
             # density is real; splines interpolate at cubic order
-            _write(config, f"rho_t{t:g}.json", {
+            _write(config, f"rho_t{_name_token(t)}.json", {
                 "grid": rho.grid.descriptor(), "complex": False,
                 "interpolation_order": 3,
                 "provenance": {"field": "density", "t": t,
@@ -637,10 +657,11 @@ def wkb_eval(config: ExperimentConfig) -> list:
     ``corrector_time_error``.
     Every field and norm is computed before the first file is written, so a
     run that fails leaves no partial output behind."""
-    data = build_data(config.data)
-    grid = RadialGrid(config.data.r_max, config.data.points)
     T = max(config.times)
     times = sample_times(config.times, T)
+    _require_distinct_names(times, "times")
+    data = build_data(config.data)
+    grid = RadialGrid(config.data.r_max, config.data.points)
     corr = first_corrector(data, T,
                            grid=RadialGrid(config.data.r_max,
                                            config.corrector_points),
@@ -660,7 +681,7 @@ def wkb_eval(config: ExperimentConfig) -> list:
     if config.out_dir:
         for t, f in zip(times, outputs):
             a0, a1 = f.a0.values, f.a1.values
-            _write(config, f"fields_t{t:g}.csv",
+            _write(config, f"fields_t{_name_token(t)}.csv",
                    zip(grid.nodes, np.real(a0), np.imag(a0), f.phi0.values,
                        f.V_P.values, np.real(a1), np.imag(a1),
                        f.phi1.values),
@@ -702,7 +723,7 @@ def schrodinger_run(config: ExperimentConfig) -> dict:
         _write(config, "header.json", header)
         _write(config, "observables.jsonl", records)
         u = res.snapshots[-1]
-        _write(config, f"snapshot_t{u.t:g}.csv",
+        _write(config, f"snapshot_t{_name_token(u.t)}.csv",
                zip(u.r, u.values.real, u.values.imag),
                columns=["r", "re", "im"], t=u.t, eps=eps)
     return {"header": header, "observables": records,

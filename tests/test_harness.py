@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semiwkb import (ConfigError, ConvergenceError, DataConfig,
                      ExperimentConfig, RadialGrid, harness, run, wkb)
@@ -127,6 +129,182 @@ def test_config_hash_stable():
     assert a.hash() == b.hash()
     c = small_converge_config(t_end=0.3)
     assert a.hash() != c.hash()
+
+
+# -- one config path: the type check, canonical form and hash ----------------
+
+# quarters: whole ones can be spelled as ints, and all read back exactly from
+# float32 and from JSON
+QUARTERS = st.integers(-40, 40).map(lambda k: k / 4)
+POSITIVE = st.integers(1, 40).map(lambda k: k / 4)
+
+
+def _quarter_sets(min_size):
+    # distinct quarters carry distinct output file names
+    return st.sets(POSITIVE, min_size=min_size, max_size=4).map(
+        lambda s: tuple(sorted(s)))
+
+
+@st.composite
+def experiments(draw):
+    """The keyword arguments of a valid config in its all-float spelling:
+    floats as Python floats, tuple fields as tuples of them (t_tail's count
+    too), ints as Python ints; ``data`` holds DataConfig's."""
+    data = {f.name: draw(st.integers(16, 4096) if f.type == "int"
+                         else QUARTERS)
+            for f in dataclasses.fields(DataConfig) if f.type != "str"}
+    scenario = draw(st.sampled_from(("converge", "classify", "decay-study",
+                                     "wkb-eval", "evolve-ep")))
+    t_min = draw(st.integers(1, 100))
+    return {
+        "scenario": scenario, "data": data,
+        "eps_ladder": tuple(sorted(draw(st.sets(st.sampled_from(
+            [1.0, 0.5, 0.25, 0.125, 0.0625]), min_size=3)), reverse=True)),
+        "t_end": draw(POSITIVE),
+        # converge takes only a dt on the mesh of its splitting estimate
+        "dt": None if scenario == "converge" else draw(st.none() | POSITIVE),
+        "solver_points": draw(st.integers(16, 2 ** 14)),
+        "corrector_points": draw(st.integers(16, 2 ** 14)),
+        "ppw": draw(st.integers(1, 64)),
+        "times": draw(_quarter_sets(1)), "labels": draw(_quarter_sets(1)),
+        "velocity_scales": draw(_quarter_sets(1)),
+        "amplitude_scales": draw(_quarter_sets(1)),
+        "t_tail": (float(t_min),
+                   float(t_min * draw(st.sampled_from([100, 1000]))),
+                   float(draw(st.integers(8, 20)))),
+        "norm_p": draw(st.integers(4, 40).map(lambda k: k / 4)
+                       | st.just(math.inf)),
+    }
+
+
+def _spell(draw, x, kind):
+    """x as an int field's Python or numpy int, or as a float field's Python
+    or numpy float, or its int where it is whole."""
+    ints, floats = [int, np.int64, np.int32], [float, np.float64, np.float32]
+    if kind == "int":
+        kinds = ints
+    elif kind == "tuple":
+        entries = [_spell(draw, e, "float") for e in x]
+        return draw(st.sampled_from([list, tuple]))(entries)
+    else:
+        kinds = floats + (ints if math.isfinite(x) and x.is_integer() else [])
+    return draw(st.sampled_from(kinds))(x)
+
+
+def _respell(draw, cls, values):
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    return {k: v if v is None or types[k] == "str"
+            else _spell(draw, v, types[k].removesuffix(" | None"))
+            for k, v in values.items()}
+
+
+def _as_json(payload) -> dict:
+    # json.dumps writes numpy floats as floats; numpy ints go through item()
+    return json.loads(json.dumps(payload, default=lambda x: x.item()))
+
+
+def _canonical_types(config) -> None:
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if f.type == "tuple":
+            types = [float] * len(value)
+            if f.name == "t_tail":
+                types[2] = int
+            assert type(value) is tuple
+            assert [type(x) for x in value] == types
+        elif f.type == "int":
+            assert type(value) is int
+        elif f.type.startswith("float") and value is not None:
+            assert type(value) is float
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_config_spellings_are_one_config(data):
+    # however a number is spelled and whichever path builds the config, it
+    # is one config: equal, hashable, and stamped with one hash
+    kw = data.draw(experiments())
+    spelled_data = _respell(data.draw, DataConfig, kw["data"])
+    spelled = _respell(data.draw, ExperimentConfig,
+                       {k: v for k, v in kw.items() if k != "data"})
+    reference = ExperimentConfig(**{**kw, "data": DataConfig(**kw["data"])})
+    direct = ExperimentConfig(**spelled, data=DataConfig(**spelled_data))
+    via_json = ExperimentConfig.from_json(
+        _as_json({**spelled, "data": spelled_data}))
+    assert direct == via_json == reference
+    assert hash(direct) == hash(via_json) == hash(reference)
+    assert direct.hash() == via_json.hash() == reference.hash()
+    for config in (direct, via_json):
+        _canonical_types(config)
+        _canonical_types(config.data)
+
+
+# wrong values for each annotation; np.bool_ and numpy floats go to JSON as
+# Python bools and floats
+WRONG = {
+    "int": [True, np.True_, "3", 3.0, np.float64(2.5), math.nan, None, [3]],
+    "float": [True, "0.5", math.nan, np.float64(math.nan), -math.inf,
+              math.inf, None, [0.5]],
+    "float | None": [True, "0.5", math.nan, math.inf],
+    "tuple": [0.5, "0.5", None, [True], ["a"], [0.5, None], [math.nan],
+              [[0.5]], (np.float64(math.nan),)],
+    "str": [3, None, True, ["converge"]],
+    "str | None": [3, True],
+    "DataConfig": [None, [], "smooth_ball", 3],
+}
+
+
+@st.composite
+def wrong_fields(draw):
+    """(is a data field, field name, wrong value)"""
+    cls = draw(st.sampled_from([DataConfig, ExperimentConfig]))
+    f = draw(st.sampled_from(dataclasses.fields(cls)))
+    wrong = draw(st.sampled_from(WRONG[f.type]).filter(
+        lambda v: not (f.name == "norm_p" and v == math.inf)))
+    return cls is DataConfig, f.name, wrong
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=wrong_fields())
+def test_config_wrong_types_fail_on_both_paths(case):
+    in_data, key, wrong = case
+    payload = {"scenario": "decay-study",
+               **({"data": {key: wrong}} if in_data else {key: wrong})}
+    with pytest.raises(ConfigError):
+        if in_data:
+            DataConfig(**{key: wrong})
+        else:
+            ExperimentConfig(**payload)
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_json(_as_json(payload))
+
+
+@pytest.mark.parametrize("cls, kwargs", [
+    (ExperimentConfig, dict(scenario="converge", ppw=True)),
+    (DataConfig, dict(n=3.0)),
+    (ExperimentConfig, dict(scenario="converge", solver_points=1023.5)),
+    (DataConfig, dict(points=1024.0)),
+    (ExperimentConfig, dict(scenario="converge", t_end="1")),
+])
+def test_config_built_in_python_takes_the_type_checks(cls, kwargs):
+    with pytest.raises(ConfigError, match="wrong type"):
+        cls(**kwargs)
+
+
+def test_equal_experiments_hash_alike():
+    assert ExperimentConfig(scenario="converge",
+                            t_end=1).hash() == "21775d80ca5086be"
+    for config in (ExperimentConfig.from_json({"data": {"lam": -1}},
+                                              "converge"),
+                   ExperimentConfig(scenario="converge",
+                                    data=DataConfig(lam=-1))):
+        assert config.hash() == "fd894c6b43f62598"
+    for t_tail in ((100, 10000, 13), (100.0, 10000.0, 13.0)):
+        assert ExperimentConfig(scenario="decay-study",
+                                t_tail=t_tail).hash() == "cef9901be6c24e9d"
+    config = ExperimentConfig(scenario="wkb-eval", times=[1, 2])
+    assert config.times == (1.0, 2.0)
+    assert hash(config) == hash(dataclasses.replace(config, times=(1.0, 2.0)))
 
 
 def test_build_data_families():
@@ -469,7 +647,7 @@ def _reference_decay_study(config):
     """decay_study as it was before it pulled back a0 alone: the whole
     leading_order at every time, of which it reads a0."""
     data = build_data(config.data)
-    times = harness._log_times(config.t_tail)
+    times = np.geomspace(*config.t_tail)
     tail_c = max(data.tail_coeff, 1e-6)
     label_top = max(20.0 * (0.5 * data.n * tail_c * times[-1]) ** (2.0 / data.n),
                     100.0 * data.r_max)
@@ -872,6 +1050,13 @@ def test_cli_exit_codes(tmp_path):
             ("converge", {"solver_points": 15}),
             ("converge", {"corrector_points": 0}),
             ("wkb-eval", {"times": []}),
+            ("classify", {**small, "amplitude_scales": []}),
+            ("classify", {**small, "velocity_scales": []}),
+            # distinct values that would write to one file name ({x:g})
+            ("wkb-eval", {**small, "times": [0.5, 0.5000001],
+                          "corrector_points": 257}),
+            ("evolve-ep", {**small, "labels": [1.0, 1.0000001]}),
+            ("evolve-ep", {**small, "times": [0.5, 0.5000001]}),
             # json.load reads NaN and Infinity; each is rejected up front
             ("schrodinger-run", {**small, "dt": math.inf}),
             ("schrodinger-run", {**small, "dt": math.nan}),
