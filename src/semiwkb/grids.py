@@ -19,7 +19,7 @@ __all__ = [
     "over_r",
     "cumulative_radial",
     "not_a_knot_spline",
-    "LANDING_TOL", "sample_times", "time_mesh",
+    "LANDING_TOL", "sample_times", "time_mesh", "whole_steps", "reaches",
 ]
 
 
@@ -266,19 +266,32 @@ def sample_times(times, t_end: float) -> list:
     return kept
 
 
+def reaches(t: float, s: float, t_end: float) -> bool:
+    """Whether a march to t_end has reached time s at t: the one reach test."""
+    return t >= s - LANDING_TOL * t_end
+
+
+def whole_steps(span: float, step: float) -> int | None:
+    """The count k >= 1 of steps of ``step`` that land on span to within
+    LANDING_TOL * span, the rule ``time_mesh`` lands by; else None."""
+    x = span / step
+    k = round(x)
+    return k if k >= 1 and abs(x - k) <= LANDING_TOL * x else None
+
+
 def time_mesh(t_end: float, dt: float, stops=()):
     """Yield the (step, time) pairs of a fixed-step march from 0 to t_end.
 
     From 0 and from each of the sorted ``stops`` it steps by exactly dt to
     start + k*dt, and shortens the step onto the next stop or t_end unless
     start + k*dt is already within ``LANDING_TOL * t_end`` of it.  A requested
-    time s is reached at the first mesh time >= s - LANDING_TOL * t_end."""
+    time s is reached at the first mesh time that ``reaches`` it."""
     if t_end <= 0 or dt <= 0:
         raise ParameterError("t_end and dt must be positive")
     tol, start = LANDING_TOL * t_end, 0.0
     for end in (*stops, t_end):
         base, k = start, 0
-        while start < end - tol:
+        while not reaches(start, end, t_end):
             k += 1
             prev, start = start, base + k * dt
             if start <= end + tol:

@@ -17,23 +17,23 @@ from .errors import (ConfigError, ParameterError, ResolutionError,
                      StepRejectionError)
 from .euler_poisson import (GLOBAL, classify, eulerian_fields,
                             integrate_characteristics, label_flow)
-from .grids import LANDING_TOL, RadialGrid, RadialProfile, sample_times
+from .grids import RadialGrid, RadialProfile, sample_times, whole_steps
 from .norms import (FIT_MIN_SAMPLES, FIT_MIN_SPAN, decay_fit, lp_norm,
                     norm_diagnostics, sphere_area)
 from .profiles import (InitialData, ball_data, gaussian_free_data,
                        sample_data, smooth_ball_data)
-from .schrodinger import (TAIL_TOL, fast_points, required_points, run,
-                          spectral_tail)
+from .schrodinger import fast_points, required_points, run, spectral_tail
 from .wkb import WkbFields, first_corrector, leading_amplitude, leading_order
 
 __all__ = ["DataConfig", "ExperimentConfig", "ConvergenceReport",
-           "build_data", "rung_points", "split_mesh_error", "split_march",
-           "converge",
-           "classify_sweep", "decay_study", "evolve_ep", "wkb_eval",
-           "schrodinger_run", "run_scenario", "SCENARIOS", "SPLIT_TOL"]
+           "build_data", "rung_points", "rung_step", "split_mesh_error",
+           "split_march", "converge", "classify_sweep", "decay_study",
+           "evolve_ep", "wkb_eval", "schrodinger_run", "run_scenario",
+           "SCENARIOS", "SPLIT_TOL", "TAIL_TOL"]
 
 SCENARIOS = ("classify", "evolve-ep", "wkb-eval", "schrodinger-run",
              "converge", "decay-study")
+_DEFAULT_TIMES = (0.5, 1.0, 5.0)
 
 # Bound on each converge rung's splitting-error estimate relative to the
 # smaller of its two WKB errors.  A relative move of at most delta in every
@@ -49,6 +49,13 @@ SCENARIOS = ("classify", "evolve-ep", "wkb-eval", "schrodinger-run",
 # reads 1.99e-3 to 2.09e-3 of it for chirps 0.75 to 1.25 at eps = 1/32 and
 # 1/128, T = 0.5.
 SPLIT_TOL = 1e-2
+# Bound on the spectral tail of a march's final state (``spectral_tail``).
+# The tail tracks the spatial error: at eps = 1/8, T = 0.5 it reads 1.9e-8,
+# 2.9e-4, 3.8e-3 and 4.5e-2 at 16, 8, 6 and 4 points per wavelength, against
+# errors of 3.4e-6, 2.9e-4, 4.9e-3 and 9.0e-2 on a 17,279-node reference.
+# Rungs sized for TAIL_TOL/10 end at most at 1.2e-7 on the ladder 1/8 .. 1/64
+# for chirps 0.75 to 1.25, and at most at 9.1e-7 on the smaller test ladders.
+TAIL_TOL = 1e-5
 
 
 def _number(x, kind: str):
@@ -108,20 +115,32 @@ def _require_distinct_names(values, key: str) -> None:
                               f"file name ({_name_token(x)})")
 
 
+def rung_step(eps: float, t_end: float) -> float:
+    """Default Strang step T/(2n), with n = ceil(1.25 T/eps) (rounded instead
+    when 1.25 T/eps is a ``grids.whole_steps`` count), so that a fine march
+    of 2n steps and a coarse one of n steps of T/n both land on t_end with no
+    remainder; where 1.25 T/eps is an integer the step is eps/2.5.
+
+    With dt proportional to eps the splitting error of the semiclassical
+    march is itself O(eps) (Bao, Jin and Markowich, J. Comput. Phys. 175,
+    2002), the order of the WKB error it sits under."""
+    n = whole_steps(1.25 * t_end, eps) or math.ceil(1.25 * t_end / eps)
+    return t_end / (2 * n)
+
+
 def split_mesh_error(t_end: float, dt: float) -> str | None:
     """Why ``split_march`` cannot take the step dt to t_end, or None.
 
     Off the mesh of 2 dt the coarse march ends on a remainder step and
     ||u(dt) - u(2 dt)||/3 reads low (0.87 of the true error at dt = 0.05,
     t_end = 0.25); at dt >= t_end it reads 0.  The check is O(1) arithmetic
-    on t_end/(2 dt) at ``LANDING_TOL``: it builds no mesh."""
-    k = t_end / (2.0 * dt)
-    if round(k) >= 1 and abs(k - round(k)) <= LANDING_TOL * k:
+    (``grids.whole_steps``): it builds no mesh."""
+    if whole_steps(t_end, 2.0 * dt):
         return None
     return (f"dt = {dt:g} puts the coarse march of 2 dt off the mesh of "
-            f"t_end = {t_end:g} (t_end/(2 dt) = {k:.6g}), which leaves the "
-            f"splitting-error estimate biased or blind: take dt = t_end/(2k) "
-            f"for a positive integer k")
+            f"t_end = {t_end:g} (t_end/(2 dt) = {t_end / (2.0 * dt):.6g}), "
+            f"which leaves the splitting-error estimate biased or blind: "
+            f"take dt = t_end/(2k) for a positive integer k")
 
 
 @dataclass(frozen=True)
@@ -158,7 +177,7 @@ class ExperimentConfig:
     solver_points: int = 8191
     corrector_points: int = 2049
     ppw: int = 16
-    times: tuple = (0.5, 1.0, 5.0)
+    times: tuple = _DEFAULT_TIMES
     labels: tuple = (0.5, 1.0, 2.0)
     velocity_scales: tuple = (0.9, 1.0, 1.1)
     amplitude_scales: tuple = (0.1, 1.0, 10.0)
@@ -211,6 +230,11 @@ class ExperimentConfig:
                                   f"decades (t_max/t_min >= {FIT_MIN_SPAN:g})")
         if self.scenario == "wkb-eval" and not self.times:
             raise ConfigError("wkb-eval needs at least one time")
+        # the default times, shared with wkb-eval and evolve-ep, pass the
+        # default t_end and the run drops those; other times must not
+        if (self.scenario == "schrodinger-run" and self.times != _DEFAULT_TIMES
+                and any(t > self.t_end for t in self.times)):
+            raise ConfigError(f"times {self.times} pass t_end = {self.t_end}")
         if self.scenario == "classify" and not (self.amplitude_scales
                                                 and self.velocity_scales):
             raise ConfigError("classify needs at least one amplitude scale "
@@ -243,8 +267,8 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown keys in {where}: {sorted(extra)}")
         config = cls(scenario=scenario, data=DataConfig(**data_payload),
                      **payload)
-        # the default times, shared with wkb-eval and evolve-ep, pass the
-        # default t_end and the run drops those; named times must not
+        # __post_init__ cannot tell a named copy of the default times from
+        # the default; JSON can, and refuses that copy too
         if (scenario == "schrodinger-run" and "times" in payload
                 and any(t > config.t_end for t in config.times)):
             raise ConfigError(f"times {config.times} pass t_end = "
@@ -395,8 +419,8 @@ def rung_points(data: InitialData, config: ExperimentConfig) -> list:
 def split_march(data: InitialData, eps: float, t_end: float,
                 dt: float | None, grid: RadialGrid, ppw: int, scale,
                 observable_times=None) -> tuple:
-    """Strang march to t_end at dt (``run``'s default ``rung_step`` when
-    None) with its splitting-error estimate, gated twice.
+    """Strang march to t_end at dt (``rung_step`` when None) with its
+    splitting-error estimate, gated twice.
 
     A second, coarse march at 2 dt keeps only its final snapshot; Strang
     being second order in time, ||u(dt) - u(2 dt)||/3 in the weighted L2
@@ -411,11 +435,11 @@ def split_march(data: InitialData, eps: float, t_end: float,
     ResolutionError.  Returns the fine march's ``RunResult``, with a
     snapshot at t_end and observables at ``observable_times``, and the
     estimate."""
-    if dt is not None and (why := split_mesh_error(t_end, dt)):
+    dt = rung_step(eps, t_end) if dt is None else dt
+    if why := split_mesh_error(t_end, dt):
         raise ParameterError(why)
     fine = run(data, eps, t_end, dt=dt, grid=grid, ppw=ppw,
                observable_times=observable_times, snapshot_times=[t_end])
-    dt = fine.header["dt"]
     coarse = run(data, eps, t_end, dt=2.0 * dt, grid=grid, ppw=ppw,
                  observable_times=[], snapshot_times=[t_end])
     delta = fine.snapshots[-1].values - coarse.snapshots[-1].values

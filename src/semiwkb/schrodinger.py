@@ -15,26 +15,18 @@ from scipy.fft import dst as _scipy_dst, next_fast_len
 
 from .errors import (ContractError, ParameterError, ResolutionError,
                      UnsupportedConfigurationError)
-from .grids import (LANDING_TOL, RadialGrid, RadialProfile,
-                    derivative_uniform, sample_times, time_mesh)
+from .grids import (RadialGrid, RadialProfile, derivative_uniform, reaches,
+                    sample_times, time_mesh)
 from .profiles import InitialData
 from .wkb import hartree_potential
 
 __all__ = ["WaveField", "Observables", "RunResult", "initial_wavefield",
            "strang_step", "run", "madelung_observables", "current_velocity",
-           "required_points", "fast_points", "rung_step", "spectral_tail",
-           "TAIL_TOL"]
+           "required_points", "fast_points", "spectral_tail"]
 
 FOUR_PI = 4.0 * math.pi
 VELOCITY_FLOOR = 1e-8          # |u| mask threshold, relative to max|u|
 BOUNDARY_TOL = 1e-6            # boundary-mass warning level, relative to the total
-# Bound on the spectral tail of a march's final state (``spectral_tail``).
-# The tail tracks the spatial error: at eps = 1/8, T = 0.5 it reads 1.9e-8,
-# 2.9e-4, 3.8e-3 and 4.5e-2 at 16, 8, 6 and 4 points per wavelength, against
-# errors of 3.4e-6, 2.9e-4, 4.9e-3 and 9.0e-2 on a 17,279-node reference.
-# Rungs sized for TAIL_TOL/10 end at most at 1.2e-7 on the ladder 1/8 .. 1/64
-# for chirps 0.75 to 1.25, and at most at 9.1e-7 on the smaller test ladders.
-TAIL_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -253,46 +245,23 @@ def current_velocity(u: WaveField) -> RadialProfile:
     return RadialProfile(u.grid, vel)
 
 
-def rung_step(eps: float, t_end: float) -> float:
-    """Default Strang step T/(2n), with n = ceil(1.25 T/eps) (rounded instead
-    when 1.25 T/eps is within 1e-9 of an integer), so that a fine march of 2n
-    steps and a coarse one of n steps of T/n both land on t_end with no
-    remainder; where 1.25 T/eps is an integer the step is eps/2.5.
-
-    With dt proportional to eps the splitting error of the semiclassical
-    march is itself O(eps) (Bao, Jin and Markowich, J. Comput. Phys. 175,
-    2002), the order of the WKB error it sits under."""
-    x = 1.25 * t_end / eps
-    n = round(x) if abs(x - round(x)) <= 1e-9 else math.ceil(x)
-    return t_end / (2 * max(n, 1))
-
-
-def run(data: InitialData, eps: float, t_end: float,
-        dt: float | None = None, *, grid: RadialGrid,
-        observable_times=None, snapshot_times=None, ppw: int = 16) -> RunResult:
-    """Fixed-step Strang march with observables sampled at requested times.
+def run(data: InitialData, eps: float, t_end: float, dt: float, *,
+        grid: RadialGrid, observable_times=None, snapshot_times=None,
+        ppw: int = 16) -> RunResult:
+    """Fixed-step Strang march at dt with observables at requested times.
 
     On ``grids.time_mesh`` every full step is exactly dt and ends at k*dt,
     so the steps share one kinetic phase table and hand their potential phase
-    factor on; only a genuine remainder to t_end builds its own.  The default
-    step is ``rung_step(eps, t_end)``, eps/2.5 where 1.25 t_end/eps is an
-    integer.  An observation or snapshot requested at time s is taken at the
-    first k*dt >= s - LANDING_TOL * t_end and records it.  Mass escaping past
+    factor on; only a genuine remainder to t_end builds its own.  An
+    observation or snapshot requested at time s is taken at the first k*dt
+    that ``grids.reaches`` it and records that time.  Mass escaping past
     the truncation monitor (outer 2% of the box) beyond ``BOUNDARY_TOL`` of
     the total is recorded as a truncation warning stamped with the
-    simulation time.
-
-    ``schrodinger-run`` marches once more at 2 dt (``harness.split_march``)
-    and fails closed, with StepRejectionError (exit 1) before it writes
-    anything, when the splitting-error estimate ||u(dt) - u(2 dt)||/3
-    exceeds ``SPLIT_TOL`` (1e-2) of eps ||u0||.  The header records the
-    final state's ``spectral_tail``, which ``split_march`` gates on
-    ``TAIL_TOL``.
+    simulation time.  The header records the step and the final state's
+    ``spectral_tail``.
     """
     if t_end <= 0:
         raise ParameterError("t_end must be positive")
-    if dt is None:
-        dt = rung_step(eps, t_end)
     if dt <= 0:
         raise ParameterError("dt must be positive")
     obs_times = sample_times([0.0, t_end] if observable_times is None
@@ -311,10 +280,10 @@ def run(data: InitialData, eps: float, t_end: float,
         return ob
 
     def sample(field):
-        while obs_times and field.t >= obs_times[0] - LANDING_TOL * t_end:
+        while obs_times and reaches(field.t, obs_times[0], t_end):
             observables.append(monitor(field))
             obs_times.pop(0)
-        while snap_times and field.t >= snap_times[0] - LANDING_TOL * t_end:
+        while snap_times and reaches(field.t, snap_times[0], t_end):
             snapshots.append(field)
             snap_times.pop(0)
 

@@ -33,9 +33,8 @@ from scipy.integrate import quad
 
 from .errors import DomainError, ParameterError, StepRejectionError
 from .euler_poisson import invert_flow_map, label_flow
-from .grids import (LANDING_TOL, RadialGrid, RadialProfile,
-                    cumulative_radial, derivative_uniform,
-                    not_a_knot_spline, over_r,
+from .grids import (RadialGrid, RadialProfile, cumulative_radial,
+                    derivative_uniform, not_a_knot_spline, over_r, reaches,
                     sample_times as grid_sample_times, time_mesh)
 from .profiles import InitialData
 
@@ -350,9 +349,10 @@ def first_corrector(data: InitialData, t_end: float,
     above TIME_ERROR_TOL the call raises StepRejectionError.  One flow-map
     inversion then pulls the combined state back to the nodes of ``grid``,
     which must have the origin layout (the Hartree feedback is solved on them).
+    At t_end = 0 the one sample is the zero state, with time error 0.
     """
-    if t_end <= 0 or dt <= 0:
-        raise ParameterError("t_end and dt must be positive")
+    if t_end < 0 or dt <= 0:
+        raise ParameterError("t_end must be nonnegative and dt positive")
     samples = grid_sample_times([t_end, *(sample_times or ())], t_end)
     R = grid.nodes
     if R[0] > 0:
@@ -400,13 +400,14 @@ def first_corrector(data: InitialData, t_end: float,
         out_err.append(err)
 
     def visit(tv):
-        while samples and tv >= samples[0] - LANDING_TOL * t_end:
+        while samples and reaches(tv, samples[0], t_end):
             record(tv)
             samples.pop(0)
 
-    visit(0.0)
+    visit(0.0)      # at t_end = 0 this takes the one sample, and none is left
+    mesh = time_mesh(t_end, dt, stops=tuple(samples)) if samples else ()
     t, c_old = 0.0, background(0.0)
-    for step, t_new in time_mesh(t_end, dt, stops=tuple(samples)):
+    for step, t_new in mesh:
         c_q1, c_mid, c_q3, c_new = (background(t + q * step)
                                     for q in (0.25, 0.5, 0.75, 1.0))
         coarse = _rk4_step(reaction, c_old, c_mid, c_new, *coarse, step)

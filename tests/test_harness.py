@@ -14,14 +14,14 @@ from semiwkb import (ConfigError, ConvergenceError, DataConfig,
                      ExperimentConfig, RadialGrid, harness, run, wkb)
 from semiwkb.cli import main as cli_main
 from semiwkb.errors import ParameterError
-from semiwkb.harness import (SPLIT_TOL, _weighted_l2, build_data,
+from semiwkb.grids import LANDING_TOL, time_mesh
+from semiwkb.harness import (SPLIT_TOL, TAIL_TOL, _weighted_l2, build_data,
                              classify_sweep, converge, decay_study, evolve_ep,
-                             rung_points, schrodinger_run, split_march,
-                             split_mesh_error, wkb_eval)
+                             rung_points, rung_step, schrodinger_run,
+                             split_march, split_mesh_error, wkb_eval)
 from semiwkb.norms import decay_fit, lp_norm
 from semiwkb.profiles import InitialData
-from semiwkb.schrodinger import (TAIL_TOL, fast_points, required_points,
-                                 rung_step)
+from semiwkb.schrodinger import fast_points, required_points
 from semiwkb.wkb import TIME_ERROR_TOL, first_corrector, leading_order
 
 
@@ -291,6 +291,23 @@ def test_config_built_in_python_takes_the_type_checks(cls, kwargs):
         cls(**kwargs)
 
 
+def test_python_built_schrodinger_run_refuses_times_past_t_end():
+    # as from JSON; the default times pass the default t_end, and the run
+    # drops those
+    with pytest.raises(ConfigError, match="pass t_end"):
+        ExperimentConfig(scenario="schrodinger-run", t_end=0.5,
+                         times=(0.25, 2.0))
+    assert ExperimentConfig(scenario="schrodinger-run").times == (0.5, 1.0,
+                                                                 5.0)
+    # only JSON can tell a named copy of the default from the default
+    with pytest.raises(ConfigError, match="pass t_end"):
+        ExperimentConfig.from_json({"times": [0.5, 1.0, 5.0]},
+                                   "schrodinger-run")
+    # other scenarios take times past t_end: wkb-eval's horizon is its own
+    assert ExperimentConfig(scenario="wkb-eval", t_end=0.5,
+                            times=(0.25, 2.0)).times == (0.25, 2.0)
+
+
 def test_equal_experiments_hash_alike():
     assert ExperimentConfig(scenario="converge",
                             t_end=1).hash() == "21775d80ca5086be"
@@ -498,6 +515,42 @@ def test_rung_step_mesh_rule():
     assert rung_step(0.25, 0.61) == 0.61 / 8
     # a coarse step longer than eps/1.25 still takes one step
     assert rung_step(0.5, 0.1) == 0.05
+
+
+def _full_steps(t_end, step):
+    """Whether ``time_mesh`` marches to t_end in full steps of ``step`` alone
+    and its last one lands on t_end."""
+    mesh = list(time_mesh(t_end, step))
+    return (all(s == step for s, _ in mesh)
+            and abs(mesh[-1][1] - t_end) <= LANDING_TOL * t_end)
+
+
+# a relative offset of the step: well inside LANDING_TOL, or well outside it
+# but short of another whole count
+_offsets = st.one_of(
+    st.floats(min_value=-LANDING_TOL / 2, max_value=LANDING_TOL / 2),
+    st.tuples(st.sampled_from((-1.0, 1.0)),
+              st.floats(min_value=2 * LANDING_TOL, max_value=1e-4)).map(
+                  lambda sm: sm[0] * sm[1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(t_end=st.floats(min_value=1e-3, max_value=10.0),
+       k=st.integers(1, 2000), delta=_offsets)
+def test_split_mesh_takes_the_steps_the_coarse_mesh_lands(t_end, k, delta):
+    dt = t_end / (2 * k) * (1.0 + delta)
+    assert (split_mesh_error(t_end, dt) is None) == _full_steps(t_end, 2 * dt)
+    assert (split_mesh_error(t_end, dt) is None) == (abs(delta)
+                                                     <= LANDING_TOL)
+
+
+@settings(max_examples=100, deadline=None)
+@given(t_end=st.floats(min_value=1e-3, max_value=10.0),
+       eps=st.floats(min_value=1 / 256, max_value=1.0))
+def test_rung_step_is_on_both_meshes(t_end, eps):
+    dt = rung_step(eps, t_end)
+    assert split_mesh_error(t_end, dt) is None
+    assert _full_steps(t_end, dt) and _full_steps(t_end, 2 * dt)
 
 
 def test_converge_split_error_matches_the_splitting_error(conv_report):
@@ -867,7 +920,7 @@ def test_schrodinger_run_outputs(tmp_path):
     # one line per observation, each exactly the run's record
     lines = [json.loads(line) for line in
              (tmp_path / "observables.jsonl").read_text().splitlines()]
-    res = run(build_data(cfg.data), 0.25, 0.1, dt=cfg.dt,
+    res = run(build_data(cfg.data), 0.25, 0.1, dt=header["dt"],
               grid=RadialGrid(20.0, 1079, include_origin=False),
               observable_times=[0.0, 0.05, 0.1], ppw=cfg.ppw)
     assert len(lines) == len(res.observables)
@@ -935,11 +988,13 @@ def test_schrodinger_run_observes_at_the_next_mesh_time(wave_run):
     assert observed[1] == dt
 
 
-def test_run_default_step_is_the_rung_step():
+def test_split_march_default_step_is_the_rung_step():
     data = build_data(DataConfig(points=1024, r_max=20.0))
     g = RadialGrid(20.0, 1079, include_origin=False)
     for eps, T in ((0.25, 0.1), (0.25, 0.3), (0.125, 0.25)):
-        assert run(data, eps, T, grid=g).header["dt"] == rung_step(eps, T)
+        fine, _ = split_march(data, eps, T, None, g, 16,
+                              lambda fine: (1.0, "one"))
+        assert fine.header["dt"] == rung_step(eps, T)
 
 
 def test_schrodinger_run_split_gate_fails_closed(tmp_path, capsys):
@@ -1050,6 +1105,8 @@ def test_cli_exit_codes(tmp_path):
             ("converge", {"solver_points": 15}),
             ("converge", {"corrector_points": 0}),
             ("wkb-eval", {"times": []}),
+            ("wkb-eval", {**small, "times": [-1.0]}),
+            ("wkb-eval", {**small, "times": [-1.0, 0.5]}),
             ("classify", {**small, "amplitude_scales": []}),
             ("classify", {**small, "velocity_scales": []}),
             # distinct values that would write to one file name ({x:g})
@@ -1080,6 +1137,19 @@ def test_cli_exit_codes(tmp_path):
         assert cli_main([scenario, "--config", str(ranged),
                          "--out", str(out_dir)]) == 2
         assert not out_dir.exists()
+
+    # wkb-eval at t = 0 alone: the initial fields, with no corrector yet
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({**small, "times": [0.0],
+                                "corrector_points": 257}))
+    assert cli_main(["wkb-eval", "--config", str(zero),
+                     "--out", str(tmp_path / "zero_out")]) == 0
+    norms = (tmp_path / "zero_out" / "norms.jsonl").read_text()
+    record, = [json.loads(line) for line in norms.splitlines()]
+    assert record["t"] == 0.0 and record["corrector_time_error"] == 0.0
+    fields = np.loadtxt(tmp_path / "zero_out" / "fields_t0.csv",
+                        delimiter=",", comments="#", skiprows=3)
+    assert not fields[:, 5:].any()          # a1_re, a1_im, phi1
 
     # under-resolved solver grid -> resolution error -> exit 3
     res = tmp_path / "res.json"

@@ -59,6 +59,21 @@ def test_no_private_names_across_modules():
     assert found == {}
 
 
+def test_landing_rule_lives_in_grids():
+    # the landing and reach rules are grids' alone: no other module reads
+    # their tolerance
+    readers = []
+    for name in sorted(os.listdir(PACKAGE_DIR)):
+        if name.endswith(".py") and name != "grids.py":
+            with open(os.path.join(PACKAGE_DIR, name)) as f:
+                tree = ast.parse(f.read(), filename=name)
+            readers += [name for node in ast.walk(tree)
+                        if "LANDING_TOL" in (getattr(node, "id", None),
+                                             getattr(node, "attr", None),
+                                             getattr(node, "name", None))]
+    assert readers == []
+
+
 def test_private_crossings_are_seen(tmp_path):
     # the walker itself: each kind of crossing is reported, the exempt
     # forms are not

@@ -305,10 +305,10 @@ def test_energy_drift_is_second_order_in_dt(smooth_small):
 
 @pytest.mark.parametrize("chirp", [0.75, 1.0, 1.25])
 def test_energy_drift_bounded(chirp):
-    # eps = 1/32 at run's default step eps/2.5: relative drift 0.98e-3 to
+    # eps = 1/32 at the rung step eps/2.5: relative drift 0.98e-3 to
     # 1.44e-3
     d = smooth_ball_data(chirp=chirp, grid=RadialGrid(40.0, 8192))
-    res = run(d, 1.0 / 32.0, 0.5, grid=wave_grid(4095),
+    res = run(d, 1.0 / 32.0, 0.5, dt=0.0125, grid=wave_grid(4095),
               observable_times=np.linspace(0.0, 0.5, 11))
     energy = np.array([ob.energy for ob in res.observables])
     assert len(energy) == 11

@@ -557,6 +557,16 @@ def test_corrector_time_error_gate_fails_closed():
         first_corrector(d, 1.0, grid=grid, dt=0.5)
 
 
+def test_corrector_at_t_end_zero_is_the_zero_state(smooth_small):
+    grid = RadialGrid(40.0, 513)
+    cs = first_corrector(smooth_small, 0.0, grid=grid, sample_times=[0.0])
+    assert cs.times.tolist() == [0.0] and cs.time_error.tolist() == [0.0]
+    assert not cs.a1[0].values.any() and not cs.phi1[0].values.any()
+    for t_end, dt in ((-1e-3, 0.1), (0.0, 0.0)):
+        with pytest.raises(ParameterError):
+            first_corrector(smooth_small, t_end, grid=grid, dt=dt)
+
+
 def test_corrector_sample_times(smooth_small):
     cs = first_corrector(smooth_small, 0.4, grid=RadialGrid(40.0, 513),
                          sample_times=[0.0, 0.2, 0.4])
