@@ -22,7 +22,7 @@ from .norms import (FIT_MIN_SAMPLES, FIT_MIN_SPAN, decay_fit, lp_norm,
                     norm_diagnostics, sphere_area)
 from .profiles import (InitialData, ball_data, gaussian_free_data,
                        sample_data, smooth_ball_data)
-from .schrodinger import fast_points, required_points, run, spectral_tail
+from .schrodinger import dst, fast_points, required_points, run, spectral_tail
 from .wkb import WkbFields, first_corrector, leading_amplitude, leading_order
 
 __all__ = ["DataConfig", "ExperimentConfig", "ConvergenceReport",
@@ -47,7 +47,7 @@ _DEFAULT_TIMES = (0.5, 1.0, 5.0)
 # WKB error to compare against and takes the same fraction of eps ||u0||,
 # the scale of the paper's O(eps) bound: at its default step the estimate
 # reads 1.99e-3 to 2.09e-3 of it for chirps 0.75 to 1.25 at eps = 1/32 and
-# 1/128, T = 0.5.
+# 1/128 (2429 and 9719 nodes), T = 0.5.
 SPLIT_TOL = 1e-2
 # Bound on the spectral tail of a march's final state (``spectral_tail``).
 # The tail tracks the spatial error: at eps = 1/8, T = 0.5 it reads 1.9e-8,
@@ -230,6 +230,9 @@ class ExperimentConfig:
                                   f"decades (t_max/t_min >= {FIT_MIN_SPAN:g})")
         if self.scenario == "wkb-eval" and not self.times:
             raise ConfigError("wkb-eval needs at least one time")
+        if negative := [t for t in self.times if t < 0.0]:
+            raise ConfigError(f"time {negative[0]:g} is negative: times "
+                              f"must be >= 0")
         # the default times, shared with wkb-eval and evolve-ep, pass the
         # default t_end and the run drops those; other times must not
         if (self.scenario == "schrodinger-run" and self.times != _DEFAULT_TIMES
@@ -408,7 +411,7 @@ def rung_points(data: InitialData, config: ExperimentConfig) -> list:
     ra0, phi0 = r * data.amplitude_at(r), data.phi0_at(r)
     counts = []
     for eps in config.eps_ladder:
-        tails = spectral_tail(ra0 * np.exp(1j * phi0 / eps))
+        tails = spectral_tail(dst(ra0 * np.exp(1j * phi0 / eps)))
         spectral = 2 + int(np.max(np.flatnonzero(tails >= TAIL_TOL / 10),
                                   initial=-1))
         phase = required_points(data, eps, config.data.r_max, config.ppw)
@@ -455,7 +458,10 @@ def split_march(data: InitialData, eps: float, t_end: float,
         raise ResolutionError(
             f"spectral tail {tail:.3e} of u({t_end:g}) at eps = {eps:g} on "
             f"{grid.points} nodes exceeds {TAIL_TOL:g}: the grid does not "
-            f"resolve the march; raise solver_points")
+            f"resolve the march.  A wave grid is the smaller of its cap, "
+            f"solver_points rounded up to a fast count, and the count that "
+            f"ppw and the spectrum of u0 give: raise solver_points if "
+            f"{grid.points} is that cap, else ppw")
     return fine, split
 
 
@@ -717,7 +723,9 @@ def wkb_eval(config: ExperimentConfig) -> list:
 
 def schrodinger_run(config: ExperimentConfig) -> dict:
     """Single wave-solver run with observables and a snapshot at t_end, on
-    ``solver_points`` rounded up to a fast DST count.
+    the grid ``rung_points`` gives its eps, as every ``converge`` rung: the
+    smallest fast count that both ppw and the spectrum of u0 ask for,
+    capped at ``solver_points`` rounded up to a fast count.
 
     The run marches through ``split_march`` at ``config.dt`` or, by default,
     ``rung_step``.  With no WKB error to compare against, its estimate is
@@ -730,7 +738,7 @@ def schrodinger_run(config: ExperimentConfig) -> dict:
     T = config.t_end
     data = build_data(config.data)
     eps = config.eps_ladder[0]
-    wgrid = RadialGrid(config.data.r_max, fast_points(config.solver_points),
+    wgrid = RadialGrid(config.data.r_max, rung_points(data, config)[0],
                        include_origin=False)
 
     def norm_scale(fine) -> tuple:

@@ -71,6 +71,12 @@ class WaveField:
         ``strang_step`` fills it from its trailing substep."""
         return hartree_potential(np.abs(self.values) ** 2, self.r, 3)
 
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """The sine spectrum of w = r u (``dst``), taken once per field: the
+        kinetic energy and the spectral tail of an observed field share it."""
+        return dst(self.r * self.values)
+
 
 @dataclass(frozen=True)
 class Observables:
@@ -143,15 +149,15 @@ def dst(x: np.ndarray) -> np.ndarray:
     return _scipy_dst(x, type=1, norm="ortho")
 
 
-def spectral_tail(w: np.ndarray) -> np.ndarray:
-    """Root energy fraction of the top tenth of the DST-I modes of w = r u,
-    for each leading run of the spectrum: entry m-1 reads it over the first
-    m modes, the spectrum a grid of m nodes on the same box resolves, and the
-    last entry is w's own.  One ``dst``.
+def spectral_tail(what: np.ndarray) -> np.ndarray:
+    """Root energy fraction of the top tenth of the DST-I modes ``what`` of
+    w = r u (``dst(w)``, or ``WaveField.spectrum``), for each leading run of
+    the spectrum: entry m-1 reads it over the first m modes, the spectrum a
+    grid of m nodes on the same box resolves, and the last entry is w's own.
 
     The energies are summed from the top mode down, so a tail far below
     the round-off of the total energy still reads as its own sum."""
-    energy = np.abs(dst(w)) ** 2
+    energy = np.abs(what) ** 2
     above = np.append(np.cumsum(energy[::-1])[::-1], 0.0)  # modes k.. on
     m = np.arange(1, len(energy) + 1)
     top = above[m - (m + 9) // 10] - above[m]     # the top ceil(m/10) modes
@@ -217,13 +223,18 @@ def discrete_mass(u: WaveField) -> float:
 def madelung_observables(u: WaveField) -> Observables:
     """Mass, energy and boundary mass of u at its time.
 
-    The energy (eps^2/2)||u'||^2 + (lam/2)<V_P |u|^2> in the r^2 dr measure
-    takes u' from the grid's fourth-order stencil, even about the origin.
+    The energy is (eps^2/2)||u'||^2 + (lam/2)<V_P |u|^2> in the r^2 dr
+    measure.  With u = 0 at both box ends, int |u'|^2 r^2 dr is
+    int |(r u)'|^2 dr, and the sine series of w = r u differentiates
+    exactly: the kinetic term is read off ``u.spectrum`` as
+    (eps^2/2) 4 pi dr sum_k (k pi/r_max)^2 |w_k|^2, the kinetic energy of
+    the field the kinetic substep propagates, with no stencil error to move
+    it from grid to grid.
     The boundary mass is the mass on the outer 2% of the box.
     """
     dens = np.abs(u.values) ** 2 * u.r ** 2
-    du = derivative_uniform(u.values, u.grid, 1, "even")
-    energy = 0.5 * u.eps ** 2 * np.sum(np.abs(du) ** 2 * u.r ** 2)
+    k = np.arange(1, u.grid.points + 1) * (np.pi / u.grid.r_max)
+    energy = 0.5 * u.eps ** 2 * np.sum(k ** 2 * np.abs(u.spectrum) ** 2)
     if u.lam != 0.0:
         energy += 0.5 * u.lam * np.sum(u.potential * dens)
     edge = max(int(0.02 * u.grid.points), 4)
@@ -258,7 +269,8 @@ def run(data: InitialData, eps: float, t_end: float, dt: float, *,
     the truncation monitor (outer 2% of the box) beyond ``BOUNDARY_TOL`` of
     the total is recorded as a truncation warning stamped with the
     simulation time.  The header records the step and the final state's
-    ``spectral_tail``.
+    ``spectral_tail``, read off the spectrum an observation at t_end has
+    already taken.
     """
     if t_end <= 0:
         raise ParameterError("t_end must be positive")
@@ -299,7 +311,7 @@ def run(data: InitialData, eps: float, t_end: float, dt: float, *,
     header = {"eps": eps, "dt": dt, "t_end": t_end,
               "grid": grid.descriptor(), "data_hash": data.content_hash(),
               "lam": data.lam, "ppw": ppw,
-              "spectral_tail": float(spectral_tail(u.r * u.values)[-1]),
+              "spectral_tail": float(spectral_tail(u.spectrum)[-1]),
               "transform_len": 2 * (grid.points + 1),   # DST-I length as an FFT
               "transform_len_fast": fast_points(grid.points) == grid.points}
     return RunResult(observables=observables, snapshots=snapshots,

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semiwkb import (ConfigError, ConvergenceError, DataConfig,
-                     ExperimentConfig, RadialGrid, harness, run, wkb)
+                     ExperimentConfig, RadialGrid, harness, initial_wavefield,
+                     madelung_observables, run, wkb)
 from semiwkb.cli import main as cli_main
 from semiwkb.errors import ParameterError
 from semiwkb.grids import LANDING_TOL, time_mesh
@@ -21,7 +22,7 @@ from semiwkb.harness import (SPLIT_TOL, TAIL_TOL, _weighted_l2, build_data,
                              split_march, split_mesh_error, wkb_eval)
 from semiwkb.norms import decay_fit, lp_norm
 from semiwkb.profiles import InitialData
-from semiwkb.schrodinger import fast_points, required_points
+from semiwkb.schrodinger import dst, fast_points, required_points
 from semiwkb.wkb import TIME_ERROR_TOL, first_corrector, leading_order
 
 
@@ -606,6 +607,8 @@ def test_converge_tail_gate_fails_closed(tmp_path, capsys):
                      "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "spectral tail 3.1" in err and "eps = 0.125 on 161 nodes" in err
+    # the message names both knobs that size the grid
+    assert "ppw" in err and "solver_points" in err
     assert not (out / "convergence.json").exists()
 
 
@@ -912,8 +915,10 @@ def test_schrodinger_run_outputs(tmp_path):
     assert abs(masses[-1] - masses[0]) / masses[0] < 1e-10
     header = json.loads((tmp_path / "header.json").read_text())
     assert header["config_hash"] == cfg.hash()
-    # solver_points 1024 rounds up to the fast count 1079 (2(M+1) = 2160)
-    assert header["grid"]["points"] == 1079
+    # the run takes the rung_points count, 224 (2(M+1) = 450), under the cap
+    # of solver_points 1024 rounded up to the fast count 1079
+    assert header["grid"]["points"] == rung_points(build_data(cfg.data),
+                                                   cfg)[0] == 224
     assert header["transform_len_fast"]
     assert (tmp_path / "observables.jsonl").exists()
     assert (tmp_path / "snapshot_t0.1.csv").exists()
@@ -921,7 +926,7 @@ def test_schrodinger_run_outputs(tmp_path):
     lines = [json.loads(line) for line in
              (tmp_path / "observables.jsonl").read_text().splitlines()]
     res = run(build_data(cfg.data), 0.25, 0.1, dt=header["dt"],
-              grid=RadialGrid(20.0, 1079, include_origin=False),
+              grid=RadialGrid(20.0, 224, include_origin=False),
               observable_times=[0.0, 0.05, 0.1], ppw=cfg.ppw)
     assert len(lines) == len(res.observables)
     for line, ob in zip(lines, res.observables):
@@ -948,7 +953,7 @@ def wave_run(tmp_path_factory):
 
 def test_schrodinger_run_split_error_matches_the_splitting_error(wave_run):
     # ||u(dt) - u(2 dt)||/3 against ||u(dt) - u(dt/8)|| at the default step
-    # eps/2.5 = 0.05 on 1079 nodes; measured 1.01
+    # eps/2.5 = 0.05 on 624 nodes; measured 1.01
     cfg, out, _ = wave_run
     header, T = out["header"], cfg.t_end
     data = build_data(cfg.data)
@@ -971,6 +976,41 @@ def test_schrodinger_run_header_records_the_step_and_estimate(wave_run):
     assert header["split_ratio"] == header["split_error"] / (0.125 * norm0)
     assert 0.0 < header["split_ratio"] <= SPLIT_TOL
     assert 0.0 < header["spectral_tail"] <= TAIL_TOL
+
+
+def test_schrodinger_run_state_is_the_cap_grid_state(wave_run):
+    # the run takes rung_points' 624 nodes, not the cap's 1079; its u(T)
+    # matches the cap grid's to 1.6e-6 (relative L2 in the sine basis, the
+    # first 624 modes), and the cap grid's modes past 624 hold 7.1e-9.
+    # sqrt(dr) times the DST of w = r u is, up to one factor, the sine
+    # series of w on every grid of the box
+    cfg, out, path = wave_run
+    header, T = out["header"], cfg.t_end
+    assert header["grid"]["points"] == 624
+    r, re, im = np.loadtxt(path / "snapshot_t0.5.csv", delimiter=",",
+                           comments="#", skiprows=4).T
+    g = RadialGrid(cfg.data.r_max, fast_points(cfg.solver_points),
+                   include_origin=False)
+    assert g.points == 1079
+    cap = run(build_data(cfg.data), 0.125, T, dt=header["dt"], grid=g,
+              snapshot_times=[T]).snapshots[-1]
+    small = dst(r * (re + 1j * im)) * math.sqrt(r[0])     # r[0] = dr
+    big = cap.spectrum * math.sqrt(g.dr)
+    scale = np.linalg.norm(big)
+    assert np.linalg.norm(small - big[:624]) <= 4e-6 * scale
+    assert np.linalg.norm(big[624:]) <= 2e-8 * scale
+
+
+def test_wave_energy_is_grid_independent():
+    # the spectral energy of u0 reads 0.3554157 on 624 nodes and on 1079 to
+    # 5.8e-7 (relative; the fourth-order Hartree term's grid error); the
+    # stencil energy it replaced read 0.35127 and 0.35494, 1.0 % apart
+    cfg = ExperimentConfig.from_json(_wave_payload(), "schrodinger-run")
+    data = build_data(cfg.data)
+    e624, e1079 = (madelung_observables(initial_wavefield(
+        data, 0.125, RadialGrid(cfg.data.r_max, m, include_origin=False))
+    ).energy for m in (624, 1079))
+    assert abs(e624 - e1079) <= 2e-6 * abs(e1079)
 
 
 def test_schrodinger_run_observes_at_the_next_mesh_time(wave_run):
@@ -1063,7 +1103,7 @@ def test_off_mesh_dt_is_rejected_before_the_data_is_built(
 
 # -- CLI ---------------------------------------------------------------------------
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "data": {"family": "smooth_ball", "points": 1024, "r_max": 20.0},
@@ -1107,6 +1147,7 @@ def test_cli_exit_codes(tmp_path):
             ("wkb-eval", {"times": []}),
             ("wkb-eval", {**small, "times": [-1.0]}),
             ("wkb-eval", {**small, "times": [-1.0, 0.5]}),
+            ("evolve-ep", {**small, "times": [-0.5]}),
             ("classify", {**small, "amplitude_scales": []}),
             ("classify", {**small, "velocity_scales": []}),
             # distinct values that would write to one file name ({x:g})
@@ -1137,6 +1178,17 @@ def test_cli_exit_codes(tmp_path):
         assert cli_main([scenario, "--config", str(ranged),
                          "--out", str(out_dir)]) == 2
         assert not out_dir.exists()
+
+    # a negative time is refused when the config is built, from JSON or from
+    # Python, by a message that names it (not the interval [0, max(times)])
+    capsys.readouterr()
+    negative = tmp_path / "negative.json"
+    negative.write_text(json.dumps({**small, "times": [-1.0]}))
+    assert cli_main(["wkb-eval", "--config", str(negative)]) == 2
+    assert "time -1 is negative" in capsys.readouterr().err
+    for scenario in ("wkb-eval", "evolve-ep", "schrodinger-run"):
+        with pytest.raises(ConfigError, match="time -0.5 is negative"):
+            ExperimentConfig(scenario=scenario, times=(0.25, -0.5))
 
     # wkb-eval at t = 0 alone: the initial fields, with no corrector yet
     zero = tmp_path / "zero.json"
@@ -1176,4 +1228,5 @@ def test_cli_schrodinger_run_summary_names_its_grid(tmp_path, capsys):
         "data": {"points": 1024, "r_max": 20.0}, "eps_ladder": [0.25],
         "t_end": 0.02, "solver_points": 1024, "times": [0.01]}))
     assert cli_main(["schrodinger-run", "--config", str(cfg_path)]) == 0
-    assert capsys.readouterr().out.rstrip().endswith(" points=1079")
+    # rung_points' count, below the cap fast_points(1024) = 1079
+    assert capsys.readouterr().out.rstrip().endswith(" points=224")
