@@ -9,19 +9,17 @@ from .grids import RadialGrid, RadialProfile
 from .profiles import (InitialData, ball_data, build_initial_data,
                        compatible_phase, critical_threshold, cumulative_mass,
                        free_data, sample_amplitude, sample_data,
-                       smooth_ball_amplitude, smooth_ball_data,
-                       v0_identity_residual)
+                       smooth_ball_amplitude, smooth_ball_data)
 from .euler_poisson import (CharacteristicTrajectory, Verdict, blowup_time,
                             classify, eulerian_fields,
                             explicit_characteristics,
                             integrate_characteristics)
 from .wkb import (CorrectorSeries, WkbFields, first_corrector,
                   leading_amplitude, leading_order, limit_system_residual,
-                  phase_time_constant, poisson_radial)
+                  poisson_radial)
 from .norms import DecayFit, NormReport, decay_fit, lp_norm, norm_diagnostics
-from .schrodinger import (Observables, WaveField, current_velocity,
-                          initial_wavefield, madelung_observables, run,
-                          strang_step)
+from .schrodinger import (Observables, WaveField, initial_wavefield,
+                          madelung_observables, run, strang_step)
 from .harness import (ConvergenceReport, DataConfig, ExperimentConfig,
                       build_data, classify_sweep, converge, decay_study,
                       run_scenario)

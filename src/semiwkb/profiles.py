@@ -12,8 +12,7 @@ import json
 
 import numpy as np
 
-from .errors import (DivisionGuardError, DomainError, ParameterError,
-                     UnsupportedConfigurationError)
+from .errors import DomainError, ParameterError, UnsupportedConfigurationError
 from .grids import RadialGrid, RadialProfile, cumulative_radial
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
     "cumulative_mass",
     "compatible_phase",
     "critical_threshold",
-    "v0_identity_residual",
     "ExactFields",
     "InitialData",
     "build_initial_data",
@@ -150,29 +148,6 @@ def critical_threshold(rho0: RadialProfile, v0: RadialProfile, lam: float,
     m = cumulative_mass(rho0, n)
     return RadialProfile(rho0.grid, _threshold_values(
         m.values, v0.values, lam, n, rho0.grid.nodes))
-
-
-def v0_identity_residual(A0: RadialProfile, v0: RadialProfile, lam: float,
-                         n: int) -> RadialProfile:
-    """Residual of the first-order identity tying v0 to the density.
-
-    R(r) = (n-2)/2 * v0 + r*v0' - |lam|/(n-2) * rho0 r^2 / v0, with v0'
-    computed by the grid's differentiation stencil.  Vanishes for compatible
-    phases up to discretization error.
-    """
-    r = A0.grid.nodes
-    v = np.real(v0.values)
-    rho = np.abs(A0.values) ** 2
-    forcing = np.abs(lam) / (n - 2) * rho * r ** 2
-    dead = v == 0.0
-    if np.any(dead & (forcing > 0) & (r > 0)):
-        raise DivisionGuardError(
-            "v0 vanishes on an interior node where the density forcing is nonzero")
-    vp = v0.derivative(1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quotient = np.where(dead, 0.0, forcing / np.where(dead, 1.0, v))
-    res = 0.5 * (n - 2) * v + r * vp - quotient
-    return RadialProfile(A0.grid, res)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ from .profiles import InitialData
 __all__ = [
     "WkbFields", "CorrectorSeries",
     "poisson_radial", "leading_amplitude", "leading_order",
-    "phase_time_constant",
     "limit_system_residual", "first_corrector",
 ]
 
@@ -202,11 +201,6 @@ def _potential_term_nodes(data: InitialData, t: float) -> np.ndarray:
     Wc = cumulative_radial(w, r)
     tail = _potential_tail(data, t)
     return 0.5 * (data.n - 2) * (tail + Wc[-1] - Wc)
-
-
-def phase_time_constant(data: InitialData, t: float) -> float:
-    """phi0(t, 0): the additive phase constant accumulated at the origin."""
-    return float(_potential_term_nodes(data, t)[0])
 
 
 def _pull_back(data: InitialData, t: float, grid: RadialGrid):

@@ -10,8 +10,10 @@ from semiwkb import (DivisionGuardError, DomainError, ParameterError,
                      UnsupportedConfigurationError, ball_data,
                      build_initial_data, compatible_phase, critical_threshold,
                      cumulative_mass, sample_amplitude, sample_data,
-                     smooth_ball_data, v0_identity_residual)
+                     smooth_ball_data)
 from semiwkb.profiles import ExactFields, InitialData, free_data, smooth_cutoff
+
+from oracles import v0_identity_residual
 
 
 # -- cutoff and amplitude family ------------------------------------------

@@ -10,12 +10,14 @@ from scipy.special import erf
 from semiwkb import schrodinger
 from semiwkb import (ContractError, ParameterError, RadialGrid, RadialProfile,
                      ResolutionError, UnsupportedConfigurationError,
-                     WaveField, current_velocity, initial_wavefield,
+                     WaveField, initial_wavefield,
                      lp_norm, madelung_observables, poisson_radial, run,
                      smooth_ball_data, strang_step)
 from semiwkb.profiles import InitialData
 from semiwkb.schrodinger import (discrete_mass, required_points,
                                  spectral_tail)
+
+from oracles import current_velocity
 
 
 def wave_grid(points=2048, r_max=40.0):
@@ -144,6 +146,47 @@ def test_kinetic_dst_matches_scipy_and_is_its_own_inverse(M):
     y = schrodinger.dst(x)
     assert np.max(np.abs(y - ref)) <= 1e-14 * np.max(np.abs(ref))
     assert np.max(np.abs(schrodinger.dst(y) - x)) <= 1e-14 * np.max(np.abs(x))
+
+
+def _ortho_dst(x):
+    return scipy_dst(x, type=1, norm="ortho")
+
+
+@settings(max_examples=15, deadline=None)
+@given(M=st.one_of(st.integers(min_value=16, max_value=40000),
+                   # 2(M+1) = 2 * prime, and 16386 = 6 * 2731: slow lengths
+                   st.sampled_from([9972, 39988, 8192])),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_dst_is_scipy_on_each_part_and_its_own_inverse(M, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+    y = schrodinger.dst(x)
+    assert np.array_equal(y, _ortho_dst(x.real) + 1j * _ortho_dst(x.imag))
+    assert np.max(np.abs(schrodinger.dst(y) - x)) <= 1e-14 * np.max(np.abs(x))
+
+
+def test_dst_of_real_and_strided_samples_is_scipys():
+    # viewed without the copy, a real x would pair neighbouring samples as
+    # one complex number, and so would x[::2] through its stride
+    rng = np.random.default_rng(7)
+    real = rng.standard_normal(624)
+    assert np.array_equal(schrodinger.dst(real), _ortho_dst(real))
+    z = rng.standard_normal(1250) + 1j * rng.standard_normal(1250)
+    assert np.array_equal(schrodinger.dst(z[::2]), _ortho_dst(z[::2]))
+
+
+def test_dst_is_one_real_transform_call(monkeypatch):
+    # scipy splits a complex input into two pocketfft calls, one per part;
+    # one call on a real (M, 2) array along the nodes is one pocketfft pass
+    calls, transform = [], schrodinger._scipy_dst
+
+    def recording(x, **kw):
+        calls.append((x.dtype, x.shape, kw.get("axis", -1)))
+        return transform(x, **kw)
+
+    monkeypatch.setattr(schrodinger, "_scipy_dst", recording)
+    schrodinger.dst(np.ones(624, dtype=complex))
+    assert calls == [(np.float64, (624, 2), 0)]
 
 
 def _carried_vs_fresh(M, eps, dt, chirp):

@@ -12,14 +12,15 @@ from semiwkb import (ContractError, DomainError, ParameterError, RadialGrid,
                      RadialProfile, ResolutionError, SemiwkbError,
                      StepRejectionError, ball_data, build_initial_data,
                      first_corrector, leading_order, limit_system_residual,
-                     phase_time_constant, poisson_radial, sample_data,
-                     smooth_ball_data)
+                     poisson_radial, sample_data, smooth_ball_data)
 from semiwkb.euler_poisson import explicit_characteristics
 from semiwkb.grids import cumulative_radial, derivative_uniform
 from semiwkb.norms import lp_norm
 from semiwkb.profiles import InitialData, gaussian_free_data
 from semiwkb import wkb
 from semiwkb.wkb import WkbFields
+
+from oracles import phase_time_constant
 
 
 def static_gaussian(points=1025, r_max=20.0, lam=0.0, n=3):
