@@ -2,8 +2,8 @@
 and a semiclassical Schrodinger-Poisson solver for desk-scale verification."""
 
 from .errors import (ConfigError, ContractError, ConvergenceError,
-                     DivisionGuardError, DomainError, ParameterError,
-                     ResolutionError, SemiwkbError, StepRejectionError,
+                     DomainError, ParameterError, ResolutionError,
+                     SemiwkbError, StepRejectionError,
                      UnsupportedConfigurationError)
 from .grids import RadialGrid, RadialProfile
 from .profiles import (InitialData, ball_data, build_initial_data,

@@ -25,10 +25,6 @@ class ResolutionError(SemiwkbError, RuntimeError):
     """The grid cannot resolve the requested computation."""
 
 
-class DivisionGuardError(SemiwkbError, ValueError):
-    """A formula requires dividing by a field that vanishes on the grid."""
-
-
 class StepRejectionError(SemiwkbError, RuntimeError):
     """A time step violates the stability rule of the chosen scheme."""
 

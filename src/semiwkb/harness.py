@@ -4,11 +4,13 @@ sweeps, decay fits, and report emission."""
 from __future__ import annotations
 
 import dataclasses
+import enum
 import math
 import os
 import time
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,15 +27,11 @@ from .profiles import (InitialData, ball_data, gaussian_free_data,
 from .schrodinger import dst, fast_points, required_points, run, spectral_tail
 from .wkb import WkbFields, first_corrector, leading_amplitude, leading_order
 
-__all__ = ["DataConfig", "ExperimentConfig", "ConvergenceReport",
+__all__ = ["DataConfig", "ExperimentConfig", "ConvergenceReport", "FAMILIES",
            "build_data", "rung_points", "rung_step", "split_mesh_error",
            "split_march", "converge", "classify_sweep", "decay_study",
            "evolve_ep", "wkb_eval", "schrodinger_run", "run_scenario",
-           "SCENARIOS", "SPLIT_TOL", "TAIL_TOL"]
-
-SCENARIOS = ("classify", "evolve-ep", "wkb-eval", "schrodinger-run",
-             "converge", "decay-study")
-_DEFAULT_TIMES = (0.5, 1.0, 5.0)
+           "SCENARIOS", "SPLIT_TOL", "TAIL_TOL", "UNREAD"]
 
 # Bound on each converge rung's splitting-error estimate relative to the
 # smaller of its two WKB errors.  A relative move of at most delta in every
@@ -67,18 +65,19 @@ def _number(x, kind: str):
     return None
 
 
-def _canonicalize(config, where: str) -> None:
-    """The one type pass of both config classes, however they were built.
+def _canonicalize(config, where: str, names) -> None:
+    """The one type pass of both config classes, over the fields ``names``.
 
     Each field is checked against its annotation and stored in one form:
     ints as int, floats as float, and tuple fields, from a list or a tuple,
     as tuples of floats, with t_tail's whole count as an int.  Equal
     experiments so compare and hash alike.  NaN and +-inf (json.load reads
     both) fail, but for norm_p = +inf, the sup norm."""
-    for f in dataclasses.fields(config):
-        value = kept = getattr(config, f.name)
-        kind = f.type.removesuffix(" | None")
-        if value is None and kind != f.type:
+    types = {f.name: f.type for f in dataclasses.fields(config)}
+    for name in names:
+        value = kept = getattr(config, name)
+        kind = types[name].removesuffix(" | None")
+        if value is None and kind != types[name]:
             continue
         if kind == "tuple":
             kept = (tuple(_number(x, "float") for x in value)
@@ -89,15 +88,15 @@ def _canonicalize(config, where: str) -> None:
             kept = None
         for x in kept if kind == "tuple" else (kept,):
             if x is None:
-                raise ConfigError(f"{where} key {f.name!r} has the wrong "
+                raise ConfigError(f"{where} key {name!r} has the wrong "
                                   f"type: {value!r}")
-            sup_norm = f.name == "norm_p" and x == math.inf
+            sup_norm = name == "norm_p" and x == math.inf
             if isinstance(x, float) and not (math.isfinite(x) or sup_norm):
-                raise ConfigError(f"{where} key {f.name!r} must be finite: "
+                raise ConfigError(f"{where} key {name!r} must be finite: "
                                   f"{value!r}")
-        if f.name == "t_tail" and len(kept) == 3 and kept[2].is_integer():
+        if name == "t_tail" and len(kept) == 3 and kept[2].is_integer():
             kept = (*kept[:2], int(kept[2]))
-        object.__setattr__(config, f.name, kept)
+        object.__setattr__(config, name, kept)
 
 
 def _name_token(x: float) -> str:
@@ -106,13 +105,14 @@ def _name_token(x: float) -> str:
     return f"{x:g}"
 
 
-def _require_distinct_names(values, key: str) -> None:
-    """ConfigError when two distinct ``values`` would write one file name."""
+def _name_clash(values, key: str) -> str | None:
+    """Why two distinct ``values`` would write one file name, or None."""
     named = {}
     for x in values:
         if (other := named.setdefault(_name_token(x), x)) != x:
-            raise ConfigError(f"{key} {other!r} and {x!r} would write to one "
-                              f"file name ({_name_token(x)})")
+            return (f"{key} {other!r} and {x!r} would write to one file "
+                    f"name ({_name_token(x)})")
+    return None
 
 
 def rung_step(eps: float, t_end: float) -> float:
@@ -143,108 +143,155 @@ def split_mesh_error(t_end: float, dt: float) -> str | None:
             f"take dt = t_end/(2k) for a positive integer k")
 
 
+class _Key(enum.Enum):
+    """The value of a key that its scenario or data family does not read."""
+    UNREAD = "unread"
+
+
+UNREAD = _Key.UNREAD
+
+
+class Owner(NamedTuple):
+    """A scenario or a data family: what it runs, and each key it reads."""
+    run: Callable       # a scenario's runner, a family's data builder
+    reads: dict         # each key it reads, with its default; no other key
+    rules: tuple = ()   # its rules beyond each key's own (_KEY_RULES)
+    sweeps: tuple = ()  # data keys a scenario sets itself and does not read
+
+
+_SCALES = {"n": 3, "lam": -1.0, "amplitude_scale": 1.0, "velocity_scale": 1.0}
+_GRID = {"r_max": 40.0, "points": 8192}
+FAMILIES = {
+    "smooth_ball": Owner(
+        lambda c, grid: smooth_ball_data(
+            n=c.n, lam=c.lam, grid=grid, radius=c.radius, width=c.width,
+            scale=c.amplitude_scale, chirp=c.chirp,
+            velocity_scale=c.velocity_scale),
+        {**_SCALES, "chirp": 0.0, "radius": 1.0, "width": 0.15, **_GRID}),
+    "sample": Owner(
+        lambda c, grid: sample_data(
+            c.kappa, c.delta, n=c.n, lam=c.lam, grid=grid,
+            scale=c.amplitude_scale, velocity_scale=c.velocity_scale),
+        {**_SCALES, "kappa": 3.0, "delta": 0.25, **_GRID}),
+    "ball": Owner(
+        lambda c, grid: ball_data(
+            n=c.n, lam=c.lam, grid=grid, velocity_scale=c.velocity_scale,
+            velocity="compatible" if c.lam < 0 and c.n >= 3 else "zero",
+            density=c.amplitude_scale ** 2),
+        {**_SCALES, **_GRID}),
+    "gaussian_free": Owner(
+        lambda c, grid: gaussian_free_data(grid=grid, n=c.n,
+                                           scale=c.amplitude_scale),
+        {"n": 3, "lam": 0.0, "amplitude_scale": 1.0, **_GRID},
+        (lambda c: c.lam != 0.0
+         and "the gaussian_free family is uncoupled (lam = 0)",)),
+}
+# The rules of each experiment key, in every scenario that reads it.  A rule
+# returns why a config breaks it, or a false value.
+_KEY_RULES = {
+    "eps_ladder": lambda c: not (
+        c.eps_ladder and 0.0 < c.eps_ladder[-1] and c.eps_ladder[0] <= 1.0
+        and all(b < a for a, b in zip(c.eps_ladder, c.eps_ladder[1:])))
+    and "eps ladder must be strictly decreasing, in (0, 1], and not empty",
+    "t_end": lambda c: c.t_end <= 0 and "t_end must be positive",
+    "dt": lambda c: c.dt is not None and (
+        c.dt <= 0 and "dt must be positive"
+        or split_mesh_error(c.t_end, c.dt)),
+    "ppw": lambda c: c.ppw < 1 and "ppw must be >= 1",
+    "solver_points": lambda c: c.solver_points < 16
+    and "solver_points must be >= 16",
+    "corrector_points": lambda c: c.corrector_points < 16
+    and "corrector_points must be >= 16",
+    "norm_p": lambda c: c.norm_p < 1 and "norm_p must be >= 1",
+    # decay-study, which reads t_tail, fits every series over its times:
+    # hold them to the fits' floor before any data is built
+    "t_tail": lambda c: not (
+        len(c.t_tail) == 3 and isinstance(c.t_tail[2], int) and 0 < c.t_tail[0]
+        and c.t_tail[1] >= FIT_MIN_SPAN * c.t_tail[0]
+        and c.t_tail[2] >= FIT_MIN_SAMPLES)
+    and f"t_tail must be (t_min, t_max, count) with 0 < t_min, t_max/t_min "
+        f">= {FIT_MIN_SPAN:g} and a whole count >= {FIT_MIN_SAMPLES}",
+    "times": lambda c: min(c.times, default=0.0) < 0.0
+    and f"time {min(c.times):g} is negative: times must be >= 0",
+}
+
+
+def _settle(config, where: str, kind: str, owners: dict) -> Owner:
+    """The one pass of both config classes, however they were built: each
+    key the owner ``owners[config.<kind>]`` reads takes its default where
+    unset, any other key set is refused, and the keys it reads take the type
+    pass (``_canonicalize``), their rules and the owner's."""
+    _canonicalize(config, where, [f.name for f in dataclasses.fields(config)
+                                  if f.default is not UNREAD])
+    name = getattr(config, kind)
+    if name not in owners:
+        raise ConfigError(f"unknown {kind} {name!r}; expected one of "
+                          f"{tuple(owners)}")
+    owner = owners[name]
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if f.name in owner.reads:
+            if value is UNREAD:
+                object.__setattr__(config, f.name, owner.reads[f.name])
+        elif f.default is UNREAD and value is not UNREAD:
+            raise ConfigError(f"{kind} {name!r} does not read {where} key "
+                              f"{f.name!r}: {value!r}")
+    _canonicalize(config, where, owner.reads)
+    for rule in [*(_KEY_RULES[k] for k in owner.reads if k in _KEY_RULES),
+                 *owner.rules]:
+        if why := rule(config):
+            raise ConfigError(why)
+    return owner
+
+
 @dataclass(frozen=True)
 class DataConfig:
-    family: str = "smooth_ball"  # smooth_ball | sample | ball | gaussian_free
-    n: int = 3
-    lam: float = -1.0
-    amplitude_scale: float = 1.0
-    velocity_scale: float = 1.0
-    chirp: float = 0.0
-    kappa: float = 3.0
-    delta: float = 0.25
-    radius: float = 1.0
-    width: float = 0.15
-    r_max: float = 40.0
-    points: int = 8192
+    """Initial data of a family (``FAMILIES``); each key the family reads
+    takes the family's default where unset."""
+    family: str = "smooth_ball"
+    n: int = UNREAD
+    lam: float = UNREAD
+    amplitude_scale: float = UNREAD
+    velocity_scale: float = UNREAD
+    chirp: float = UNREAD
+    kappa: float = UNREAD
+    delta: float = UNREAD
+    radius: float = UNREAD
+    width: float = UNREAD
+    r_max: float = UNREAD
+    points: int = UNREAD
 
     def __post_init__(self):
-        _canonicalize(self, "data")
-        if self.family not in ("smooth_ball", "sample", "ball",
-                               "gaussian_free"):
-            raise ConfigError(f"unknown data family {self.family!r}")
-        if self.family == "gaussian_free" and self.lam != 0.0:
-            raise ConfigError("the gaussian_free family is uncoupled (lam = 0)")
+        _settle(self, "data", "family", FAMILIES)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run of a scenario (``SCENARIOS``); each key the scenario reads
+    takes the scenario's default where unset."""
     scenario: str
     data: DataConfig = field(default_factory=DataConfig)
-    eps_ladder: tuple = (0.125, 0.0625, 0.03125, 0.015625)
-    t_end: float = 0.5
-    dt: float | None = None
-    solver_points: int = 8191
-    corrector_points: int = 2049
-    ppw: int = 16
-    times: tuple = _DEFAULT_TIMES
-    labels: tuple = (0.5, 1.0, 2.0)
-    velocity_scales: tuple = (0.9, 1.0, 1.1)
-    amplitude_scales: tuple = (0.1, 1.0, 10.0)
-    t_tail: tuple = (100.0, 10000.0, 13)
-    norm_p: float = 8.0
+    eps_ladder: tuple = UNREAD
+    t_end: float = UNREAD
+    dt: float | None = UNREAD
+    solver_points: int = UNREAD
+    corrector_points: int = UNREAD
+    ppw: int = UNREAD
+    times: tuple = UNREAD
+    labels: tuple = UNREAD
+    velocity_scales: tuple = UNREAD
+    amplitude_scales: tuple = UNREAD
+    t_tail: tuple = UNREAD
+    norm_p: float = UNREAD
     out_dir: str | None = None
 
     def __post_init__(self):
-        _canonicalize(self, "config")
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {self.scenario!r}; "
-                              f"expected one of {SCENARIOS}")
-        lad = self.eps_ladder
-        if not lad:
-            raise ConfigError("eps ladder must not be empty")
-        if any(not (0.0 < e <= 1.0) for e in lad):
-            raise ConfigError("eps ladder entries must lie in (0, 1]")
-        if any(b >= a for a, b in zip(lad, lad[1:])):
-            raise ConfigError("eps ladder must be strictly decreasing")
-        if self.scenario == "converge" and len(lad) < 3:
-            raise ConfigError("converge needs at least 3 ladder values")
-        if self.t_end <= 0:
-            raise ConfigError("t_end must be positive")
-        if self.dt is not None and self.dt <= 0:
-            raise ConfigError("dt must be positive")
-        if (self.dt is not None
-                and self.scenario in ("converge", "schrodinger-run")
-                and (why := split_mesh_error(self.t_end, self.dt))):
-            raise ConfigError(why)
-        if self.ppw < 1:
-            raise ConfigError("ppw must be >= 1")
-        for key in ("solver_points", "corrector_points"):
-            if getattr(self, key) < 16:
-                raise ConfigError(f"{key} must be >= 16")
-        if self.norm_p < 1:
-            raise ConfigError("norm_p must be >= 1")
-        tail = self.t_tail
-        if (len(tail) != 3 or not isinstance(tail[2], int)
-                or not (0.0 < tail[0] < tail[1] and tail[2] >= 1)):
-            raise ConfigError("t_tail must be (t_min, t_max, count) with "
-                              "0 < t_min < t_max and a whole count >= 1")
-        # decay-study fits every series over these times: hold them to the
-        # fit's floor before any data is built
-        if self.scenario == "decay-study":
-            if tail[2] < FIT_MIN_SAMPLES:
-                raise ConfigError(f"decay-study needs a t_tail count "
-                                  f">= {FIT_MIN_SAMPLES}: {tail[2]!r}")
-            if tail[1] / tail[0] < FIT_MIN_SPAN:
-                raise ConfigError("decay-study t_tail must span at least two "
-                                  f"decades (t_max/t_min >= {FIT_MIN_SPAN:g})")
-        if self.scenario == "wkb-eval" and not self.times:
-            raise ConfigError("wkb-eval needs at least one time")
-        if negative := [t for t in self.times if t < 0.0]:
-            raise ConfigError(f"time {negative[0]:g} is negative: times "
-                              f"must be >= 0")
-        # the default times, shared with wkb-eval and evolve-ep, pass the
-        # default t_end and the run drops those; other times must not
-        if (self.scenario == "schrodinger-run" and self.times != _DEFAULT_TIMES
-                and any(t > self.t_end for t in self.times)):
-            raise ConfigError(f"times {self.times} pass t_end = {self.t_end}")
-        if self.scenario == "classify" and not (self.amplitude_scales
-                                                and self.velocity_scales):
-            raise ConfigError("classify needs at least one amplitude scale "
-                              "and one velocity scale")
-        if self.scenario == "evolve-ep":
-            _require_distinct_names(self.labels, "labels")
-            _require_distinct_names(self.times, "times")
+        owner = _settle(self, "config", "scenario", SCENARIOS)
+        family = FAMILIES[self.data.family].reads
+        for key in owner.sweeps:
+            if key not in family or getattr(self.data, key) != family[key]:
+                raise ConfigError(f"{self.scenario} sweeps data key {key!r}: "
+                                  f"leave it unset, in a family that reads it")
 
     @classmethod
     def from_json(cls, payload: dict, scenario: str | None = None
@@ -252,37 +299,39 @@ class ExperimentConfig:
         if not isinstance(payload, dict):
             raise ConfigError("configuration must be a JSON object")
         payload = dict(payload)
-        file_scenario = payload.pop("scenario", None)
-        if scenario is None:
-            scenario = file_scenario
-        elif file_scenario is not None and file_scenario != scenario:
-            raise ConfigError(f"config names scenario {file_scenario!r} but "
+        named = payload.pop("scenario", scenario)
+        if scenario is not None and named != scenario:
+            raise ConfigError(f"config names scenario {named!r} but "
                               f"{scenario!r} was requested")
-        if scenario is None:
+        if named is None:
             raise ConfigError("no scenario given")
         data_payload = payload.pop("data", {})
+        if not isinstance(data_payload, dict):
+            raise ConfigError(f"config key 'data' has the wrong type: "
+                              f"{data_payload!r} (a JSON object is due)")
         for where, keys, known in (("data", data_payload, DataConfig),
                                    ("config", payload, cls)):
-            if not isinstance(keys, dict):
-                raise ConfigError(f"{where} must be a JSON object")
             names = {f.name for f in dataclasses.fields(known)}
             if extra := set(keys) - names:
                 raise ConfigError(f"unknown keys in {where}: {sorted(extra)}")
-        config = cls(scenario=scenario, data=DataConfig(**data_payload),
+        config = cls(scenario=named, data=DataConfig(**data_payload),
                      **payload)
-        # __post_init__ cannot tell a named copy of the default times from
-        # the default; JSON can, and refuses that copy too
-        if (scenario == "schrodinger-run" and "times" in payload
-                and any(t > config.t_end for t in config.times)):
-            raise ConfigError(f"times {config.times} pass t_end = "
-                              f"{config.t_end}")
+        # a swept key is refused when named, at its default too
+        if swept := set(data_payload) & set(SCENARIOS[named].sweeps):
+            raise ConfigError(f"{named} sweeps data key {swept.pop()!r}: "
+                              f"leave it unset")
         return config
 
     def hash(self) -> str:
-        payload = dataclasses.asdict(self)
-        # execution details must not change the experiment identity
-        payload.pop("out_dir", None)
-        return sio.config_hash(payload)
+        """Digest of the scenario, the data family and the keys they read;
+        no other key, nor out_dir, enters it."""
+        owner, family = SCENARIOS[self.scenario], FAMILIES[self.data.family]
+        return sio.config_hash({
+            "scenario": self.scenario,
+            **{k: getattr(self, k) for k in owner.reads},
+            "data": {"family": self.data.family,
+                     **{k: getattr(self.data, k) for k in family.reads
+                        if k not in owner.sweeps}}})
 
 
 def _write(config: ExperimentConfig, name: str, payload, columns=None,
@@ -331,7 +380,7 @@ def truncated_mass_fraction(data: InitialData) -> float:
 
 def build_data(cfg: DataConfig) -> InitialData:
     grid = RadialGrid(cfg.r_max, cfg.points)
-    data = _build_data_inner(cfg, grid)
+    data = FAMILIES[cfg.family].run(cfg, grid)
     fraction = truncated_mass_fraction(data)
     if fraction > 1e-4:
         warnings.warn(
@@ -339,25 +388,6 @@ def build_data(cfg: DataConfig) -> InitialData:
             f"(r_max = {cfg.r_max}); results describe the truncated data",
             RuntimeWarning)
     return data
-
-
-def _build_data_inner(cfg: DataConfig, grid: RadialGrid) -> InitialData:
-    if cfg.family == "smooth_ball":
-        return smooth_ball_data(n=cfg.n, lam=cfg.lam, grid=grid,
-                                radius=cfg.radius, width=cfg.width,
-                                scale=cfg.amplitude_scale, chirp=cfg.chirp,
-                                velocity_scale=cfg.velocity_scale)
-    if cfg.family == "sample":
-        return sample_data(cfg.kappa, cfg.delta, n=cfg.n, lam=cfg.lam,
-                           grid=grid, scale=cfg.amplitude_scale,
-                           velocity_scale=cfg.velocity_scale)
-    if cfg.family == "gaussian_free":
-        return gaussian_free_data(grid=grid, scale=cfg.amplitude_scale,
-                                  n=cfg.n)
-    return ball_data(n=cfg.n, lam=cfg.lam, grid=grid,
-                     velocity="compatible" if cfg.lam < 0 and cfg.n >= 3 else "zero",
-                     velocity_scale=cfg.velocity_scale,
-                     density=cfg.amplitude_scale ** 2)
 
 
 def _weighted_l2(delta: np.ndarray, r: np.ndarray, dr: float, n: int) -> float:
@@ -689,7 +719,8 @@ def wkb_eval(config: ExperimentConfig) -> list:
     run that fails leaves no partial output behind."""
     T = max(config.times)
     times = sample_times(config.times, T)
-    _require_distinct_names(times, "times")
+    if why := _name_clash(times, "times"):
+        raise ConfigError(why)
     data = build_data(config.data)
     grid = RadialGrid(config.data.r_max, config.data.points)
     corr = first_corrector(data, T,
@@ -746,7 +777,7 @@ def schrodinger_run(config: ExperimentConfig) -> dict:
 
     res, split = split_march(
         data, eps, T, config.dt, wgrid, config.ppw, norm_scale,
-        observable_times=[0.0, T, *(t for t in config.times if t <= T)])
+        observable_times=[0.0, T, *config.times])
     scale, _ = norm_scale(res)
     records = [dataclasses.asdict(ob) for ob in res.observables]
     header = {**res.header, "split_error": split,
@@ -762,15 +793,39 @@ def schrodinger_run(config: ExperimentConfig) -> dict:
             "truncation_warnings": res.truncation_warnings}
 
 
-_RUNNERS = {
-    "classify": classify_sweep,
-    "evolve-ep": evolve_ep,
-    "wkb-eval": wkb_eval,
-    "schrodinger-run": schrodinger_run,
-    "converge": converge,
-    "decay-study": decay_study,
+# Each scenario: its runner, the experiment keys it reads, and its own rules
+_STRANG = {"t_end": 0.5, "dt": None, "solver_points": 8191, "ppw": 16}
+SCENARIOS = {
+    "classify": Owner(
+        classify_sweep, {"amplitude_scales": (0.1, 1.0, 10.0),
+                         "velocity_scales": (0.9, 1.0, 1.1)},
+        (lambda c: not (c.amplitude_scales and c.velocity_scales)
+         and "classify needs at least one amplitude and one velocity scale",),
+        ("amplitude_scale", "velocity_scale")),
+    "evolve-ep": Owner(
+        evolve_ep, {"labels": (0.5, 1.0, 2.0), "times": (0.5, 1.0, 5.0),
+                    "t_end": 0.5},
+        (lambda c: _name_clash(c.labels, "labels")
+         or _name_clash(c.times, "times"),)),
+    "wkb-eval": Owner(
+        wkb_eval, {"times": (0.5, 1.0, 5.0), "corrector_points": 2049},
+        (lambda c: not c.times and "wkb-eval needs at least one time",)),
+    # one eps, observed at 0, at t_end and at its times, none past t_end
+    "schrodinger-run": Owner(
+        schrodinger_run, {"eps_ladder": (0.125,), **_STRANG, "times": ()},
+        (lambda c: len(c.eps_ladder) > 1
+         and "schrodinger-run marches one eps: give eps_ladder one entry",
+         lambda c: max(c.times, default=0.0) > c.t_end
+         and f"times {c.times} pass t_end = {c.t_end}")),
+    "converge": Owner(
+        converge, {"eps_ladder": (0.125, 0.0625, 0.03125, 0.015625),
+                   **_STRANG, "corrector_points": 2049},
+        (lambda c: len(c.eps_ladder) < 3
+         and "converge needs at least 3 ladder values",)),
+    "decay-study": Owner(
+        decay_study, {"t_tail": (100.0, 10000.0, 13), "norm_p": 8.0}),
 }
 
 
 def run_scenario(config: ExperimentConfig):
-    return _RUNNERS[config.scenario](config)
+    return SCENARIOS[config.scenario].run(config)

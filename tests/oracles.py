@@ -4,10 +4,14 @@ bound.  No scenario, CLI path or benchmark uses them."""
 
 import numpy as np
 
-from semiwkb import DivisionGuardError, RadialProfile, wkb
+from semiwkb import RadialProfile, SemiwkbError, wkb
 from semiwkb.grids import derivative_uniform
 
 VELOCITY_FLOOR = 1e-8          # |u| mask threshold, relative to max|u|
+
+
+class DivisionGuardError(SemiwkbError, ValueError):
+    """A formula requires dividing by a field that vanishes on the grid."""
 
 
 def current_velocity(u) -> RadialProfile:

@@ -1,8 +1,10 @@
 import collections
+import copy
 import dataclasses
 import json
 import math
 import os
+import pickle
 import sys
 
 import numpy as np
@@ -16,10 +18,11 @@ from semiwkb import (ConfigError, ConvergenceError, DataConfig,
 from semiwkb.cli import main as cli_main
 from semiwkb.errors import ParameterError
 from semiwkb.grids import LANDING_TOL, time_mesh
-from semiwkb.harness import (SPLIT_TOL, TAIL_TOL, _weighted_l2, build_data,
-                             classify_sweep, converge, decay_study, evolve_ep,
-                             rung_points, rung_step, schrodinger_run,
-                             split_march, split_mesh_error, wkb_eval)
+from semiwkb.harness import (FAMILIES, SCENARIOS, SPLIT_TOL, TAIL_TOL, UNREAD,
+                             _weighted_l2, build_data, classify_sweep,
+                             converge, decay_study, evolve_ep, rung_points,
+                             rung_step, schrodinger_run, split_march,
+                             split_mesh_error, wkb_eval)
 from semiwkb.norms import decay_fit, lp_norm
 from semiwkb.profiles import InitialData
 from semiwkb.schrodinger import dst, fast_points, required_points
@@ -55,14 +58,15 @@ def test_config_rejects_bad_ladders():
 
 
 @pytest.mark.parametrize("cls, kwargs", [
-    (ExperimentConfig, dict(scenario="decay-study", dt=math.nan,
-                            norm_p=math.nan, t_end=math.inf)),
+    (ExperimentConfig, dict(scenario="converge", dt=math.nan,
+                            t_end=math.inf)),
     (ExperimentConfig, dict(scenario="decay-study", norm_p=-math.inf)),
     (ExperimentConfig, dict(scenario="converge", dt=-1.0)),
     (ExperimentConfig, dict(scenario="converge", dt=0.0)),
     (ExperimentConfig, dict(scenario="wkb-eval", times=(0.5, math.nan))),
     (DataConfig, dict(r_max=math.inf)),
     (DataConfig, dict(chirp=math.nan)),
+    (ExperimentConfig, dict(scenario="decay-study", norm_p=math.nan)),
 ])
 def test_config_rejects_non_finite_and_non_positive_dt(cls, kwargs):
     # direct construction takes the same check as a JSON file
@@ -88,20 +92,22 @@ def test_on_disk_format_pinned():
     assert RadialGrid(40.0, 8192).descriptor() == {
         "r_max": 40.0, "points": 8192, "spacing": "uniform",
         "include_origin": True, "stretch": 1.0}
-    recorded = {"converge": "fd894c6b43f62598",
-                "classify": "d7bf5de23b2d9518",
-                "decay-study": "cef9901be6c24e9d",
-                "schrodinger-run": "2c09f17b1440da73"}
+    recorded = {"converge": "7e12027761605153",
+                "classify": "25bf025463f84f50",
+                "decay-study": "3d69ef149b7efe47",
+                "schrodinger-run": "3e5f73fa8cae3204",
+                "evolve-ep": "4b400679387d1ed3",
+                "wkb-eval": "7a5e5955b2cf64a4"}
     for scenario, digest in recorded.items():
         assert ExperimentConfig(scenario=scenario).hash() == digest
     # the committed study configs
     configs = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
-    committed = {"converge": "65983a7275ba188d",
-                 "classify": "bf2aff80b208ac0f",
-                 "decay-study": "cef9901be6c24e9d",
-                 "evolve-ep": "b031e4bacd246284",
-                 "schrodinger-run": "dc5b2c3613a45ff2",
-                 "wkb-eval": "19b72e54e86b8c9e"}
+    committed = {"converge": "6ceaf790a87ded6d",
+                 "classify": "690c223df6a8a595",
+                 "decay-study": "3d69ef149b7efe47",
+                 "evolve-ep": "7423913ff38d65c7",
+                 "schrodinger-run": "7c5c61e680ba9259",
+                 "wkb-eval": "8b34a26d42e62631"}
     assert sorted(os.listdir(configs)) == sorted(f"{s}.json" for s in committed)
     for scenario, digest in committed.items():
         with open(os.path.join(configs, f"{scenario}.json")) as f:
@@ -111,17 +117,21 @@ def test_on_disk_format_pinned():
 
 
 def test_config_list_keys_become_tuples():
-    # every tuple-annotated key is read from a JSON list into a tuple
-    lists = {"eps_ladder": [0.5, 0.25, 0.125], "times": [0.1],
-             "labels": [1.0], "velocity_scales": [1.0],
-             "amplitude_scales": [2.0], "t_tail": [10.0, 1000.0, 8]}
-    cfg = ExperimentConfig.from_json(lists, scenario="decay-study")
-    for key, value in lists.items():
-        assert getattr(cfg, key) == tuple(value)
-    tuples = {k: tuple(v) for k, v in lists.items()}
-    assert cfg == ExperimentConfig(scenario="decay-study", **tuples)
-    assert cfg.hash() == ExperimentConfig(scenario="decay-study",
-                                          **tuples).hash()
+    # every tuple-annotated key is read from a JSON list into a tuple, under
+    # a scenario that reads it
+    lists = {"converge": {"eps_ladder": [0.5, 0.25, 0.125]},
+             "evolve-ep": {"times": [0.1], "labels": [1.0]},
+             "classify": {"velocity_scales": [1.0],
+                          "amplitude_scales": [2.0]},
+             "decay-study": {"t_tail": [10.0, 1000.0, 8]}}
+    for scenario, keys in lists.items():
+        cfg = ExperimentConfig.from_json(keys, scenario=scenario)
+        for key, value in keys.items():
+            assert getattr(cfg, key) == tuple(value)
+        tuples = {k: tuple(v) for k, v in keys.items()}
+        assert cfg == ExperimentConfig(scenario=scenario, **tuples)
+        assert cfg.hash() == ExperimentConfig(scenario=scenario,
+                                              **tuples).hash()
 
 
 def test_config_hash_stable():
@@ -150,24 +160,36 @@ def _quarter_sets(min_size):
 def experiments(draw):
     """The keyword arguments of a valid config in its all-float spelling:
     floats as Python floats, tuple fields as tuples of them (t_tail's count
-    too), ints as Python ints; ``data`` holds DataConfig's."""
-    data = {f.name: draw(st.integers(16, 4096) if f.type == "int"
-                         else QUARTERS)
-            for f in dataclasses.fields(DataConfig) if f.type != "str"}
-    scenario = draw(st.sampled_from(("converge", "classify", "decay-study",
-                                     "wkb-eval", "evolve-ep")))
-    t_min = draw(st.integers(1, 100))
-    return {
-        "scenario": scenario, "data": data,
-        "eps_ladder": tuple(sorted(draw(st.sets(st.sampled_from(
-            [1.0, 0.5, 0.25, 0.125, 0.0625]), min_size=3)), reverse=True)),
-        "t_end": draw(POSITIVE),
-        # converge takes only a dt on the mesh of its splitting estimate
-        "dt": None if scenario == "converge" else draw(st.none() | POSITIVE),
+    too), ints as Python ints; ``data`` holds DataConfig's.  Only the keys
+    the drawn scenario and data family read are drawn."""
+    scenario = draw(st.sampled_from(sorted(SCENARIOS)))
+    owner = SCENARIOS[scenario]
+    # classify sweeps velocity_scale, which gaussian_free does not read
+    family = draw(st.sampled_from(sorted(
+        f for f in FAMILIES if set(owner.sweeps) <= set(FAMILIES[f].reads))))
+    types = {f.name: f.type for f in dataclasses.fields(DataConfig)}
+    data = {k: draw(st.integers(16, 4096) if types[k] == "int"
+                    else QUARTERS)
+            for k in FAMILIES[family].reads if k not in owner.sweeps}
+    if family == "gaussian_free":
+        data["lam"] = 0.0
+    t_end, t_min = draw(POSITIVE), draw(st.integers(1, 100))
+    ladder = tuple(sorted(draw(st.sets(st.sampled_from(
+        [1.0, 0.5, 0.25, 0.125, 0.0625]), min_size=3)), reverse=True))
+    values = {
+        # schrodinger-run marches one eps, converge at least three
+        "eps_ladder": ladder[:1] if scenario == "schrodinger-run" else ladder,
+        "t_end": t_end,
+        # a dt on the mesh of the splitting estimate, t_end/(2 dt) whole
+        "dt": draw(st.none()
+                   | st.integers(1, 4).map(lambda j: t_end / 2 ** j)),
         "solver_points": draw(st.integers(16, 2 ** 14)),
         "corrector_points": draw(st.integers(16, 2 ** 14)),
         "ppw": draw(st.integers(1, 64)),
-        "times": draw(_quarter_sets(1)), "labels": draw(_quarter_sets(1)),
+        # schrodinger-run observes no time past t_end
+        "times": tuple(t for t in draw(_quarter_sets(1))
+                       if scenario != "schrodinger-run" or t <= t_end),
+        "labels": draw(_quarter_sets(1)),
         "velocity_scales": draw(_quarter_sets(1)),
         "amplitude_scales": draw(_quarter_sets(1)),
         "t_tail": (float(t_min),
@@ -176,6 +198,8 @@ def experiments(draw):
         "norm_p": draw(st.integers(4, 40).map(lambda k: k / 4)
                        | st.just(math.inf)),
     }
+    return {"scenario": scenario, "data": {"family": family, **data},
+            **{k: values[k] for k in owner.reads}}
 
 
 def _spell(draw, x, kind):
@@ -207,6 +231,8 @@ def _as_json(payload) -> dict:
 def _canonical_types(config) -> None:
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
+        if value is UNREAD:
+            continue
         if f.type == "tuple":
             types = [float] * len(value)
             if f.name == "t_tail":
@@ -235,6 +261,9 @@ def test_config_spellings_are_one_config(data):
     assert direct == via_json == reference
     assert hash(direct) == hash(via_json) == hash(reference)
     assert direct.hash() == via_json.hash() == reference.hash()
+    # a key's UNREAD marker survives a copy and a pickle as itself
+    assert pickle.loads(pickle.dumps(direct)) == direct
+    assert copy.deepcopy(direct) == direct
     for config in (direct, via_json):
         _canonical_types(config)
         _canonical_types(config.data)
@@ -257,26 +286,36 @@ WRONG = {
 
 @st.composite
 def wrong_fields(draw):
-    """(is a data field, field name, wrong value)"""
+    """(is a data field, field name, wrong value, a scenario or a family
+    that reads the field: any, where every one does)"""
     cls = draw(st.sampled_from([DataConfig, ExperimentConfig]))
     f = draw(st.sampled_from(dataclasses.fields(cls)))
     wrong = draw(st.sampled_from(WRONG[f.type]).filter(
         lambda v: not (f.name == "norm_p" and v == math.inf)))
-    return cls is DataConfig, f.name, wrong
+    owners = FAMILIES if cls is DataConfig else SCENARIOS
+    owner = draw(st.sampled_from(sorted(
+        name for name, o in owners.items()
+        if f.default is not UNREAD or f.name in o.reads)))
+    return cls is DataConfig, f.name, wrong, owner
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=wrong_fields())
 def test_config_wrong_types_fail_on_both_paths(case):
-    in_data, key, wrong = case
-    payload = {"scenario": "decay-study",
-               **({"data": {key: wrong}} if in_data else {key: wrong})}
-    with pytest.raises(ConfigError):
+    # the type pass refuses the value, not the unread-key check: each field
+    # is set under an owner that reads it
+    in_data, key, wrong, owner = case
+    data = {"family": owner, key: wrong}
+    payload = ({"scenario": "converge", "data": data} if in_data
+               else {"scenario": owner, key: wrong})
+    # JSON null for the scenario names none
+    why = "wrong type|must be finite|no scenario given"
+    with pytest.raises(ConfigError, match="wrong type|must be finite"):
         if in_data:
-            DataConfig(**{key: wrong})
+            DataConfig(**data)
         else:
             ExperimentConfig(**payload)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=why):
         ExperimentConfig.from_json(_as_json(payload))
 
 
@@ -293,33 +332,135 @@ def test_config_built_in_python_takes_the_type_checks(cls, kwargs):
 
 
 def test_python_built_schrodinger_run_refuses_times_past_t_end():
-    # as from JSON; the default times pass the default t_end, and the run
-    # drops those
+    # as from JSON; its own default is no times, so no default passes t_end
     with pytest.raises(ConfigError, match="pass t_end"):
         ExperimentConfig(scenario="schrodinger-run", t_end=0.5,
                          times=(0.25, 2.0))
-    assert ExperimentConfig(scenario="schrodinger-run").times == (0.5, 1.0,
-                                                                 5.0)
-    # only JSON can tell a named copy of the default from the default
-    with pytest.raises(ConfigError, match="pass t_end"):
-        ExperimentConfig.from_json({"times": [0.5, 1.0, 5.0]},
-                                   "schrodinger-run")
-    # other scenarios take times past t_end: wkb-eval's horizon is its own
-    assert ExperimentConfig(scenario="wkb-eval", t_end=0.5,
+    assert ExperimentConfig(scenario="schrodinger-run").times == ()
+    for times in ((0.5, 1.0, 5.0), (0.5, 1, 5)):
+        with pytest.raises(ConfigError, match="pass t_end"):
+            ExperimentConfig(scenario="schrodinger-run", times=times)
+        with pytest.raises(ConfigError, match="pass t_end"):
+            ExperimentConfig.from_json({"times": list(times)},
+                                       "schrodinger-run")
+    # evolve-ep takes times past t_end, where its trajectories end; wkb-eval
+    # reads no t_end, its horizon is its last time
+    assert ExperimentConfig(scenario="evolve-ep", t_end=0.5,
                             times=(0.25, 2.0)).times == (0.25, 2.0)
+    with pytest.raises(ConfigError, match="does not read config key 't_end'"):
+        ExperimentConfig(scenario="wkb-eval", t_end=0.5, times=(0.25, 2.0))
+
+
+# a value of each key, other than any owner's default, that every owner
+# reading the key accepts
+OTHER = {"t_end": 1.0, "dt": 0.125, "solver_points": 4095,
+         "corrector_points": 1025, "ppw": 8, "times": (0.25,),
+         "labels": (1.5,), "velocity_scales": (2.0,),
+         "amplitude_scales": (2.0,), "t_tail": (10.0, 1000.0, 9),
+         "norm_p": 4.0, "n": 4, "lam": -2.0, "amplitude_scale": 2.0,
+         "velocity_scale": 0.5, "chirp": 1.0, "kappa": 2.0, "delta": 0.5,
+         "radius": 2.0, "width": 0.3, "r_max": 20.0, "points": 1024}
+
+
+def _keys(cls) -> list:
+    return [f.name for f in dataclasses.fields(cls) if f.default is UNREAD]
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_each_scenario_and_family_reads_its_own_keys(scenario):
+    # a key the scenario or the data family does not read is refused on
+    # both paths by a message that names it, and every key either reads
+    # moves the hash
+    owner = SCENARIOS[scenario]
+    other = {**OTHER, "eps_ladder": (0.25,) if scenario == "schrodinger-run"
+             else (0.5, 0.25, 0.125)}
+    base = ExperimentConfig(scenario=scenario).hash()
+    for key in _keys(ExperimentConfig):
+        if key in owner.reads:
+            assert ExperimentConfig(scenario=scenario,
+                                    **{key: other[key]}).hash() != base
+            continue
+        why = f"{scenario}' does not read config key '{key}'"
+        with pytest.raises(ConfigError, match=why):
+            ExperimentConfig(scenario=scenario, **{key: other[key]})
+        for value in (other[key], None):
+            with pytest.raises(ConfigError, match=why):
+                ExperimentConfig.from_json(_as_json({key: value}), scenario)
+    for family in FAMILIES:
+        reads = FAMILIES[family].reads
+
+        def python(**kw):
+            return ExperimentConfig(scenario=scenario,
+                                    data=DataConfig(family=family, **kw))
+
+        def via_json(**kw):
+            return ExperimentConfig.from_json(
+                _as_json({"data": {"family": family, **kw}}), scenario)
+        if not set(owner.sweeps) <= set(reads):
+            # classify sweeps velocity_scale, which gaussian_free does not
+            # read
+            for build in (python, via_json):
+                with pytest.raises(ConfigError, match="sweeps data key"):
+                    build()
+            continue
+        base = python().hash()
+        assert via_json().hash() == base
+        for key in _keys(DataConfig):
+            if key in owner.sweeps:
+                # refused set away from its default; from JSON, named at all
+                why = f"sweeps data key '{key}'"
+                with pytest.raises(ConfigError, match=why):
+                    python(**{key: OTHER[key]})
+                for value in (OTHER[key], reads[key]):
+                    with pytest.raises(ConfigError, match=why):
+                        via_json(**{key: value})
+            elif key in reads:
+                if (family, key) != ("gaussian_free", "lam"):   # fixed at 0
+                    assert python(**{key: OTHER[key]}).hash() != base
+            else:
+                why = f"'{family}' does not read data key '{key}'"
+                for build in (python, via_json):
+                    with pytest.raises(ConfigError, match=why):
+                        build(**{key: OTHER[key]})
+
+
+def test_unread_keys_leave_the_hash_alone():
+    # the default converge config; at the parent, labels = (1.0,) and
+    # amplitude_scales = (2.0,) moved its hash, though converge reads
+    # neither
+    assert ExperimentConfig(scenario="converge").hash() == "7e12027761605153"
+    for key, value in (("labels", (1.0,)), ("amplitude_scales", (2.0,))):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            ExperimentConfig(scenario="converge", **{key: value})
+    # out_dir is where a run writes, not what it computes
+    config = ExperimentConfig(scenario="converge", out_dir="a")
+    assert config.hash() == "7e12027761605153"
+
+
+def test_schrodinger_run_takes_one_eps(tmp_path, capsys):
+    # it marches one eps: a longer ladder is refused, where it used to run
+    # the first entry and size a grid for each of the others
+    assert ExperimentConfig(scenario="schrodinger-run").eps_ladder == (0.125,)
+    with pytest.raises(ConfigError, match="one eps"):
+        ExperimentConfig(scenario="schrodinger-run",
+                         eps_ladder=(0.125, 0.0625))
+    cfg_path = tmp_path / "ladder.json"
+    cfg_path.write_text(json.dumps(_wave_payload(eps_ladder=[0.125, 0.0625])))
+    assert cli_main(["schrodinger-run", "--config", str(cfg_path)]) == 2
+    assert "one eps" in capsys.readouterr().err
 
 
 def test_equal_experiments_hash_alike():
     assert ExperimentConfig(scenario="converge",
-                            t_end=1).hash() == "21775d80ca5086be"
+                            t_end=1).hash() == "4acd883c90974b5f"
     for config in (ExperimentConfig.from_json({"data": {"lam": -1}},
                                               "converge"),
                    ExperimentConfig(scenario="converge",
                                     data=DataConfig(lam=-1))):
-        assert config.hash() == "fd894c6b43f62598"
+        assert config.hash() == "7e12027761605153"
     for t_tail in ((100, 10000, 13), (100.0, 10000.0, 13.0)):
         assert ExperimentConfig(scenario="decay-study",
-                                t_tail=t_tail).hash() == "cef9901be6c24e9d"
+                                t_tail=t_tail).hash() == "3d69ef149b7efe47"
     config = ExperimentConfig(scenario="wkb-eval", times=[1, 2])
     assert config.times == (1.0, 2.0)
     assert hash(config) == hash(dataclasses.replace(config, times=(1.0, 2.0)))
@@ -1064,8 +1205,9 @@ def test_config_takes_only_a_dt_on_the_split_mesh(scenario, dt, on_mesh):
     else:
         with pytest.raises(ConfigError, match="off the mesh"):
             make()
-    # scenarios that take no Strang step do not check it
-    assert ExperimentConfig(scenario="wkb-eval", t_end=0.25, dt=dt).dt == dt
+    # scenarios that take no Strang step do not read a dt
+    with pytest.raises(ConfigError, match="does not read config key 'dt'"):
+        ExperimentConfig(scenario="wkb-eval", dt=dt)
     # the config and split_march share one rule
     assert (split_mesh_error(0.25, dt) is None) == on_mesh
 

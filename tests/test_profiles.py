@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semiwkb import (DivisionGuardError, DomainError, ParameterError,
-                     RadialGrid, RadialProfile,
+from semiwkb import (DomainError, ParameterError, RadialGrid, RadialProfile,
                      UnsupportedConfigurationError, ball_data,
                      build_initial_data, compatible_phase, critical_threshold,
                      cumulative_mass, sample_amplitude, sample_data,
                      smooth_ball_data)
 from semiwkb.profiles import ExactFields, InitialData, free_data, smooth_cutoff
 
-from oracles import v0_identity_residual
+from oracles import DivisionGuardError, v0_identity_residual
 
 
 # -- cutoff and amplitude family ------------------------------------------
