@@ -65,19 +65,18 @@ def _number(x, kind: str):
     return None
 
 
-def _canonicalize(config, where: str, names) -> None:
-    """The one type pass of both config classes, over the fields ``names``.
+def _canonicalize(config, where: str, fields) -> None:
+    """The one type pass of both config classes, over ``fields``.
 
     Each field is checked against its annotation and stored in one form:
     ints as int, floats as float, and tuple fields, from a list or a tuple,
     as tuples of floats, with t_tail's whole count as an int.  Equal
     experiments so compare and hash alike.  NaN and +-inf (json.load reads
     both) fail, but for norm_p = +inf, the sup norm."""
-    types = {f.name: f.type for f in dataclasses.fields(config)}
-    for name in names:
-        value = kept = getattr(config, name)
-        kind = types[name].removesuffix(" | None")
-        if value is None and kind != types[name]:
+    for f in fields:
+        name, value = f.name, getattr(config, f.name)
+        kept, kind = value, f.type.removesuffix(" | None")
+        if value is None and kind != f.type:
             continue
         if kind == "tuple":
             kept = (tuple(_number(x, "float") for x in value)
@@ -144,47 +143,53 @@ def split_mesh_error(t_end: float, dt: float) -> str | None:
 
 
 class _Key(enum.Enum):
-    """The value of a key that its scenario or data family does not read."""
-    UNREAD = "unread"
+    UNREAD = "unread"   # a key its scenario or data family does not read
 
 
 UNREAD = _Key.UNREAD
 
 
+def _key(default):
+    """A key some scenarios or data families read.  Unset, it holds UNREAD
+    until ``_settle`` gives it its owner's default, or else ``default``."""
+    return field(default=UNREAD, metadata={"default": default})
+
+
 class Owner(NamedTuple):
-    """A scenario or a data family: what it runs, and each key it reads."""
+    """A scenario or a data family: what it runs, and the keys it reads."""
     run: Callable       # a scenario's runner, a family's data builder
-    reads: dict         # each key it reads, with its default; no other key
+    reads: tuple        # the keys it reads; it refuses every other key
     rules: tuple = ()   # its rules beyond each key's own (_KEY_RULES)
+    defaults: dict = {}  # its own defaults, where they differ from a key's
     sweeps: tuple = ()  # data keys a scenario sets itself and does not read
 
 
-_SCALES = {"n": 3, "lam": -1.0, "amplitude_scale": 1.0, "velocity_scale": 1.0}
-_GRID = {"r_max": 40.0, "points": 8192}
+_SCALES = ("n", "lam", "amplitude_scale", "velocity_scale")
 FAMILIES = {
     "smooth_ball": Owner(
         lambda c, grid: smooth_ball_data(
             n=c.n, lam=c.lam, grid=grid, radius=c.radius, width=c.width,
             scale=c.amplitude_scale, chirp=c.chirp,
             velocity_scale=c.velocity_scale),
-        {**_SCALES, "chirp": 0.0, "radius": 1.0, "width": 0.15, **_GRID}),
+        (*_SCALES, "chirp", "radius", "width", "r_max", "points")),
     "sample": Owner(
         lambda c, grid: sample_data(
             c.kappa, c.delta, n=c.n, lam=c.lam, grid=grid,
             scale=c.amplitude_scale, velocity_scale=c.velocity_scale),
-        {**_SCALES, "kappa": 3.0, "delta": 0.25, **_GRID}),
+        (*_SCALES, "kappa", "delta", "r_max", "points")),
     "ball": Owner(
         lambda c, grid: ball_data(
             n=c.n, lam=c.lam, grid=grid, velocity_scale=c.velocity_scale,
             velocity="compatible" if c.lam < 0 and c.n >= 3 else "zero",
             density=c.amplitude_scale ** 2),
-        {**_SCALES, **_GRID}),
+        (*_SCALES, "r_max", "points")),
     "gaussian_free": Owner(
         lambda c, grid: gaussian_free_data(grid=grid, n=c.n,
                                            scale=c.amplitude_scale),
-        {"n": 3, "lam": 0.0, "amplitude_scale": 1.0, **_GRID},
+        ("n", "lam", "amplitude_scale", "r_max", "points"),
         (lambda c: c.lam != 0.0
-         and "the gaussian_free family is uncoupled (lam = 0)",)),
+         and "the gaussian_free family is uncoupled (lam = 0)",),
+        {"lam": 0.0}),
 }
 # The rules of each experiment key, in every scenario that reads it.  A rule
 # returns why a config breaks it, or a false value.
@@ -218,25 +223,26 @@ _KEY_RULES = {
 
 def _settle(config, where: str, kind: str, owners: dict) -> Owner:
     """The one pass of both config classes, however they were built: each
-    key the owner ``owners[config.<kind>]`` reads takes its default where
-    unset, any other key set is refused, and the keys it reads take the type
-    pass (``_canonicalize``), their rules and the owner's."""
-    _canonicalize(config, where, [f.name for f in dataclasses.fields(config)
-                                  if f.default is not UNREAD])
-    name = getattr(config, kind)
-    if name not in owners:
+    key the owner ``owners[config.<kind>]`` reads takes the owner's default,
+    else the key's, where unset; any other key set is refused; and the keys
+    it reads take the type pass (``_canonicalize``), their rules and the
+    owner's."""
+    fields = dataclasses.fields(config)
+    _canonicalize(config, where, [f for f in fields if f.default is not UNREAD])
+    if (name := getattr(config, kind)) not in owners:
         raise ConfigError(f"unknown {kind} {name!r}; expected one of "
                           f"{tuple(owners)}")
     owner = owners[name]
-    for f in dataclasses.fields(config):
+    for f in fields:
         value = getattr(config, f.name)
         if f.name in owner.reads:
             if value is UNREAD:
-                object.__setattr__(config, f.name, owner.reads[f.name])
+                object.__setattr__(config, f.name, owner.defaults.get(
+                    f.name, f.metadata["default"]))
         elif f.default is UNREAD and value is not UNREAD:
             raise ConfigError(f"{kind} {name!r} does not read {where} key "
                               f"{f.name!r}: {value!r}")
-    _canonicalize(config, where, owner.reads)
+    _canonicalize(config, where, [f for f in fields if f.name in owner.reads])
     for rule in [*(_KEY_RULES[k] for k in owner.reads if k in _KEY_RULES),
                  *owner.rules]:
         if why := rule(config):
@@ -247,19 +253,19 @@ def _settle(config, where: str, kind: str, owners: dict) -> Owner:
 @dataclass(frozen=True)
 class DataConfig:
     """Initial data of a family (``FAMILIES``); each key the family reads
-    takes the family's default where unset."""
+    takes the family's default, else the key's, where unset."""
     family: str = "smooth_ball"
-    n: int = UNREAD
-    lam: float = UNREAD
-    amplitude_scale: float = UNREAD
-    velocity_scale: float = UNREAD
-    chirp: float = UNREAD
-    kappa: float = UNREAD
-    delta: float = UNREAD
-    radius: float = UNREAD
-    width: float = UNREAD
-    r_max: float = UNREAD
-    points: int = UNREAD
+    n: int = _key(3)
+    lam: float = _key(-1.0)
+    amplitude_scale: float = _key(1.0)
+    velocity_scale: float = _key(1.0)
+    chirp: float = _key(0.0)
+    kappa: float = _key(3.0)
+    delta: float = _key(0.25)
+    radius: float = _key(1.0)
+    width: float = _key(0.15)
+    r_max: float = _key(40.0)
+    points: int = _key(8192)
 
     def __post_init__(self):
         _settle(self, "data", "family", FAMILIES)
@@ -268,30 +274,31 @@ class DataConfig:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One run of a scenario (``SCENARIOS``); each key the scenario reads
-    takes the scenario's default where unset."""
+    takes the scenario's default, else the key's, where unset."""
     scenario: str
     data: DataConfig = field(default_factory=DataConfig)
-    eps_ladder: tuple = UNREAD
-    t_end: float = UNREAD
-    dt: float | None = UNREAD
-    solver_points: int = UNREAD
-    corrector_points: int = UNREAD
-    ppw: int = UNREAD
-    times: tuple = UNREAD
-    labels: tuple = UNREAD
-    velocity_scales: tuple = UNREAD
-    amplitude_scales: tuple = UNREAD
-    t_tail: tuple = UNREAD
-    norm_p: float = UNREAD
+    eps_ladder: tuple = _key((0.125, 0.0625, 0.03125, 0.015625))
+    t_end: float = _key(0.5)
+    dt: float | None = _key(None)
+    solver_points: int = _key(8191)
+    corrector_points: int = _key(2049)
+    ppw: int = _key(16)
+    times: tuple = _key((0.5, 1.0, 5.0))
+    labels: tuple = _key((0.5, 1.0, 2.0))
+    velocity_scales: tuple = _key((0.9, 1.0, 1.1))
+    amplitude_scales: tuple = _key((0.1, 1.0, 10.0))
+    t_tail: tuple = _key((100.0, 10000.0, 13))
+    norm_p: float = _key(8.0)
     out_dir: str | None = None
 
     def __post_init__(self):
-        owner = _settle(self, "config", "scenario", SCENARIOS)
-        family = FAMILIES[self.data.family].reads
-        for key in owner.sweeps:
-            if key not in family or getattr(self.data, key) != family[key]:
-                raise ConfigError(f"{self.scenario} sweeps data key {key!r}: "
-                                  f"leave it unset, in a family that reads it")
+        swept = _settle(self, "config", "scenario", SCENARIOS).sweeps
+        # a swept key is refused set away from its family's default
+        unset = dict.fromkeys(swept, UNREAD)
+        if not set(swept) <= set(FAMILIES[self.data.family].reads) or (
+                dataclasses.replace(self.data, **unset) != self.data):
+            raise ConfigError(f"{self.scenario} sweeps data keys {swept}: "
+                              f"leave them unset, in a family that reads them")
 
     @classmethod
     def from_json(cls, payload: dict, scenario: str | None = None
@@ -299,11 +306,12 @@ class ExperimentConfig:
         if not isinstance(payload, dict):
             raise ConfigError("configuration must be a JSON object")
         payload = dict(payload)
-        named = payload.pop("scenario", scenario)
-        if scenario is not None and named != scenario:
+        named = payload.pop("scenario", None)
+        scenario = named if scenario is None else scenario
+        if named not in (None, scenario):
             raise ConfigError(f"config names scenario {named!r} but "
                               f"{scenario!r} was requested")
-        if named is None:
+        if scenario is None:
             raise ConfigError("no scenario given")
         data_payload = payload.pop("data", {})
         if not isinstance(data_payload, dict):
@@ -314,13 +322,8 @@ class ExperimentConfig:
             names = {f.name for f in dataclasses.fields(known)}
             if extra := set(keys) - names:
                 raise ConfigError(f"unknown keys in {where}: {sorted(extra)}")
-        config = cls(scenario=named, data=DataConfig(**data_payload),
-                     **payload)
-        # a swept key is refused when named, at its default too
-        if swept := set(data_payload) & set(SCENARIOS[named].sweeps):
-            raise ConfigError(f"{named} sweeps data key {swept.pop()!r}: "
-                              f"leave it unset")
-        return config
+        return cls(scenario=scenario, data=DataConfig(**data_payload),
+                   **payload)
 
     def hash(self) -> str:
         """Digest of the scenario, the data family and the keys they read;
@@ -794,36 +797,33 @@ def schrodinger_run(config: ExperimentConfig) -> dict:
 
 
 # Each scenario: its runner, the experiment keys it reads, and its own rules
-_STRANG = {"t_end": 0.5, "dt": None, "solver_points": 8191, "ppw": 16}
+_STRANG = ("eps_ladder", "t_end", "dt", "solver_points", "ppw")
 SCENARIOS = {
     "classify": Owner(
-        classify_sweep, {"amplitude_scales": (0.1, 1.0, 10.0),
-                         "velocity_scales": (0.9, 1.0, 1.1)},
+        classify_sweep, ("amplitude_scales", "velocity_scales"),
         (lambda c: not (c.amplitude_scales and c.velocity_scales)
          and "classify needs at least one amplitude and one velocity scale",),
-        ("amplitude_scale", "velocity_scale")),
+        sweeps=("amplitude_scale", "velocity_scale")),
     "evolve-ep": Owner(
-        evolve_ep, {"labels": (0.5, 1.0, 2.0), "times": (0.5, 1.0, 5.0),
-                    "t_end": 0.5},
+        evolve_ep, ("labels", "times", "t_end"),
         (lambda c: _name_clash(c.labels, "labels")
          or _name_clash(c.times, "times"),)),
     "wkb-eval": Owner(
-        wkb_eval, {"times": (0.5, 1.0, 5.0), "corrector_points": 2049},
+        wkb_eval, ("times", "corrector_points"),
         (lambda c: not c.times and "wkb-eval needs at least one time",)),
     # one eps, observed at 0, at t_end and at its times, none past t_end
     "schrodinger-run": Owner(
-        schrodinger_run, {"eps_ladder": (0.125,), **_STRANG, "times": ()},
+        schrodinger_run, (*_STRANG, "times"),
         (lambda c: len(c.eps_ladder) > 1
          and "schrodinger-run marches one eps: give eps_ladder one entry",
          lambda c: max(c.times, default=0.0) > c.t_end
-         and f"times {c.times} pass t_end = {c.t_end}")),
+         and f"times {c.times} pass t_end = {c.t_end}"),
+        {"eps_ladder": (0.125,), "times": ()}),
     "converge": Owner(
-        converge, {"eps_ladder": (0.125, 0.0625, 0.03125, 0.015625),
-                   **_STRANG, "corrector_points": 2049},
+        converge, (*_STRANG, "corrector_points"),
         (lambda c: len(c.eps_ladder) < 3
          and "converge needs at least 3 ladder values",)),
-    "decay-study": Owner(
-        decay_study, {"t_tail": (100.0, 10000.0, 13), "norm_p": 8.0}),
+    "decay-study": Owner(decay_study, ("t_tail", "norm_p")),
 }
 
 

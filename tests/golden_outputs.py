@@ -8,8 +8,9 @@ The first form runs every ``configs/<scenario>.json`` in-process and stores
 what it wrote; the second reads outputs the CLI wrote with
 ``semiwkb <scenario> --config configs/<scenario>.json --out DIR/<scenario>``
 and exits 1, listing every field that moved, when they differ.  Strings and
-ints compare exactly, floats to a relative ``RTOL``.  Wall times
-(``converge/timing.json``) are left out.
+ints compare exactly, floats to a relative ``RTOL`` (``moves``).  Wall times
+(``converge/timing.json``) and ``data_hash``, a digest of the raw float
+bytes of the initial data, are left out.
 """
 
 import csv
@@ -27,8 +28,18 @@ CONFIGS = os.path.join(HERE, os.pardir, "configs")
 GOLDEN = os.path.join(HERE, "golden")
 COMMITTED = sorted(os.path.basename(p)[:-5]
                    for p in glob.glob(os.path.join(CONFIGS, "*.json")))
-# below the 6e-11 round-off moves a reordered sum leaves in converge errors
-RTOL = 1e-11
+# A float moves when |a - b| > RTOL max(|a|, |b|, floor), with floor 1 for
+# the FLOORED fields and 0 for the rest.  The FLOORED fields are fractions,
+# error estimates, mass past the boundary and fitted slopes: they sit near 0,
+# where a relative bound would hold round-off to the bit.  Measured by
+# rerunning the six configs with every numpy exp, sin, cos, tanh, log and
+# sqrt result moved by -1, 0 or +1 ulp at random (six seeds), a model of
+# libm and SIMD differences between builds: the largest move so scaled is
+# 2.0e-11 (decay-study grad_a0_l2), against 0.42 relative for boundary_mass,
+# 2.3e-5 for spectral_tail and 8.8e-11 for split_error unfloored.
+RTOL = 1e-10
+FLOORED = {"boundary_mass", "corrector_time_error", "exponent",
+           "spectral_tail", "split_error", "split_ratio", "stderr"}
 TRAJECTORY_STRIDE = 25      # every 25th of the 201 samples: t = 0, 0.25, ...
 
 
@@ -63,6 +74,7 @@ def _converge(out):
 
 def _schrodinger_run(out):
     header = _json(os.path.join(out, "header.json"))
+    header.pop("data_hash")
     with open(os.path.join(out, "observables.jsonl")) as f:
         observables = [json.loads(line) for line in f]
     return header.pop("config_hash"), {"header": header,
@@ -139,7 +151,8 @@ def _leaves(x, path=""):
 
 def moves(expected: dict, got: dict) -> list:
     """Every field of ``got`` that differs from ``expected``, one line each:
-    floats past RTOL (relative), anything else on any change."""
+    floats past RTOL of the larger of the two and the field's floor
+    (``FLOORED``), anything else on any change."""
     want, have = dict(_leaves(expected)), dict(_leaves(got))
     lines = [f"{k}: missing (golden {want[k]!r})" for k in want
              if k not in have]
@@ -148,7 +161,8 @@ def moves(expected: dict, got: dict) -> list:
     for k in want.keys() & have.keys():
         a, b = want[k], have[k]
         if isinstance(a, float) and isinstance(b, float):
-            scale = max(abs(a), abs(b))
+            floor = 1.0 if k.rsplit(".", 1)[-1] in FLOORED else 0.0
+            scale = max(abs(a), abs(b), floor)
             if abs(a - b) > RTOL * scale:
                 lines.append(f"{k}: {a!r} -> {b!r} "
                              f"(relative {abs(a - b) / scale:.2e})")

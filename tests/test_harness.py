@@ -85,6 +85,9 @@ def test_config_scenario_gate():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_json({"scenario": "converge"},
                                    scenario="classify")
+    # a JSON null names no scenario, and the requested one runs
+    assert ExperimentConfig.from_json({"scenario": None},
+                                      scenario="converge").scenario == "converge"
 
 
 def test_on_disk_format_pinned():
@@ -407,13 +410,14 @@ def test_each_scenario_and_family_reads_its_own_keys(scenario):
         assert via_json().hash() == base
         for key in _keys(DataConfig):
             if key in owner.sweeps:
-                # refused set away from its default; from JSON, named at all
-                why = f"sweeps data key '{key}'"
-                with pytest.raises(ConfigError, match=why):
-                    python(**{key: OTHER[key]})
-                for value in (OTHER[key], reads[key]):
-                    with pytest.raises(ConfigError, match=why):
-                        via_json(**{key: value})
+                # refused set away from its default, on both paths alike
+                default = {f.name: f for f in dataclasses.fields(
+                    DataConfig)}[key].metadata["default"]
+                for build in (python, via_json):
+                    with pytest.raises(ConfigError,
+                                       match=f"sweeps data keys .*'{key}'"):
+                        build(**{key: OTHER[key]})
+                    assert build(**{key: default}).hash() == base
             elif key in reads:
                 if (family, key) != ("gaussian_free", "lam"):   # fixed at 0
                     assert python(**{key: OTHER[key]}).hash() != base
