@@ -17,9 +17,6 @@ from operator import mul
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .errors import (ContractError, ConvergenceError, ParameterError,
                      ResolutionError, UnsupportedConfigurationError)
@@ -413,6 +410,7 @@ def _dormand_prince(rhs, y0, t_end, rtol, atol, events, t_eval):
         active = [i for i in n_events if g[i] >= 0 >= g_new[i]]
         g = g_new
         if active:
+            from scipy.optimize import brentq  # loaded at first use
             dense = _dense_output(t_old, h, y_old, K)
             hit = min((brentq(lambda s, ev=events[i]: ev(s, dense(s)),
                               t_old, t, xtol=_ROOT_TOL, rtol=_ROOT_TOL), i)
@@ -441,7 +439,7 @@ def _label_rates(data: InitialData, R: float) -> tuple:
     The force reads m0 and rho0 from their splines, except on compatible
     data, where it takes m0 and its R-derivative from the velocity."""
     n, lam = data.n, data.lam
-    v, vp = float(data.v0_at(R)[0]), float(data.v0_prime_at(R)[0])
+    v, vp = (float(f[0]) for f in data.v0_and_slope_at(R))
     if data.compatible:
         # the force of the data's own velocity, m0 = (n-2) R^(n-2) v0^2/(2|lam|),
         # so the closed-form flow solves this ODE exactly
@@ -522,13 +520,16 @@ def _psi_quotient(u: float, n: int) -> float:
         if u == 1.0:
             return 1.0
         return math.inf if u == 0.0 else -math.log(u) / (1.0 - u)
-    d = abs(n - 2)
-    return sum(u ** j for j in range(d)) / d
+    d, q = abs(n - 2), 1.0
+    for j in range(1, d):   # u^0 + u^1 + ..., added left to right
+        q += u ** j
+    return q / d
 
 
 def _qaws(f, lo, hi, alpha, beta):
     """int_lo^hi (u - lo)^alpha (hi - u)^beta f(u) du by QUADPACK's QAWS to
     ``QUAD_RTOL``; ConvergenceError if it does not get there."""
+    from scipy.integrate import quad  # loaded at first use
     out = quad(f, lo, hi, weight="alg", wvar=(alpha, beta), epsabs=0.0,
                epsrel=QUAD_RTOL, full_output=1)
     if len(out) > 3:
@@ -669,6 +670,7 @@ def invert_flow_map(data: InitialData, t: float,
                             "static data")
     if t < 0:
         raise ParameterError("time must be nonnegative")
+    from scipy.interpolate import PchipInterpolator  # loaded at first use
     radii = np.asarray(radii, dtype=float)
     labels = data.grid.nodes
     table = LabelFlow(data.n, labels, *data.node_rates).at(t)
@@ -725,6 +727,7 @@ def eulerian_fields(data: InitialData, t: float,
 
     if free:
         # invert r = R + v0(R) t by monotone interpolation (no Newton polish)
+        from scipy.interpolate import PchipInterpolator  # loaded at first use
         Xs = labels + v0 * t
         if np.any(np.diff(Xs) <= 0):
             raise ContractError("free-streaming map is not invertible (B <= 0)")

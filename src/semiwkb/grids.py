@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PPoly
 from scipy.linalg import solve_banded
 
 from .errors import DomainError, ParameterError
@@ -18,7 +17,7 @@ __all__ = [
     "derivative_uniform",
     "over_r",
     "cumulative_radial",
-    "not_a_knot_spline",
+    "not_a_knot_spline", "UniformCubic",
     "LANDING_TOL", "sample_times", "time_mesh", "whole_steps", "reaches",
 ]
 
@@ -210,21 +209,57 @@ def cumulative_radial(y: np.ndarray, r: np.ndarray) -> np.ndarray:
 # interpolation
 # ---------------------------------------------------------------------------
 
-def not_a_knot_spline(x: np.ndarray, y: np.ndarray) -> PPoly:
+class UniformCubic:
+    """The piecewise cubic with the coefficients c[k, i] of (at - x_i)^(3-k)
+    on the cells of uniform breakpoints x, evaluated as ``PPoly(c, x)`` does,
+    to the bit: cell i, found from the spacing to within one, holds x_i <= at
+    < x_{i+1} (the last closed, the end cells extended); PPoly's sum order."""
+
+    __slots__ = ("c", "x", "_per_dx")
+
+    def __init__(self, c, x):
+        self.c, self.x = c, x
+        self._per_dx = (len(x) - 1) / (x[-1] - x[0])
+
+    def __call__(self, at, nu: int = 0):
+        return self.derivatives(at, (nu,))[0]
+
+    def derivatives(self, at, nus=(0, 1)):
+        """The nu-th derivative for each nu of nus, with one cell lookup."""
+        at, x, last = np.asarray(at, dtype=float), self.x, len(self.x) - 2
+        i = np.minimum(np.maximum((at - x[0]) * self._per_dx, 0.0),
+                       last).astype(np.intp)
+        i = np.maximum(i - (at < x[i]), 0)
+        i = np.minimum(i + (at >= x[i + 1]), last)
+        c = self.c.take(i, axis=1)
+        s = (at - x[i]).reshape(at.shape + (1,) * (self.c.ndim - 2))
+        return [_cubic_sum(c, s, nu) for nu in nus]
+
+
+def _cubic_sum(c, s, nu):   # PPoly's sums, from its start value 0.0
+    if nu == 0:
+        return ((c[3] + 0.0) + c[2] * s) + c[1] * (s * s) + c[0] * ((s * s) * s)
+    if nu == 1:
+        return ((c[2] + 0.0) + c[1] * s * 2.0) + c[0] * (s * s) * 3.0
+    raise ParameterError(f"a cubic evaluates nu = 0 or 1, not {nu}")
+
+
+def not_a_knot_spline(x: np.ndarray, y: np.ndarray) -> UniformCubic:
     """The cubic spline through (x, y) with not-a-knot ends (de Boor, A
     Practical Guide to Splines, 1978), on columns of y along axis 0.
 
-    For a strictly increasing float x of n >= 4 nodes and finite float y,
-    the arithmetic is ``scipy.interpolate.CubicSpline(x, y)``'s, so the
-    coefficients are its to the bit: the same banded system for the slopes
-    s, the same solve and the same Hermite coefficients.  Its input
-    validation and ``PPoly`` checks are skipped, since profiles hold
-    validated samples.
+    For uniform increasing float x (others are refused) of n >= 4 nodes and
+    finite float y, the arithmetic is ``scipy.interpolate.CubicSpline(x,
+    y)``'s, so the coefficients are its to the bit: the same banded system
+    for the slopes s, the same solve and the same Hermite coefficients.  Its
+    input validation is skipped, since profiles hold validated samples.
     """
     n = len(x)
     if n < 4:
         raise ParameterError(f"a not-a-knot spline needs 4 nodes, got {n}")
     dx = np.diff(x)
+    if not dx[0] > 0 or np.ptp(dx) > 1e-9 * dx[0]:
+        raise ParameterError("a not-a-knot spline needs uniform increasing x")
     dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
     slope = np.diff(y, axis=0) / dxr
     A = np.zeros((3, n))
@@ -244,7 +279,7 @@ def not_a_knot_spline(x: np.ndarray, y: np.ndarray) -> PPoly:
                      overwrite_b=True, check_finite=False).reshape(y.shape)
     t = (s[:-1] + s[1:] - 2 * slope) / dxr
     c = np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
-    return PPoly.construct_fast(c, x)
+    return UniformCubic(c, x)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +379,7 @@ class RadialProfile:
     def with_values(self, values) -> "RadialProfile":
         return RadialProfile(self.grid, values)
 
-    def _interpolator(self) -> PPoly:
+    def _interpolator(self) -> UniformCubic:
         """One real spline, on the (re, im) columns for a complex profile."""
         if self._spline is None:
             values = self.values
@@ -355,13 +390,18 @@ class RadialProfile:
         return self._spline
 
     def __call__(self, radii, nu: int = 0):
+        return self.spline_derivatives(radii, (nu,))[0]
+
+    def spline_derivatives(self, radii, nus=(0, 1)):
+        """The nu-th derivative for each nu of nus, with one cell lookup."""
         radii = np.asarray(radii, dtype=float)
         r = self.grid.nodes
         if (radii < r[0] - 1e-12).any() or (radii > r[-1] + 1e-12).any():
             raise ParameterError("interpolation outside the profile grid")
-        out = self._interpolator()(np.clip(radii, r[0], r[-1]), nu)
+        out = self._interpolator().derivatives(np.clip(radii, r[0], r[-1]),
+                                               nus)
         if self.is_complex:
-            return out[..., 0] + 1j * out[..., 1]
+            return [f[..., 0] + 1j * f[..., 1] for f in out]
         return out
 
     def derivative(self, order: int = 1, left_parity: str | None = None) -> np.ndarray:

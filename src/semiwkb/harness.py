@@ -9,6 +9,7 @@ import math
 import os
 import time
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -162,6 +163,7 @@ class Owner(NamedTuple):
     rules: tuple = ()   # its rules beyond each key's own (_KEY_RULES)
     defaults: dict = {}  # its own defaults, where they differ from a key's
     sweeps: tuple = ()  # data keys a scenario sets itself and does not read
+    summary: Callable = None  # a scenario's one-line report of its result
 
 
 _SCALES = ("n", "lam", "amplitude_scale", "velocity_scale")
@@ -796,21 +798,32 @@ def schrodinger_run(config: ExperimentConfig) -> dict:
             "truncation_warnings": res.truncation_warnings}
 
 
-# Each scenario: its runner, the experiment keys it reads, and its own rules
+def _schrodinger_summary(r: dict) -> str:
+    last, header = r["observables"][-1], r["header"]
+    return (f"t={last['t']:g} mass={last['mass']:.9f} energy="
+            f"{last['energy']:.9f} dt={header['dt']:g} split_ratio="
+            f"{header['split_ratio']:.2e} spectral_tail="
+            f"{header['spectral_tail']:.2e} points={header['grid']['points']}")
+
+
+# Each scenario: its runner, the keys it reads, its own rules, its CLI summary
 _STRANG = ("eps_ladder", "t_end", "dt", "solver_points", "ppw")
 SCENARIOS = {
     "classify": Owner(
         classify_sweep, ("amplitude_scales", "velocity_scales"),
         (lambda c: not (c.amplitude_scales and c.velocity_scales)
          and "classify needs at least one amplitude and one velocity scale",),
-        sweeps=("amplitude_scale", "velocity_scale")),
+        sweeps=("amplitude_scale", "velocity_scale"),
+        summary=lambda rows: str(dict(Counter(r["kind"] for r in rows)))),
     "evolve-ep": Owner(
         evolve_ep, ("labels", "times", "t_end"),
         (lambda c: _name_clash(c.labels, "labels")
-         or _name_clash(c.times, "times"),)),
+         or _name_clash(c.times, "times"),),
+        summary=lambda r: f"verdict={r['verdict']['kind']}"),
     "wkb-eval": Owner(
         wkb_eval, ("times", "corrector_points"),
-        (lambda c: not c.times and "wkb-eval needs at least one time",)),
+        (lambda c: not c.times and "wkb-eval needs at least one time",),
+        summary=lambda rows: f"evaluated {len(rows)} snapshots"),
     # one eps, observed at 0, at t_end and at its times, none past t_end
     "schrodinger-run": Owner(
         schrodinger_run, (*_STRANG, "times"),
@@ -818,12 +831,21 @@ SCENARIOS = {
          and "schrodinger-run marches one eps: give eps_ladder one entry",
          lambda c: max(c.times, default=0.0) > c.t_end
          and f"times {c.times} pass t_end = {c.t_end}"),
-        {"eps_ladder": (0.125,), "times": ()}),
+        {"eps_ladder": (0.125,), "times": ()}, summary=_schrodinger_summary),
     "converge": Owner(
         converge, (*_STRANG, "corrector_points"),
         (lambda c: len(c.eps_ladder) < 3
-         and "converge needs at least 3 ladder values",)),
-    "decay-study": Owner(decay_study, ("t_tail", "norm_p")),
+         and "converge needs at least 3 ladder values",),
+        summary=lambda r: (
+            f"order_modulus={r.fitted_order_modulus:.3f} "
+            f"order_full={r.fitted_order_full:.3f} excluded={r.excluded_eps} "
+            f"points={[row['points'] for row in r.rows]} "
+            f"spectral_tail={r.spectral_tail:.2e} "
+            f"split_ratio={r.split_ratio:.2e}")),
+    "decay-study": Owner(
+        decay_study, ("t_tail", "norm_p"),
+        summary=lambda r: "exponents=" + str(
+            {k: round(v["exponent"], 4) for k, v in r["fits"].items()})),
 }
 
 

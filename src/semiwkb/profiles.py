@@ -273,15 +273,21 @@ class InitialData:
             R, "v0_prime", lambda x: np.real(self.velocity(x, 1)),
             (lambda x: c * (1.0 - n / 2.0) * x ** (-n / 2.0)) if c else None)
 
+    def v0_and_slope_at(self, R):
+        """``(v0_at(R), v0_prime_at(R))``, one spline lookup on the grid."""
+        R = np.atleast_1d(np.asarray(R, dtype=float))
+        if self.exact is not None or not (R <= self.r_max).all():
+            return self.v0_at(R), self.v0_prime_at(R)
+        return [np.real(f) for f in self.velocity.spline_derivatives(R)]
+
     def rates_at(self, R):
         """(v0, F, G) at the labels R: the expansion rate F = n v0/(2R) and
         compression rate G = v0' + (n-2) v0/(2R) of the compatible flow, with
-        v0' from ``v0_prime_at``, so B is exactly dX/dR.  At R = 0 both take
-        their limit sqrt(n |lam| rho0(0)/(2(n-2))).
+        v0' from ``v0_and_slope_at``, so B is exactly dX/dR.  At R = 0 both
+        take their limit sqrt(n |lam| rho0(0)/(2(n-2))).
         """
         R = np.atleast_1d(np.asarray(R, dtype=float))
-        n, v = self.n, self.v0_at(R)
-        G = self.v0_prime_at(R)
+        n, (v, G) = self.n, self.v0_and_slope_at(R)
         pos = R > 0
         F = np.empty_like(R)
         F[pos] = n * v[pos] / (2.0 * R[pos])

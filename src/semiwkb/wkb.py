@@ -29,7 +29,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, ParameterError, StepRejectionError
 from .euler_poisson import invert_flow_map, label_flow
@@ -178,6 +177,7 @@ def _I_kernel(n: int, t: float, F: np.ndarray, G: np.ndarray) -> np.ndarray:
 
 def _potential_tail(data: InitialData, t: float) -> float:
     """integral_{r_max}^inf (v0^2/r) I(t,r) dr over the vacuum continuation."""
+    from scipy.integrate import quad  # loaded at first use
     c = data.tail_coeff
     if c == 0.0:
         return 0.0

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import warnings
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq
 
 import semiwkb.euler_poisson as ep
 from semiwkb import (ContractError, ConvergenceError, ParameterError,
@@ -247,9 +250,9 @@ def _reference_dormand_prince(rhs, y0, t_end, rtol, atol, events, t_eval):
         g = g_new
         if active:
             dense = ep._dense_output(t_old, h, y_old, K)
-            hit = min((ep.brentq(lambda s, ev=events[i]: ev(s, dense(s)),
-                                 t_old, t, xtol=ep._ROOT_TOL,
-                                 rtol=ep._ROOT_TOL), i)
+            hit = min((brentq(lambda s, ev=events[i]: ev(s, dense(s)),
+                              t_old, t, xtol=ep._ROOT_TOL,
+                              rtol=ep._ROOT_TOL), i)
                       for i in active)
             t, y = hit[0], dense(hit[0])
         if t_eval is None:
@@ -700,6 +703,20 @@ def test_blowup_time_finds_a_shell_crossing_just_before_the_collapse():
     ref = integrate_characteristics(d, R, 100.0, tol=1e-12)
     assert ref.event_mechanism == DEFORMATION_VANISHES
     assert abs(t_c - ref.event_time) <= 1e-9 * t_c
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=st.floats(min_value=0.0, max_value=1.0),
+       n=st.sampled_from([1, 3, 4, 5, 6, 7, 8]))
+@example(u=0.0, n=5)
+@example(u=1.0, n=8)
+def test_psi_quotient_is_the_generator_sum(u, n):
+    # the generator sum the loop replaced, its floats added left to right
+    # from the start 0 as sum() adds them (up to Python 3.11): the same bits.
+    # The log case n = 2 is no sum and did not change.
+    d = abs(n - 2)
+    reference = reduce(add, (u ** j for j in range(d)), 0) / d
+    assert ep._psi_quotient(u, n) == reference
 
 
 def test_blowup_time_none_past_t_max(ball_zero_velocity):

@@ -129,6 +129,8 @@ def test_complex_profile_interpolates_like_a_spline_pair():
     got = p(x)
     assert got.dtype == complex
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    value, slope = p.spline_derivatives(x)
+    assert _exact(value) == _exact(got) and _exact(slope) == _exact(p(x, 1))
 
 
 def _exact(a):
@@ -144,15 +146,34 @@ def _exact(a):
 def test_not_a_knot_spline_is_scipys(points, r_max, include_origin, columns,
                                      seed):
     # scipy's CubicSpline is the oracle: the same coefficients, values and
-    # slopes to the bit, off the nodes, on them and at both ends
+    # slopes to the bit, off the nodes, on them, on their floating-point
+    # neighbours (where the cell rule decides the bits), at and past both
+    # ends, on 0-d and one-element queries, and from the shared lookup
     x = RadialGrid(r_max, points, include_origin).nodes
     rng = np.random.default_rng(seed)
     y = rng.normal(size=points if columns is None else (points, columns))
     ours, ref = not_a_knot_spline(x, y), CubicSpline(x, y)
     assert _exact(ours.c) == _exact(ref.c)
-    at = np.concatenate([rng.uniform(x[0], x[-1], 64), x, x[[0, -1]]])
-    for nu in (0, 1):
-        assert _exact(ours(at, nu)) == _exact(ref(at, nu))
+    h = x[1] - x[0]
+    at = np.concatenate([rng.uniform(x[0], x[-1], 64), x,
+                         np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+                         [x[0] - 0.5 * h, x[-1] + 0.5 * h]])
+    one = rng.integers(len(at))
+    for q in (at, at[one:one + 1], at[one]):
+        for nu in (0, 1):
+            assert _exact(np.asarray(ours(q, nu))) == _exact(ref(q, nu))
+        shared = ours.derivatives(q)
+        assert [_exact(np.asarray(f)) for f in shared] == [
+            _exact(ref(q, nu)) for nu in (0, 1)]
+
+
+def test_not_a_knot_spline_needs_uniform_breakpoints():
+    x = np.linspace(0.0, 1.0, 16)
+    nudged = x.copy()
+    nudged[7] += 1e-6
+    for bad in (x ** 2, x[::-1], nudged):
+        with pytest.raises(ParameterError, match="uniform"):
+            not_a_knot_spline(bad, np.zeros(16))
 
 
 @pytest.mark.parametrize("points", [1, 2, 3])

@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from semiwkb.cli import main as cli_main
 from semiwkb.errors import ParameterError
 from semiwkb.grids import LANDING_TOL, time_mesh
 from semiwkb.harness import (FAMILIES, SCENARIOS, SPLIT_TOL, TAIL_TOL, UNREAD,
+                             ConvergenceReport,
                              _weighted_l2, build_data, classify_sweep,
                              converge, decay_study, evolve_ep, rung_points,
                              rung_step, schrodinger_run, split_march,
@@ -608,13 +610,17 @@ def test_converge_takes_max_v0_once(monkeypatch, tmp_path):
     # twice per call: once for max|v0| (every required_points call shares
     # it) and once for the corrector's node rates
     callers = collections.Counter()
-    v0_at = InitialData.v0_at
 
-    def spy(self, R):
-        if np.size(R) == self.grid.points:
-            callers[sys._getframe(1).f_code.co_name] += 1
-        return v0_at(self, R)
-    monkeypatch.setattr(InitialData, "v0_at", spy)
+    def spy(name):
+        method = getattr(InitialData, name)
+
+        def counted(self, R):
+            if np.size(R) == self.grid.points:
+                callers[sys._getframe(1).f_code.co_name] += 1
+            return method(self, R)
+        monkeypatch.setattr(InitialData, name, counted)
+    spy("v0_at")
+    spy("v0_and_slope_at")     # rates_at's one lookup of v0 and v0'
     cfg = ExperimentConfig(scenario="converge",
                            data=DataConfig(chirp=1.0, points=8192),
                            eps_ladder=(1 / 8, 1 / 16, 1 / 32, 1 / 64),
@@ -802,6 +808,41 @@ def test_cli_converge_summary_prints_the_split_ratio(tmp_path, capsys):
     assert 0.0 < tail <= TAIL_TOL
 
 
+def test_each_scenario_owns_its_summary_line():
+    # the CLI prints "<scenario>: " and the owner's summary of the result;
+    # on fixed results each line is the one the CLI printed when it held a
+    # branch per scenario name
+    assert all(callable(o.summary) for o in SCENARIOS.values())
+    assert all(o.summary is None for o in FAMILIES.values())
+    report = ConvergenceReport(
+        rows=[{"points": 624}, {"points": 1214}], fitted_order_modulus=1.04,
+        fitted_order_full=0.996, excluded_eps=[0.125], config_hash="0",
+        split_ratio=4.27e-3, spectral_tail=1.2e-7)
+    wave = {"observables": [{"t": 0.0}, {"t": 0.5, "mass": 4.689214734,
+                                         "energy": 0.062074214}],
+            "header": {"dt": 0.0125, "split_ratio": 2.06e-3,
+                       "spectral_tail": 6.77e-10, "grid": {"points": 2429}}}
+    lines = {
+        "converge": (report, "order_modulus=1.040 order_full=0.996 "
+                     "excluded=[0.125] points=[624, 1214] "
+                     "spectral_tail=1.20e-07 split_ratio=4.27e-03"),
+        "classify": ([{"kind": "Global"}, {"kind": "FiniteTimeBlowup"},
+                      {"kind": "Global"}],
+                     "{'Global': 2, 'FiniteTimeBlowup': 1}"),
+        "decay-study": ({"fits": {"sup_v": {"exponent": -0.33221},
+                                  "l2_a0": {"exponent": 0.0}}},
+                        "exponents={'sup_v': -0.3322, 'l2_a0': 0.0}"),
+        "evolve-ep": ({"verdict": {"kind": "Global"}}, "verdict=Global"),
+        "wkb-eval": ([{}, {}, {}], "evaluated 3 snapshots"),
+        "schrodinger-run": (wave, "t=0.5 mass=4.689214734 energy=0.062074214 "
+                            "dt=0.0125 split_ratio=2.06e-03 "
+                            "spectral_tail=6.77e-10 points=2429"),
+    }
+    assert set(lines) == set(SCENARIOS)
+    for name, (result, line) in lines.items():
+        assert SCENARIOS[name].summary(result) == line
+
+
 def test_converge_deterministic(tmp_path, conv_report):
     cfg0, report0, out0 = conv_report
     outb = tmp_path / "b"
@@ -892,9 +933,10 @@ def test_decay_study_pulls_back_a0_alone(monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
-    for name in ("_potential_term_nodes", "hartree_potential", "quad",
+    for name in ("_potential_term_nodes", "hartree_potential",
                  "invert_flow_map"):
         spy(wkb, name)
+    spy(scipy.integrate, "quad")    # the phase tail imports it where it calls it
     report = decay_study(cfg)
     assert calls == {"invert_flow_map": cfg.t_tail[2]}
     monkeypatch.undo()

@@ -1,7 +1,10 @@
 """Module boundaries of the package, read from its source."""
 
 import ast
+import json
 import os
+import subprocess
+import sys
 
 import semiwkb
 
@@ -87,3 +90,45 @@ def test_private_crossings_are_seen(tmp_path):
         "        return self._mine, data.__class__, data._mine\n")
     assert private_crossings(str(src)) == ["1: import _hidden",
                                            "5: ._theirs"]
+
+
+_AT_FIRST_USE = ("scipy.integrate", "scipy.interpolate", "scipy.optimize")
+_IMPORT_GUARD = """
+import json, sys
+from semiwkb import DataConfig, ExperimentConfig
+from semiwkb.harness import run_scenario
+
+def loaded():
+    return sorted(m for m in {lazy!r} if m in sys.modules)
+
+stages = {{"import": loaded()}}
+data = DataConfig(chirp=1.0, points=1024)
+run_scenario(ExperimentConfig(scenario="schrodinger-run", data=data,
+                              t_end=0.02, solver_points=1024, times=(0.01,)))
+stages["schrodinger-run"] = loaded()
+run_scenario(ExperimentConfig(scenario="converge", data=data,
+                              eps_ladder=(0.25, 0.125, 0.0625), t_end=0.25,
+                              solver_points=2048, corrector_points=513))
+stages["converge"] = loaded()
+run_scenario(ExperimentConfig(scenario="classify",
+                              data=DataConfig(points=1024, r_max=30.0),
+                              amplitude_scales=(1.0,),
+                              velocity_scales=(0.9, 1.0)))
+stages["classify"] = loaded()
+print(json.dumps(stages))
+"""
+
+
+def test_wave_solver_starts_without_the_scipy_it_does_not_use():
+    # a fresh interpreter: importing the package and a whole schrodinger-run
+    # load no scipy.integrate, .interpolate or .optimize; the flow map and
+    # the classifier load them at first use
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(PACKAGE_DIR), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD.format(lazy=_AT_FIRST_USE)],
+        env=env, capture_output=True, text=True, check=True).stdout
+    stages = json.loads(out.splitlines()[-1])
+    assert stages["import"] == stages["schrodinger-run"] == []
+    assert "scipy.interpolate" in stages["converge"]
+    assert stages["classify"] == list(_AT_FIRST_USE)
