@@ -15,8 +15,7 @@ from .euler_poisson import (CharacteristicTrajectory, Verdict, blowup_time,
                             explicit_characteristics,
                             integrate_characteristics)
 from .wkb import (CorrectorSeries, WkbFields, first_corrector,
-                  leading_amplitude, leading_order, limit_system_residual,
-                  poisson_radial)
+                  leading_amplitude, leading_order, limit_system_residual)
 from .norms import DecayFit, NormReport, decay_fit, lp_norm, norm_diagnostics
 from .schrodinger import (Observables, WaveField, initial_wavefield,
                           madelung_observables, run, strang_step)

@@ -656,8 +656,9 @@ def _refuse_fold(labels, fold, t):
 
 
 def invert_flow_map(data: InitialData, t: float,
-                    radii: np.ndarray) -> np.ndarray:
-    """Solve X(t, R) = r for R on the closed-form flow (X strictly increasing).
+                    radii: np.ndarray) -> LabelFlow:
+    """Solve X(t, R) = r for R on the closed-form flow (X strictly increasing),
+    and return the flow at the solved labels (``.R``, 0 at r = 0).
 
     Warm start through the grid labels' tabulated rates (``node_rates``), then
     Newton steps R <- R - (X - r)/B, at most ``NEWTON_STEPS``; raises
@@ -665,11 +666,11 @@ def invert_flow_map(data: InitialData, t: float,
     ResolutionError where the flow folds (B <= 0 at a grid or returned
     label), and ParameterError for radii past the image of the data grid.
     """
+    if t < 0:
+        raise ParameterError("time must be nonnegative")
     if not data.explicit_flow:
         raise ContractError("flow-map inversion requires compatible or "
                             "static data")
-    if t < 0:
-        raise ParameterError("time must be nonnegative")
     from scipy.interpolate import PchipInterpolator  # loaded at first use
     radii = np.asarray(radii, dtype=float)
     labels = data.grid.nodes
@@ -694,7 +695,7 @@ def invert_flow_map(data: InitialData, t: float,
             f"flow-map inversion did not converge at t = {float(t):g}")
     _refuse_fold(R[pos], stR.B <= 0, t)
     R[~pos] = 0.0
-    return R
+    return label_flow(data, R)
 
 
 def eulerian_fields(data: InitialData, t: float,
@@ -740,7 +741,7 @@ def eulerian_fields(data: InitialData, t: float,
         v_out[radii > Xs[-1]] = 0.0
         return (RadialProfile(grid, rho_out), RadialProfile(grid, v_out))
 
-    R = invert_flow_map(data, t, radii)
-    st = explicit_characteristics(data, t, R)
-    return (RadialProfile(grid, data.rho0_at(R) / st.J),
+    flow = invert_flow_map(data, t, radii)
+    st = flow.at(t)
+    return (RadialProfile(grid, data.rho0_at(flow.R) / st.J),
             RadialProfile(grid, st.Xdot))

@@ -170,10 +170,9 @@ _SCALES = ("n", "lam", "amplitude_scale", "velocity_scale")
 FAMILIES = {
     "smooth_ball": Owner(
         lambda c, grid: smooth_ball_data(
-            n=c.n, lam=c.lam, grid=grid, radius=c.radius, width=c.width,
-            scale=c.amplitude_scale, chirp=c.chirp,
-            velocity_scale=c.velocity_scale),
-        (*_SCALES, "chirp", "radius", "width", "r_max", "points")),
+            n=c.n, lam=c.lam, grid=grid, scale=c.amplitude_scale,
+            chirp=c.chirp, velocity_scale=c.velocity_scale),
+        (*_SCALES, "chirp", "r_max", "points")),
     "sample": Owner(
         lambda c, grid: sample_data(
             c.kappa, c.delta, n=c.n, lam=c.lam, grid=grid,
@@ -264,8 +263,6 @@ class DataConfig:
     chirp: float = _key(0.0)
     kappa: float = _key(3.0)
     delta: float = _key(0.25)
-    radius: float = _key(1.0)
-    width: float = _key(0.15)
     r_max: float = _key(40.0)
     points: int = _key(8192)
 

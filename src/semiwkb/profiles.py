@@ -67,18 +67,16 @@ def sample_amplitude(kappa: float, delta: float, n: int,
     return RadialProfile(grid, vals)
 
 
-def smooth_ball_amplitude(grid: RadialGrid, radius: float = 1.0,
-                          width: float = 0.15, height: float = 1.0) -> RadialProfile:
-    """Mollified unit-ball amplitude: |A0|^2 is a logistic step of given width.
+def smooth_ball_amplitude(grid: RadialGrid,
+                          height: float = 1.0) -> RadialProfile:
+    """Mollified unit-ball amplitude: |A0|^2 is a logistic step of width 0.15.
 
     The logistic runs in r^2 so the radial field is a smooth (all odd
-    derivatives vanish) function at the origin; the edge slope at r = radius
+    derivatives vanish) function at the origin; the edge slope at r = 1
     matches a plain logistic of the same width.
     """
-    if width <= 0 or radius <= 0:
-        raise ParameterError("radius and width must be positive")
     r = grid.nodes
-    arg = (r * r - radius * radius) / (2.0 * radius * width)
+    arg = (r * r - 1.0) / (2.0 * 0.15)
     vals = height / np.sqrt(1.0 + np.exp(np.clip(arg, -700.0, 700.0)))
     return RadialProfile(grid, vals)
 
@@ -461,8 +459,7 @@ def ball_data(n: int = 3, lam: float = -1.0, grid: RadialGrid | None = None,
 
 
 def smooth_ball_data(n: int = 3, lam: float = -1.0,
-                     grid: RadialGrid | None = None, radius: float = 1.0,
-                     width: float = 0.15, scale: float = 1.0,
+                     grid: RadialGrid | None = None, scale: float = 1.0,
                      chirp: float = 0.0, velocity_scale: float = 1.0) -> InitialData:
     """Mollified ball amplitude with optional O(1) complex chirp on A0.
 
@@ -472,7 +469,7 @@ def smooth_ball_data(n: int = 3, lam: float = -1.0,
     """
     if grid is None:
         grid = RadialGrid(40.0, 8192)
-    amp = smooth_ball_amplitude(grid, radius=radius, width=width, height=scale)
+    amp = smooth_ball_amplitude(grid, height=scale)
     if chirp != 0.0:
         r = grid.nodes
         phase_factor = np.exp(1j * chirp * r ** 2 * np.exp(-0.5 * r ** 2))

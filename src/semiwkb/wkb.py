@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, StepRejectionError
+from .errors import ParameterError, StepRejectionError
 from .euler_poisson import invert_flow_map, label_flow
 from .grids import (RadialGrid, RadialProfile, cumulative_radial,
                     derivative_uniform, not_a_knot_spline, over_r, reaches,
@@ -39,7 +39,7 @@ from .profiles import InitialData
 
 __all__ = [
     "WkbFields", "CorrectorSeries",
-    "poisson_radial", "leading_amplitude", "leading_order",
+    "leading_amplitude", "leading_order",
     "limit_system_residual", "first_corrector",
 ]
 
@@ -134,22 +134,6 @@ def _origin_frame(dr: float, M: int, n: int):
     return r, area
 
 
-def poisson_radial(rho: RadialProfile, n: int) -> RadialProfile:
-    """Attractive-problem potential of a radial density.
-
-    n >= 3: V(r) = integral_r^inf s^(1-n) m(s) ds with the tail beyond the grid
-    closed analytically using m(s) ~ m(r_max).  n <= 2: the decay condition is
-    not meaningful; V is anchored to V(0) = 0 instead and decreases outward.
-    """
-    vals = rho.values
-    if np.iscomplexobj(vals):
-        raise DomainError("density must be real")
-    if np.min(vals) < -1e-12 * max(np.max(np.abs(vals)), 1.0):
-        raise DomainError("density has negative samples")
-    out = hartree_potential(np.clip(vals, 0.0, None), rho.grid.nodes, n)
-    return RadialProfile(rho.grid, out)
-
-
 # ---------------------------------------------------------------------------
 # leading order
 # ---------------------------------------------------------------------------
@@ -203,22 +187,14 @@ def _potential_term_nodes(data: InitialData, t: float) -> np.ndarray:
     return 0.5 * (data.n - 2) * (tail + Wc[-1] - Wc)
 
 
-def _pull_back(data: InitialData, t: float, grid: RadialGrid):
-    """The labels R of grid's nodes at time t, their flow, and the amplitude
-    a0 = A0(R)/sqrt(J) there."""
-    if t < 0:
-        raise ParameterError("time must be nonnegative")
-    R = invert_flow_map(data, t, grid.nodes)
-    flow = label_flow(data, R)
-    return R, flow, data.amplitude_at(R) / np.sqrt(flow.at(t).J)
-
-
 def leading_amplitude(data: InitialData, t: float,
                       grid: RadialGrid | None = None) -> RadialProfile:
     """The leading-order amplitude a0 at time t, equal to ``leading_order``'s
     without its phase or potential."""
     grid = data.grid if grid is None else grid
-    return RadialProfile(grid, _pull_back(data, t, grid)[2])
+    flow = invert_flow_map(data, t, grid.nodes)
+    return RadialProfile(grid, data.amplitude_at(flow.R)
+                         / np.sqrt(flow.at(t).J))
 
 
 def leading_order(data: InitialData, t: float,
@@ -232,17 +208,18 @@ def leading_order(data: InitialData, t: float,
     values.
     """
     grid = data.grid if grid is None else grid
-    R, flow, a0 = _pull_back(data, t, grid)
+    flow = invert_flow_map(data, t, grid.nodes)
+    R = flow.R
+    a0 = data.amplitude_at(R) / np.sqrt(flow.at(t).J)
 
     P = RadialProfile(data.grid, _potential_term_nodes(data, t))
     kinetic = 0.5 * flow.v0 ** 2 * _Q((4.0 - data.n) / data.n, flow.F, t)
     phi0 = data.phi0_at(R) + kinetic + P(R)
 
-    a0_profile = RadialProfile(grid, a0)
-    rho_now = RadialProfile(grid, np.abs(a0) ** 2)
-    V_P = poisson_radial(rho_now, data.n)
-    return WkbFields(t=float(t), a0=a0_profile,
-                     phi0=RadialProfile(grid, phi0), V_P=V_P)
+    V_P = hartree_potential(np.abs(a0) ** 2, grid.nodes, data.n)
+    return WkbFields(t=float(t), a0=RadialProfile(grid, a0),
+                     phi0=RadialProfile(grid, phi0),
+                     V_P=RadialProfile(grid, V_P))
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +362,7 @@ def first_corrector(data: InitialData, t_end: float,
                 f"corrector time-error estimate {err:.3e} at t = {tv:.6g} "
                 f"exceeds {TIME_ERROR_TOL:g}: take a smaller dt than {dt:g}")
         a1, p1 = ((16.0 * f - c) / 15.0 for f, c in zip(fine, coarse))
-        labels = invert_flow_map(data, tv, R)
+        labels = invert_flow_map(data, tv, R).R
         state = not_a_knot_spline(
             R, np.column_stack([a1.real, a1.imag, p1]))(labels)
         out_t.append(tv)

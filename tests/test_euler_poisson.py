@@ -793,9 +793,22 @@ def test_invert_flow_map_residual(smooth, ball):
     radii = np.linspace(0.0, 30.0, 701)
     for data in (smooth, ball):
         for t in (5.0, 1e2, 1e4):
-            R = invert_flow_map(data, t, radii)
+            R = invert_flow_map(data, t, radii).R
             st1 = explicit_characteristics(data, t, np.maximum(R[1:], 1e-300))
             assert np.max(np.abs(st1.X - radii[1:])) < 1e-10
+
+
+def test_invert_flow_map_returns_the_flow_at_its_labels(smooth, ball):
+    # the returned flow is label_flow's at the solved labels, bit for bit,
+    # so its callers evaluate no rates again
+    radii = np.linspace(0.0, 20.0, 701)
+    for data in (smooth, ball, gaussian_free_data(RadialGrid(20.0, 1024))):
+        for t in (0.0, 5.0, 1e4):
+            flow = invert_flow_map(data, t, radii)
+            ref = label_flow(data, flow.R)
+            assert flow.n == ref.n and flow.R[0] == 0.0
+            for name in ("v0", "F", "G"):
+                assert np.array_equal(getattr(flow, name), getattr(ref, name))
 
 
 def test_invert_flow_map_fails_closed(smooth, monkeypatch):
@@ -862,7 +875,7 @@ def test_newton_early_stop_loses_nothing(smooth_small, ball, t, fractions):
     for data in (smooth_small, ball):
         top = explicit_characteristics(data, t, data.grid.nodes[-1:]).X[0]
         radii = top * np.array(fractions)
-        R = invert_flow_map(data, t, radii)
+        R = invert_flow_map(data, t, radii).R
         ref = _six_newton_steps(data, t, radii)
         got, six = (explicit_characteristics(data, t, x) for x in (R, ref))
         ulp = np.spacing(np.abs(six.X))
@@ -881,14 +894,14 @@ def test_flow_map_round_trip(smooth_small, ball, t, fractions):
     for data in (smooth_small, ball):
         top = explicit_characteristics(data, t, data.grid.nodes[-1:]).X[0]
         radii = top * np.array(fractions)
-        R = invert_flow_map(data, t, radii)
+        R = invert_flow_map(data, t, radii).R
         X = explicit_characteristics(data, t, R).X
         assert np.all(np.abs(X - radii) <= 1e-12 * np.maximum(radii, 1.0))
     # static data (lam = 0, v0 = 0): the flow is the identity, exactly
     for n in (1, 2, 3, 4):
         static = gaussian_free_data(RadialGrid(20.0, 1024), n=n)
         radii = np.append(20.0 * np.array(fractions), 1e-300)
-        R = invert_flow_map(static, t, radii)
+        R = invert_flow_map(static, t, radii).R
         state = explicit_characteristics(static, t, R)
         assert np.array_equal(R, radii)
         assert np.array_equal(state.X, R)
@@ -908,7 +921,8 @@ def test_flow_map_round_trip_high_dimension(n):
     for t in (0.5, 100.0, 1e4):
         top = explicit_characteristics(data, t, data.grid.nodes[-1:]).X[0]
         radii = np.linspace(0.0, top, 4097)
-        X = explicit_characteristics(data, t, invert_flow_map(data, t, radii)).X
+        X = explicit_characteristics(data, t,
+                                   invert_flow_map(data, t, radii).R).X
         assert np.all(np.abs(X - radii) <= 1e-12 * np.maximum(radii, 1.0))
 
 

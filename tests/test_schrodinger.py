@@ -11,11 +11,12 @@ from semiwkb import schrodinger
 from semiwkb import (ContractError, ParameterError, RadialGrid, RadialProfile,
                      ResolutionError, UnsupportedConfigurationError,
                      WaveField, initial_wavefield,
-                     lp_norm, madelung_observables, poisson_radial, run,
+                     lp_norm, madelung_observables, run,
                      smooth_ball_data, strang_step)
 from semiwkb.profiles import InitialData
 from semiwkb.schrodinger import (discrete_mass, required_points,
                                  spectral_tail)
+from semiwkb.wkb import hartree_potential
 
 from oracles import current_velocity
 
@@ -371,8 +372,8 @@ def test_wavegrid_potential_gaussian_fourth_order():
         exact = 0.25 * math.sqrt(math.pi) * erf(g.nodes) / g.nodes
         errs.append(np.max(np.abs(u.potential - exact)))
         # one kernel: the density's potential on this layout is the field's
-        rho = RadialProfile(g, np.abs(u.values) ** 2)
-        assert np.array_equal(poisson_radial(rho, 3).values, u.potential)
+        rho = np.abs(u.values) ** 2
+        assert np.array_equal(hartree_potential(rho, g.nodes, 3), u.potential)
     ratios = errs[0] / errs[1], errs[1] / errs[2]
     assert all(13.0 <= q <= 17.0 for q in ratios)
 
