@@ -32,7 +32,7 @@ __all__ = ["DataConfig", "ExperimentConfig", "ConvergenceReport", "FAMILIES",
            "build_data", "rung_points", "rung_step", "split_mesh_error",
            "split_march", "converge", "classify_sweep", "decay_study",
            "evolve_ep", "wkb_eval", "schrodinger_run", "run_scenario",
-           "SCENARIOS", "SPLIT_TOL", "TAIL_TOL", "UNREAD"]
+           "SCENARIOS", "SPLIT_TOL", "TAIL_TOL", "NORM_P", "UNREAD"]
 
 # Bound on each converge rung's splitting-error estimate relative to the
 # smaller of its two WKB errors.  A relative move of at most delta in every
@@ -55,6 +55,8 @@ SPLIT_TOL = 1e-2
 # Rungs sized for TAIL_TOL/10 end at most at 1.2e-7 on the ladder 1/8 .. 1/64
 # for chirps 0.75 to 1.25, and at most at 9.1e-7 on the smaller test ladders.
 TAIL_TOL = 1e-5
+# v0 ~ r^(1-n/2): decay-study's L^p of grad phi0 needs p > 2n/(n-2), n >= 3
+NORM_P = 8.0
 
 
 def _number(x, kind: str):
@@ -73,7 +75,7 @@ def _canonicalize(config, where: str, fields) -> None:
     ints as int, floats as float, and tuple fields, from a list or a tuple,
     as tuples of floats, with t_tail's whole count as an int.  Equal
     experiments so compare and hash alike.  NaN and +-inf (json.load reads
-    both) fail, but for norm_p = +inf, the sup norm."""
+    both) fail."""
     for f in fields:
         name, value = f.name, getattr(config, f.name)
         kept, kind = value, f.type.removesuffix(" | None")
@@ -90,8 +92,7 @@ def _canonicalize(config, where: str, fields) -> None:
             if x is None:
                 raise ConfigError(f"{where} key {name!r} has the wrong "
                                   f"type: {value!r}")
-            sup_norm = name == "norm_p" and x == math.inf
-            if isinstance(x, float) and not (math.isfinite(x) or sup_norm):
+            if isinstance(x, float) and not math.isfinite(x):
                 raise ConfigError(f"{where} key {name!r} must be finite: "
                                   f"{value!r}")
         if name == "t_tail" and len(kept) == 3 and kept[2].is_integer():
@@ -203,12 +204,10 @@ _KEY_RULES = {
     "dt": lambda c: c.dt is not None and (
         c.dt <= 0 and "dt must be positive"
         or split_mesh_error(c.t_end, c.dt)),
-    "ppw": lambda c: c.ppw < 1 and "ppw must be >= 1",
     "solver_points": lambda c: c.solver_points < 16
     and "solver_points must be >= 16",
     "corrector_points": lambda c: c.corrector_points < 16
     and "corrector_points must be >= 16",
-    "norm_p": lambda c: c.norm_p < 1 and "norm_p must be >= 1",
     # decay-study, which reads t_tail, fits every series over its times:
     # hold them to the fits' floor before any data is built
     "t_tail": lambda c: not (
@@ -281,13 +280,11 @@ class ExperimentConfig:
     dt: float | None = _key(None)
     solver_points: int = _key(8191)
     corrector_points: int = _key(2049)
-    ppw: int = _key(16)
     times: tuple = _key((0.5, 1.0, 5.0))
     labels: tuple = _key((0.5, 1.0, 2.0))
     velocity_scales: tuple = _key((0.9, 1.0, 1.1))
     amplitude_scales: tuple = _key((0.1, 1.0, 10.0))
     t_tail: tuple = _key((100.0, 10000.0, 13))
-    norm_p: float = _key(8.0)
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -446,13 +443,13 @@ def rung_points(data: InitialData, config: ExperimentConfig) -> list:
         tails = spectral_tail(dst(ra0 * np.exp(1j * phi0 / eps)))
         spectral = 2 + int(np.max(np.flatnonzero(tails >= TAIL_TOL / 10),
                                   initial=-1))
-        phase = required_points(data, eps, config.data.r_max, config.ppw)
+        phase = required_points(data, eps, config.data.r_max)
         counts.append(min(cap, fast_points(max(phase, spectral))))
     return counts
 
 
 def split_march(data: InitialData, eps: float, t_end: float,
-                dt: float | None, grid: RadialGrid, ppw: int, scale,
+                dt: float | None, grid: RadialGrid, scale,
                 observable_times=None) -> tuple:
     """Strang march to t_end at dt (``rung_step`` when None) with its
     splitting-error estimate, gated twice.
@@ -473,9 +470,9 @@ def split_march(data: InitialData, eps: float, t_end: float,
     dt = rung_step(eps, t_end) if dt is None else dt
     if why := split_mesh_error(t_end, dt):
         raise ParameterError(why)
-    fine = run(data, eps, t_end, dt=dt, grid=grid, ppw=ppw,
+    fine = run(data, eps, t_end, dt=dt, grid=grid,
                observable_times=observable_times, snapshot_times=[t_end])
-    coarse = run(data, eps, t_end, dt=2.0 * dt, grid=grid, ppw=ppw,
+    coarse = run(data, eps, t_end, dt=2.0 * dt, grid=grid,
                  observable_times=[], snapshot_times=[t_end])
     delta = fine.snapshots[-1].values - coarse.snapshots[-1].values
     split = _weighted_l2(delta, grid.nodes, grid.dr, data.n) / 3.0
@@ -492,8 +489,8 @@ def split_march(data: InitialData, eps: float, t_end: float,
             f"{grid.points} nodes exceeds {TAIL_TOL:g}: the grid does not "
             f"resolve the march.  A wave grid is the smaller of its cap, "
             f"solver_points rounded up to a fast count, and the count that "
-            f"ppw and the spectrum of u0 give: raise solver_points if "
-            f"{grid.points} is that cap, else ppw")
+            f"the phase and the spectrum of u0 give: raise solver_points if "
+            f"{grid.points} is that cap")
     return fine, split
 
 
@@ -551,8 +548,7 @@ def converge(config: ExperimentConfig) -> ConvergenceReport:
                 u * np.exp(-1j * phi0T / eps) - beta0, r, dr, data.n)
             return min(row["err_modulus"], row["err_full"]), "the WKB error"
 
-        res, split = split_march(data, eps, T, config.dt, wgrid, config.ppw,
-                                 wkb_error)
+        res, split = split_march(data, eps, T, config.dt, wgrid, wkb_error)
         return {**row, "dt": res.header["dt"], "split_error": split,
                 "spectral_tail": res.header["spectral_tail"],
                 "runtime_s": time.perf_counter() - t0}
@@ -612,10 +608,11 @@ def classify_sweep(config: ExperimentConfig) -> list:
     return rows
 
 
-def velocity_norms(data: InitialData, times, p: float,
+def velocity_norms(data: InitialData, times,
                    label_top: float) -> tuple[list, list]:
-    """sup |v(t)| and ||v(t)||_{L^p} at each of ``times``, on the labels of
-    the data grid past the origin and the vacuum tail up to ``label_top``.
+    """sup |v(t)| and ||v(t)||_{L^p}, p = NORM_P, at each of ``times``, on
+    the labels of the data grid past the origin and the vacuum tail up to
+    ``label_top``.
 
     The L^p norm changes variables to labels: it is ``lp_norm`` in R of
     Xdot J^(1/p), with J = X^(n-1) B / R^(n-1) the volume factor of the
@@ -627,7 +624,8 @@ def velocity_norms(data: InitialData, times, p: float,
     for t in times:
         st = flow.at(t)
         sup.append(float(np.max(np.abs(st.Xdot))))
-        lp.append(lp_norm(st.Xdot * st.J ** (1.0 / p), labels, data.n, p))
+        lp.append(lp_norm(st.Xdot * st.J ** (1.0 / NORM_P), labels, data.n,
+                          NORM_P))
     return sup, lp
 
 
@@ -635,8 +633,8 @@ def decay_study(config: ExperimentConfig) -> dict:
     """Large-time diagnostics of the global solution on a log time grid.
 
     Samples the conserved L2 norm of a0, sup|v|, the label position X(t, 1),
-    the slow-decay norm ||grad phi0||_{L^p}, and ||grad a0||_{L2}; fits
-    log-log decay exponents for each series.
+    the slow-decay norm ||grad phi0||_{L^p} at p = NORM_P, and
+    ||grad a0||_{L2}; fits log-log decay exponents for each series.
     """
     data = build_data(config.data)
     times = np.geomspace(*config.t_tail)
@@ -658,7 +656,7 @@ def decay_study(config: ExperimentConfig) -> dict:
         series["grad_a0_l2"].append(lp_norm(da0, grid_t.nodes, data.n, 2))
 
     series["sup_v"], series["grad_phi0_lp"] = velocity_norms(
-        data, times, config.norm_p, label_top)
+        data, times, label_top)
     fits = {}
     for name, vals in series.items():
         fit = decay_fit(times, np.array(vals))
@@ -757,7 +755,7 @@ def wkb_eval(config: ExperimentConfig) -> list:
 def schrodinger_run(config: ExperimentConfig) -> dict:
     """Single wave-solver run with observables and a snapshot at t_end, on
     the grid ``rung_points`` gives its eps, as every ``converge`` rung: the
-    smallest fast count that both ppw and the spectrum of u0 ask for,
+    smallest fast count that both its phase and the spectrum of u0 ask for,
     capped at ``solver_points`` rounded up to a fast count.
 
     The run marches through ``split_march`` at ``config.dt`` or, by default,
@@ -777,9 +775,8 @@ def schrodinger_run(config: ExperimentConfig) -> dict:
     def norm_scale(fine) -> tuple:
         return eps * math.sqrt(fine.observables[0].mass), "eps ||u0||"
 
-    res, split = split_march(
-        data, eps, T, config.dt, wgrid, config.ppw, norm_scale,
-        observable_times=[0.0, T, *config.times])
+    res, split = split_march(data, eps, T, config.dt, wgrid, norm_scale,
+                             observable_times=[0.0, T, *config.times])
     scale, _ = norm_scale(res)
     records = [dataclasses.asdict(ob) for ob in res.observables]
     header = {**res.header, "split_error": split,
@@ -804,7 +801,7 @@ def _schrodinger_summary(r: dict) -> str:
 
 
 # Each scenario: its runner, the keys it reads, its own rules, its CLI summary
-_STRANG = ("eps_ladder", "t_end", "dt", "solver_points", "ppw")
+_STRANG = ("eps_ladder", "t_end", "dt", "solver_points")
 SCENARIOS = {
     "classify": Owner(
         classify_sweep, ("amplitude_scales", "velocity_scales"),
@@ -840,7 +837,7 @@ SCENARIOS = {
             f"spectral_tail={r.spectral_tail:.2e} "
             f"split_ratio={r.split_ratio:.2e}")),
     "decay-study": Owner(
-        decay_study, ("t_tail", "norm_p"),
+        decay_study, ("t_tail",),
         summary=lambda r: "exponents=" + str(
             {k: round(v["exponent"], 4) for k, v in r["fits"].items()})),
 }

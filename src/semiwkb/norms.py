@@ -52,11 +52,11 @@ class DecayFit:
 
 def lp_norm(values: np.ndarray, r: np.ndarray, n: int, p: float) -> float:
     """||f||_{L^p(R^n)} of a radial magnitude sampled on r."""
+    if not p >= 1:     # NaN and -inf fail too
+        raise ParameterError("p must be in [1, inf]")
     mag = np.abs(values)
     if np.isinf(p):
         return float(np.max(mag))
-    if p < 1:
-        raise ParameterError("p must be in [1, inf]")
     dr = np.diff(r)
     w = np.zeros_like(r)
     w[:-1] += 0.5 * dr

@@ -377,18 +377,16 @@ def free_data(velocity: RadialProfile, n: int, lam: float = 0.0) -> InitialData:
                        m_infinity=0.0, tail_coeff=0.0, exact=None)
 
 
-def gaussian_free_data(grid: RadialGrid | None = None, scale: float = 1.0,
+def gaussian_free_data(grid: RadialGrid, scale: float = 1.0,
                        n: int = 3) -> InitialData:
     """Uncoupled (lam = 0) Gaussian amplitude at rest: the limit fields are
     static, so the wave dynamics is pure free dispersion."""
-    if grid is None:
-        grid = RadialGrid(20.0, 4096)
     r = grid.nodes
     amp = RadialProfile(grid, scale * np.exp(-0.5 * r ** 2))
     return build_initial_data(amp, 0.0, n)
 
 
-def ball_data(n: int = 3, lam: float = -1.0, grid: RadialGrid | None = None,
+def ball_data(n: int = 3, lam: float = -1.0, *, grid: RadialGrid,
               velocity: str = "compatible", velocity_scale: float = 1.0,
               density: float = 1.0) -> InitialData:
     """Unit-ball density rho0 = density * 1_{r<1} with closed-form fields.
@@ -396,8 +394,6 @@ def ball_data(n: int = 3, lam: float = -1.0, grid: RadialGrid | None = None,
     The exact m0, v0, Phi0 are attached so oracle tests avoid quadrature error
     at the density jump.  velocity='zero' gives the collapsing configuration.
     """
-    if grid is None:
-        grid = RadialGrid(40.0, 8192)
     if velocity not in ("compatible", "zero"):
         raise ParameterError("velocity must be 'compatible' or 'zero'")
     if velocity == "compatible" and (lam >= 0 or n < 3):
@@ -458,8 +454,8 @@ def ball_data(n: int = 3, lam: float = -1.0, grid: RadialGrid | None = None,
                        tail_coeff=tail, exact=exact)
 
 
-def smooth_ball_data(n: int = 3, lam: float = -1.0,
-                     grid: RadialGrid | None = None, scale: float = 1.0,
+def smooth_ball_data(n: int = 3, lam: float = -1.0, *,
+                     grid: RadialGrid, scale: float = 1.0,
                      chirp: float = 0.0, velocity_scale: float = 1.0) -> InitialData:
     """Mollified ball amplitude with optional O(1) complex chirp on A0.
 
@@ -467,8 +463,6 @@ def smooth_ball_data(n: int = 3, lam: float = -1.0,
     |A0|^2 and hence the compatible phase untouched, but makes the first
     corrector's amplitude-phase coupling nondegenerate.
     """
-    if grid is None:
-        grid = RadialGrid(40.0, 8192)
     amp = smooth_ball_amplitude(grid, height=scale)
     if chirp != 0.0:
         r = grid.nodes
@@ -478,11 +472,9 @@ def smooth_ball_data(n: int = 3, lam: float = -1.0,
 
 
 def sample_data(kappa: float, delta: float, n: int = 3, lam: float = -1.0,
-                grid: RadialGrid | None = None, scale: float = 1.0,
+                *, grid: RadialGrid, scale: float = 1.0,
                 velocity_scale: float = 1.0) -> InitialData:
     """Initial data built on the kappa/delta amplitude family."""
-    if grid is None:
-        grid = RadialGrid(40.0, 8192)
     amp = sample_amplitude(kappa, delta, n, grid)
     if scale != 1.0:
         amp = amp.with_values(scale * amp.values)

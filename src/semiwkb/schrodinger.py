@@ -24,6 +24,8 @@ __all__ = ["WaveField", "Observables", "RunResult", "initial_wavefield",
 
 FOUR_PI = 4.0 * math.pi
 BOUNDARY_TOL = 1e-6            # boundary-mass warning level, relative to the total
+# Phase points per wavelength: it, not u0's spectrum, sizes acceptance rungs
+PPW = 16
 
 
 @dataclass(frozen=True)
@@ -93,9 +95,8 @@ class RunResult:
     header: dict
 
 
-def required_points(data: InitialData, eps: float, r_max: float,
-                    ppw: int = 16) -> int:
-    """Node count needed to resolve the fast phase at ppw points per
+def required_points(data: InitialData, eps: float, r_max: float) -> int:
+    """Node count needed to resolve the fast phase at PPW points per
     wavelength of its largest wavenumber max|Phi0'|/eps.
 
     It sees the phase only: for data at rest (Phi0' = 0) it returns the grid
@@ -104,7 +105,7 @@ def required_points(data: InitialData, eps: float, r_max: float,
     vmax = data.v0_max
     if vmax == 0.0:
         return 16
-    dr_req = 2.0 * math.pi * eps / (ppw * vmax)
+    dr_req = 2.0 * math.pi * eps / (PPW * vmax)
     return max(16, int(math.ceil(r_max / dr_req)) - 1)
 
 
@@ -114,22 +115,22 @@ def fast_points(m: int) -> int:
     return next_fast_len(m + 1, real=True) - 1
 
 
-def initial_wavefield(data: InitialData, eps: float, grid: RadialGrid,
-                      ppw: int = 16) -> WaveField:
+def initial_wavefield(data: InitialData, eps: float,
+                      grid: RadialGrid) -> WaveField:
     """Prepare u = A0 exp(i Phi0 / eps) on the solver grid.
 
     Raises a resolution error naming the required point count when the grid
-    cannot resolve the phase at ppw points per local wavelength, and the
+    cannot resolve the phase at PPW points per local wavelength, and the
     smallest count past it whose DST length 2(M+1) is fast.
     """
     if data.n != 3:
         raise UnsupportedConfigurationError(
             "the wave solver is three-dimensional only")
-    need = required_points(data, eps, grid.r_max, ppw)
+    need = required_points(data, eps, grid.r_max)
     if grid.points < need:
         raise ResolutionError(
             f"grid has {grid.points} points but the phase needs at least "
-            f"{need} (dr <= 2 pi eps / ({ppw} * max|Phi0'|)); the smallest "
+            f"{need} (dr <= 2 pi eps / ({PPW} * max|Phi0'|)); the smallest "
             f"count at least that with a fast transform length 2(M+1) is "
             f"{fast_points(need)}")
     r = grid.nodes
@@ -251,8 +252,8 @@ def madelung_observables(u: WaveField) -> Observables:
 
 
 def run(data: InitialData, eps: float, t_end: float, dt: float, *,
-        grid: RadialGrid, observable_times=None, snapshot_times=None,
-        ppw: int = 16) -> RunResult:
+        grid: RadialGrid, observable_times=None,
+        snapshot_times=None) -> RunResult:
     """Fixed-step Strang march at dt with observables at requested times.
 
     On ``grids.time_mesh`` every full step is exactly dt and ends at k*dt,
@@ -273,7 +274,7 @@ def run(data: InitialData, eps: float, t_end: float, dt: float, *,
     obs_times = sample_times([0.0, t_end] if observable_times is None
                              else observable_times, t_end)
     snap_times = sample_times(snapshot_times or [], t_end)
-    u = initial_wavefield(data, eps, grid, ppw=ppw)
+    u = initial_wavefield(data, eps, grid)
 
     observables, snapshots, trunc = [], [], []
     total0 = discrete_mass(u)
@@ -304,7 +305,7 @@ def run(data: InitialData, eps: float, t_end: float, dt: float, *,
                       f"at t = {trunc[0]['t']:.6g}", RuntimeWarning)
     header = {"eps": eps, "dt": dt, "t_end": t_end,
               "grid": grid.descriptor(), "data_hash": data.content_hash(),
-              "lam": data.lam, "ppw": ppw,
+              "lam": data.lam, "ppw": PPW,
               "spectral_tail": float(spectral_tail(u.spectrum)[-1]),
               "transform_len": 2 * (grid.points + 1),   # DST-I length as an FFT
               "transform_len_fast": fast_points(grid.points) == grid.points}

@@ -188,17 +188,15 @@ def _potential_term_nodes(data: InitialData, t: float) -> np.ndarray:
 
 
 def leading_amplitude(data: InitialData, t: float,
-                      grid: RadialGrid | None = None) -> RadialProfile:
+                      grid: RadialGrid) -> RadialProfile:
     """The leading-order amplitude a0 at time t, equal to ``leading_order``'s
     without its phase or potential."""
-    grid = data.grid if grid is None else grid
     flow = invert_flow_map(data, t, grid.nodes)
     return RadialProfile(grid, data.amplitude_at(flow.R)
                          / np.sqrt(flow.at(t).J))
 
 
-def leading_order(data: InitialData, t: float,
-                  grid: RadialGrid | None = None) -> WkbFields:
+def leading_order(data: InitialData, t: float, grid: RadialGrid) -> WkbFields:
     """Eulerian leading-order WKB fields (a0, phi0, V_P) at time t.
 
     Lagrangian closed forms are pulled back through the monotone inverse of
@@ -207,7 +205,6 @@ def leading_order(data: InitialData, t: float,
     v0 = 0) rides the same flow with X = R: its fields stay at their initial
     values.
     """
-    grid = data.grid if grid is None else grid
     flow = invert_flow_map(data, t, grid.nodes)
     R = flow.R
     a0 = data.amplitude_at(R) / np.sqrt(flow.at(t).J)

@@ -50,6 +50,19 @@ def test_config_rejects_unknown_keys():
                                     "data": {"wat": 2}})
 
 
+@pytest.mark.parametrize("scenario, payload", [
+    ("converge", {"ppw": 16}), ("schrodinger-run", {"ppw": 16}),
+    ("decay-study", {"norm_p": 8}), ("decay-study", {"norm_p": math.inf})])
+def test_constants_are_not_config_keys(tmp_path, capsys, scenario, payload):
+    # the phase's points per wavelength (schrodinger.PPW) and decay-study's
+    # norm exponent (harness.NORM_P) are constants: a config that sets one
+    # names an unknown key and exits 2
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    assert cli_main([scenario, "--config", str(path)]) == 2
+    assert f"unknown keys in config: {list(payload)}" in capsys.readouterr().err
+
+
 def test_config_rejects_bad_ladders():
     with pytest.raises(ConfigError):
         ExperimentConfig(scenario="converge", eps_ladder=(0.5, 0.5, 0.25))
@@ -62,23 +75,22 @@ def test_config_rejects_bad_ladders():
 @pytest.mark.parametrize("cls, kwargs", [
     (ExperimentConfig, dict(scenario="converge", dt=math.nan,
                             t_end=math.inf)),
-    (ExperimentConfig, dict(scenario="decay-study", norm_p=-math.inf)),
+    (ExperimentConfig, dict(scenario="decay-study",
+                            t_tail=(-math.inf, 100.0, 13))),
     (ExperimentConfig, dict(scenario="converge", dt=-1.0)),
     (ExperimentConfig, dict(scenario="converge", dt=0.0)),
     (ExperimentConfig, dict(scenario="wkb-eval", times=(0.5, math.nan))),
     (DataConfig, dict(r_max=math.inf)),
     (DataConfig, dict(chirp=math.nan)),
-    (ExperimentConfig, dict(scenario="decay-study", norm_p=math.nan)),
+    (ExperimentConfig, dict(scenario="decay-study",
+                            t_tail=(100.0, 10000.0, math.nan))),
+    (ExperimentConfig, dict(scenario="decay-study",
+                            t_tail=(100.0, math.inf, 13))),
 ])
 def test_config_rejects_non_finite_and_non_positive_dt(cls, kwargs):
     # direct construction takes the same check as a JSON file
     with pytest.raises(ConfigError):
         cls(**kwargs)
-
-
-def test_config_keeps_the_sup_norm():
-    assert ExperimentConfig(scenario="decay-study",
-                            norm_p=math.inf).norm_p == math.inf
 
 
 def test_config_scenario_gate():
@@ -97,21 +109,21 @@ def test_on_disk_format_pinned():
     assert RadialGrid(40.0, 8192).descriptor() == {
         "r_max": 40.0, "points": 8192, "spacing": "uniform",
         "include_origin": True, "stretch": 1.0}
-    recorded = {"converge": "7646f326525255bc",
+    recorded = {"converge": "2a10892dd84bcd13",
                 "classify": "d495ebfa3df3c91e",
-                "decay-study": "25a4dc2e6ae37f15",
-                "schrodinger-run": "bb8a1092f3e1574d",
+                "decay-study": "1e580c7df96c0670",
+                "schrodinger-run": "6b8e7a0739a87ee7",
                 "evolve-ep": "d017b2db96ebcc50",
                 "wkb-eval": "af3f27823b4747c3"}
     for scenario, digest in recorded.items():
         assert ExperimentConfig(scenario=scenario).hash() == digest
     # the committed study configs
     configs = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
-    committed = {"converge": "d72bbfb51b5f0c2e",
+    committed = {"converge": "df3fb28baeb7ed79",
                  "classify": "9103ba98c920fec4",
-                 "decay-study": "25a4dc2e6ae37f15",
+                 "decay-study": "1e580c7df96c0670",
                  "evolve-ep": "44ba6fcb422b23e5",
-                 "schrodinger-run": "5a7e004535c576cb",
+                 "schrodinger-run": "aa7ea55517968132",
                  "wkb-eval": "e835e06eeacdfe00"}
     assert sorted(os.listdir(configs)) == sorted(f"{s}.json" for s in committed)
     for scenario, digest in committed.items():
@@ -190,7 +202,6 @@ def experiments(draw):
                    | st.integers(1, 4).map(lambda j: t_end / 2 ** j)),
         "solver_points": draw(st.integers(16, 2 ** 14)),
         "corrector_points": draw(st.integers(16, 2 ** 14)),
-        "ppw": draw(st.integers(1, 64)),
         # schrodinger-run observes no time past t_end
         "times": tuple(t for t in draw(_quarter_sets(1))
                        if scenario != "schrodinger-run" or t <= t_end),
@@ -200,8 +211,6 @@ def experiments(draw):
         "t_tail": (float(t_min),
                    float(t_min * draw(st.sampled_from([100, 1000]))),
                    float(draw(st.integers(8, 20)))),
-        "norm_p": draw(st.integers(4, 40).map(lambda k: k / 4)
-                       | st.just(math.inf)),
     }
     return {"scenario": scenario, "data": {"family": family, **data},
             **{k: values[k] for k in owner.reads}}
@@ -295,8 +304,7 @@ def wrong_fields(draw):
     that reads the field: any, where every one does)"""
     cls = draw(st.sampled_from([DataConfig, ExperimentConfig]))
     f = draw(st.sampled_from(dataclasses.fields(cls)))
-    wrong = draw(st.sampled_from(WRONG[f.type]).filter(
-        lambda v: not (f.name == "norm_p" and v == math.inf)))
+    wrong = draw(st.sampled_from(WRONG[f.type]))
     owners = FAMILIES if cls is DataConfig else SCENARIOS
     owner = draw(st.sampled_from(sorted(
         name for name, o in owners.items()
@@ -325,7 +333,7 @@ def test_config_wrong_types_fail_on_both_paths(case):
 
 
 @pytest.mark.parametrize("cls, kwargs", [
-    (ExperimentConfig, dict(scenario="converge", ppw=True)),
+    (ExperimentConfig, dict(scenario="converge", solver_points=True)),
     (DataConfig, dict(n=3.0)),
     (ExperimentConfig, dict(scenario="converge", solver_points=1023.5)),
     (DataConfig, dict(points=1024.0)),
@@ -359,16 +367,29 @@ def test_python_built_schrodinger_run_refuses_times_past_t_end():
 # a value of each key, other than any owner's default, that every owner
 # reading the key accepts
 OTHER = {"t_end": 1.0, "dt": 0.125, "solver_points": 4095,
-         "corrector_points": 1025, "ppw": 8, "times": (0.25,),
+         "corrector_points": 1025, "times": (0.25,),
          "labels": (1.5,), "velocity_scales": (2.0,),
          "amplitude_scales": (2.0,), "t_tail": (10.0, 1000.0, 9),
-         "norm_p": 4.0, "n": 4, "lam": -2.0, "amplitude_scale": 2.0,
+         "n": 4, "lam": -2.0, "amplitude_scale": 2.0,
          "velocity_scale": 0.5, "chirp": 1.0, "kappa": 2.0, "delta": 0.5,
          "r_max": 20.0, "points": 1024}
 
 
 def _keys(cls) -> list:
     return [f.name for f in dataclasses.fields(cls) if f.default is UNREAD]
+
+
+def test_every_key_has_a_reader():
+    # a key no owner reads is a dead knob; each name an owner reads or
+    # defaults is a key of its config class, and each a scenario sweeps is a
+    # data key
+    for cls, owners in ((ExperimentConfig, SCENARIOS), (DataConfig, FAMILIES)):
+        keys = set(_keys(cls))
+        assert keys == {k for owner in owners.values() for k in owner.reads}
+        for owner in owners.values():
+            assert set(owner.defaults) <= keys
+    assert ({k for owner in SCENARIOS.values() for k in owner.sweeps}
+            <= set(_keys(DataConfig)))
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
@@ -434,13 +455,13 @@ def test_unread_keys_leave_the_hash_alone():
     # the default converge config; at the parent, labels = (1.0,) and
     # amplitude_scales = (2.0,) moved its hash, though converge reads
     # neither
-    assert ExperimentConfig(scenario="converge").hash() == "7646f326525255bc"
+    assert ExperimentConfig(scenario="converge").hash() == "2a10892dd84bcd13"
     for key, value in (("labels", (1.0,)), ("amplitude_scales", (2.0,))):
         with pytest.raises(ConfigError, match=f"'{key}'"):
             ExperimentConfig(scenario="converge", **{key: value})
     # out_dir is where a run writes, not what it computes
     config = ExperimentConfig(scenario="converge", out_dir="a")
-    assert config.hash() == "7646f326525255bc"
+    assert config.hash() == "2a10892dd84bcd13"
 
 
 def test_schrodinger_run_takes_one_eps(tmp_path, capsys):
@@ -458,15 +479,15 @@ def test_schrodinger_run_takes_one_eps(tmp_path, capsys):
 
 def test_equal_experiments_hash_alike():
     assert ExperimentConfig(scenario="converge",
-                            t_end=1).hash() == "8e688c249e288fca"
+                            t_end=1).hash() == "1192d3ff83ec3448"
     for config in (ExperimentConfig.from_json({"data": {"lam": -1}},
                                               "converge"),
                    ExperimentConfig(scenario="converge",
                                     data=DataConfig(lam=-1))):
-        assert config.hash() == "7646f326525255bc"
+        assert config.hash() == "2a10892dd84bcd13"
     for t_tail in ((100, 10000, 13), (100.0, 10000.0, 13.0)):
         assert ExperimentConfig(scenario="decay-study",
-                                t_tail=t_tail).hash() == "25a4dc2e6ae37f15"
+                                t_tail=t_tail).hash() == "1e580c7df96c0670"
     config = ExperimentConfig(scenario="wkb-eval", times=[1, 2])
     assert config.times == (1.0, 2.0)
     assert hash(config) == hash(dataclasses.replace(config, times=(1.0, 2.0)))
@@ -576,7 +597,7 @@ def test_converge_emits_hash_stamped_files(conv_report):
     (8191, [624, 1214, 2429, 4859])])     # configs/converge.json
 def test_rung_points_on_the_acceptance_ladder(solver_points, expected):
     # the phase decides on this ladder: every rung takes the fast count past
-    # its ppw-16 count, well under the cap, whichever cap it is given
+    # its PPW count, well under the cap, whichever cap it is given
     data_cfg = DataConfig(chirp=1.0, points=8192)
     cfg = ExperimentConfig(scenario="converge", data=data_cfg,
                            eps_ladder=(1 / 8, 1 / 16, 1 / 32, 1 / 64),
@@ -585,7 +606,7 @@ def test_rung_points_on_the_acceptance_ladder(solver_points, expected):
     counts = rung_points(data, cfg)
     assert counts == expected
     for eps, m in zip(cfg.eps_ladder, counts):
-        need = required_points(data, eps, data_cfg.r_max, cfg.ppw)
+        need = required_points(data, eps, data_cfg.r_max)
         assert m == fast_points(need) < fast_points(cfg.solver_points)
 
 
@@ -599,7 +620,7 @@ def test_rung_points_raised_to_required_points():
                            eps_ladder=(0.25, 0.125, 0.0625, 0.03125),
                            t_end=0.25, solver_points=127)
     data = build_data(data_cfg)
-    assert required_points(data, 0.25, data_cfg.r_max, cfg.ppw) == 16
+    assert required_points(data, 0.25, data_cfg.r_max) == 16
     assert rung_points(data, cfg) == [39, 39, 39, 39]
     capped = dataclasses.replace(cfg, solver_points=24)
     assert rung_points(data, capped) == [fast_points(24)] * 4 == [24] * 4
@@ -744,22 +765,23 @@ def test_converge_split_gate_fails_closed(tmp_path, capsys):
 
 
 def test_converge_tail_gate_fails_closed(tmp_path, capsys):
-    # at ppw 4 the eps = 1/8 phase needs 75 nodes and the cap of 161 passes
-    # it, but the spectrum of u0 needs more: the rung runs on the cap and
-    # u(T) ends with a spectral tail of 3.1e-4, past TAIL_TOL; exit 3 and
-    # no output
+    # data at rest: the phase needs only the floor of 16 nodes and the
+    # spectrum of u0 needs 39 (``test_rung_points_raised_to_required_points``),
+    # so the cap of 24 holds every rung and u(T) ends with a spectral tail
+    # of 6.0e-3, past TAIL_TOL; exit 3 and no output
     cfg_path = tmp_path / "capped.json"
     cfg_path.write_text(json.dumps({
-        "data": {"chirp": 1.0, "points": 1024, "r_max": 20.0},
-        "eps_ladder": [0.125, 0.0625, 0.03125], "t_end": 0.1, "ppw": 4,
-        "solver_points": 160, "corrector_points": 257}))
+        "data": {"family": "gaussian_free", "points": 1024, "r_max": 20.0},
+        "eps_ladder": [0.25, 0.125, 0.0625], "t_end": 0.25,
+        "solver_points": 24, "corrector_points": 257}))
     out = tmp_path / "out"
     assert cli_main(["converge", "--config", str(cfg_path),
                      "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert "spectral tail 3.1" in err and "eps = 0.125 on 161 nodes" in err
-    # the message names both knobs that size the grid
-    assert "ppw" in err and "solver_points" in err
+    assert ("spectral tail 5.957e-03 of u(0.25) at eps = 0.25 on 24 nodes"
+            in err)
+    # the message names the knob that caps the grid
+    assert "solver_points" in err and "ppw" not in err
     assert not (out / "convergence.json").exists()
 
 
@@ -905,7 +927,7 @@ def _reference_decay_study(config):
         da0 = f.a0.derivative(1, left_parity="even")
         series["grad_a0_l2"].append(lp_norm(da0, grid_t.nodes, data.n, 2))
     series["sup_v"], series["grad_phi0_lp"] = harness.velocity_norms(
-        data, times, config.norm_p, label_top)
+        data, times, label_top)
     fits = {}
     for name, vals in series.items():
         fit = decay_fit(times, np.array(vals))
@@ -950,8 +972,7 @@ def test_decay_study_tail_runs_past_the_grid():
                            data=DataConfig(family="smooth_ball", points=1024),
                            t_tail=(0.01, 1.0, 8))
     got = decay_study(cfg)["series"]["grad_phi0_lp"]
-    _, far = harness.velocity_norms(build_data(cfg.data), [0.01, 1.0], 8.0,
-                                    1e6)
+    _, far = harness.velocity_norms(build_data(cfg.data), [0.01, 1.0], 1e6)
     assert got[0] == pytest.approx(far[0], rel=1e-4)
     assert got[-1] == pytest.approx(far[1], rel=1e-4)
     assert far == pytest.approx([1.16808, 1.10480], abs=1e-5)
@@ -1114,7 +1135,7 @@ def test_schrodinger_run_outputs(tmp_path):
              (tmp_path / "observables.jsonl").read_text().splitlines()]
     res = run(build_data(cfg.data), 0.25, 0.1, dt=header["dt"],
               grid=RadialGrid(20.0, 224, include_origin=False),
-              observable_times=[0.0, 0.05, 0.1], ppw=cfg.ppw)
+              observable_times=[0.0, 0.05, 0.1])
     assert len(lines) == len(res.observables)
     for line, ob in zip(lines, res.observables):
         assert set(line) == {"boundary_mass", "energy", "mass", "t"}
@@ -1219,7 +1240,7 @@ def test_split_march_default_step_is_the_rung_step():
     data = build_data(DataConfig(points=1024, r_max=20.0))
     g = RadialGrid(20.0, 1079, include_origin=False)
     for eps, T in ((0.25, 0.1), (0.25, 0.3), (0.125, 0.25)):
-        fine, _ = split_march(data, eps, T, None, g, 16,
+        fine, _ = split_march(data, eps, T, None, g,
                               lambda fine: (1.0, "one"))
         assert fine.header["dt"] == rung_step(eps, T)
 
@@ -1269,7 +1290,7 @@ def test_split_march_rejects_a_dt_off_its_mesh(dt, monkeypatch):
     data = build_data(DataConfig(points=1024, r_max=20.0))
     grid = RadialGrid(20.0, 1079, include_origin=False)
     with pytest.raises(ParameterError, match="off the mesh"):
-        split_march(data, 0.25, 0.25, dt, grid, 16, marching)
+        split_march(data, 0.25, 0.25, dt, grid, marching)
 
 
 @pytest.mark.parametrize("scenario, payload", [
@@ -1310,17 +1331,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     # malformed value types are validation errors, not tracebacks
     for payload in ({"data": None}, {"eps_ladder": 0.1}, {"t_end": "x"},
                     {"data": {"points": "many"}}, {"eps_ladder": [0.5, "a"]},
-                    {"ppw": True}, {"data": {"lam": None}}):
+                    {"solver_points": True}, {"data": {"lam": None}}):
         typed = tmp_path / "typed.json"
         typed.write_text(json.dumps(payload))
         assert cli_main(["converge", "--config", str(typed)]) == 2
 
     # out-of-range values are validation errors under the scenario they
-    # would otherwise break (a negative ppw defeats the resolution guard)
+    # would otherwise break
     small = {"data": {"points": 512, "r_max": 20.0}}
     for scenario, payload in (
-            ("schrodinger-run", {"ppw": 0}),
-            ("schrodinger-run", {"ppw": -4, "solver_points": 16}),
             ("schrodinger-run", {"eps_ladder": []}),
             ("decay-study", {"t_tail": [100, 10000]}),
             ("decay-study", {"t_tail": [100, 10000, -1]}),
@@ -1328,7 +1347,6 @@ def test_cli_exit_codes(tmp_path, capsys):
             ("decay-study", {"t_tail": [100, 10000, 7]}),
             ("decay-study", {"t_tail": [1, 10, 9]}),
             ("decay-study", {"t_tail": [100, 10000, 8.9]}),
-            ("decay-study", {"norm_p": 0}),
             ("schrodinger-run", {"solver_points": -3}),
             ("converge", {"solver_points": 15}),
             ("converge", {"corrector_points": 0}),
@@ -1350,7 +1368,7 @@ def test_cli_exit_codes(tmp_path, capsys):
             ("converge", {**small, "dt": -1.0}),
             ("schrodinger-run", {**small, "dt": 0}),
             ("schrodinger-run", {**small, "t_end": math.inf}),
-            ("decay-study", {**small, "norm_p": math.nan}),
+            ("decay-study", {**small, "t_tail": [100, math.nan, 13]}),
             ("converge", {"data": {"points": 512, "r_max": math.nan}}),
             ("schrodinger-run", {"data": {"points": 1024, "r_max": 20.0},
                                  "eps_ladder": [0.25], "t_end": 0.1,
@@ -1398,11 +1416,6 @@ def test_cli_exit_codes(tmp_path, capsys):
         "eps_ladder": [0.03125, 0.015625, 0.0078125],
         "t_end": 0.02, "solver_points": 512, "corrector_points": 513}))
     assert cli_main(["converge", "--config", str(res)]) == 3
-
-    # norm_p = Infinity is the sup norm and stays accepted
-    sup = tmp_path / "sup.json"
-    sup.write_text(json.dumps({**small, "norm_p": math.inf}))
-    assert cli_main(["decay-study", "--config", str(sup)]) == 0
 
     # there is no --threads flag: argparse exits with a usage error
     with pytest.raises(SystemExit) as exc:

@@ -31,6 +31,14 @@ def test_lp_norm_gaussian_exact():
     assert lp_norm(np.exp(-r ** 2 / 2), r, 3, np.inf) == 1.0
 
 
+@pytest.mark.parametrize("p", [0.5, -np.inf, np.nan])
+def test_lp_norm_refuses_p_below_one(p):
+    # -inf and NaN too: neither is the sup norm, nor a norm at all
+    r = RadialGrid(20.0, 256).nodes
+    with pytest.raises(ParameterError, match="p must be in"):
+        lp_norm(np.exp(-r ** 2), r, 3, p)
+
+
 def test_all_norms_vanish_for_zero():
     g = RadialGrid(10.0, 512)
     for n in (1, 3):
@@ -70,7 +78,7 @@ def test_grad_phi0_l8_decays(smooth):
     # factor-2 witness needs a long horizon
     from semiwkb.harness import velocity_norms
     top = 20.0 * (1.5 * smooth.tail_coeff * 1e5) ** (2.0 / 3.0)
-    _, (early, late) = velocity_norms(smooth, [1.0, 1e5], 8.0, top)
+    _, (early, late) = velocity_norms(smooth, [1.0, 1e5], top)
     assert late < 0.5 * early
     # the fixed-window Eulerian norm also strictly decreases
     grid = smooth.grid

@@ -257,7 +257,7 @@ def _outcome(fn):
        points=st.sampled_from([16, 257, 1024]))
 def test_leading_amplitude_is_leading_orders_a0(spec, t, top, points):
     data = _pull_back_data(*spec)
-    grid = None if top is None else RadialGrid(top * data.r_max, points)
+    grid = data.grid if top is None else RadialGrid(top * data.r_max, points)
     got, got_exc = _outcome(lambda: wkb.leading_amplitude(data, t, grid))
     ref, ref_exc = _outcome(lambda: leading_order(data, t, grid).a0)
     event(ref_exc[0].__name__ if ref_exc else "equal")
@@ -280,7 +280,7 @@ def test_leading_amplitude_raises_as_leading_order(spec, t, exc):
     data = _pull_back_data(*spec)
     for fn in (wkb.leading_amplitude, leading_order):
         with pytest.raises(exc):
-            fn(data, t)
+            fn(data, t, data.grid)
 
 
 def test_limit_system_residuals_small(smooth_chirped):
